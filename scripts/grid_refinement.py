@@ -23,12 +23,7 @@ def main(argv):
     prev = None
     for lvl in range(levels):
         t0 = time.time()
-        if spec.family.is_twap:
-            side = "physical" if spec.family.is_physical else "cash"
-            surf = ef.solve_twap(side, params, grid)
-        else:
-            surf = ef.solve_fee_surface(spec, params, grid)
-        fee = surf.value_at(0.0, 45.0, 0.5)
+        fee = ef.solve_fee_surface(spec, params, grid).value_at(0.0, 45.0, 0.5)
         delta = "" if prev is None else f"  delta={fee - prev:+.2e}"
         print(f"level {lvl}: I={grid.I:4d} J={grid.J:4d} n_steps={grid.n_steps:5d}  "
               f"fee={fee:.6f}{delta}  ({time.time() - t0:.1f}s)")

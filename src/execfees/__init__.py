@@ -10,7 +10,7 @@ from .closed_form import (RiccatiConstants, control_closed, fee_physical_closed,
 from .hjb import (ControlSurface, FeeSurface, RegulatoryResult, RegulatorySpec,
                   explicit_nonlinear, extract_control, implicit_matrix_row,
                   load_surface, save_surface, solve_fee_surface,
-                  solve_regulatory, solve_twap, step_backward)
+                  solve_regulatory, step_backward)
 from .simulate import (PayoffEstimate, SimConfig, SimPath, common_noise_batch,
                        expected_payoff_metric, interpolate_control,
                        realized_payoff, simulate_path)
@@ -27,7 +27,7 @@ __all__ = [
     "ControlSurface", "FeeSurface", "RegulatoryResult", "RegulatorySpec",
     "explicit_nonlinear", "extract_control", "implicit_matrix_row",
     "load_surface", "save_surface", "solve_fee_surface", "solve_regulatory",
-    "solve_twap", "step_backward",
+    "step_backward",
     "PayoffEstimate", "SimConfig", "SimPath", "common_noise_batch",
     "expected_payoff_metric", "interpolate_control", "realized_payoff",
     "simulate_path",

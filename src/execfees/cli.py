@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .config import (DEFAULT_K1, DEFAULT_K2, ExperimentConfig, SweepSpec,
 from .contracts import ContractSpec, Family, make_contract
 from .errors import ConfigError, ExecFeesError
 from .hjb import (RegulatorySpec, extract_control, solve_fee_surface,
-                  solve_regulatory, solve_twap)
+                  solve_regulatory)
 from .simulate import common_noise_batch, expected_payoff_metric, simulate_path
 
 OUT_ENV_VAR = "EXECFEES_OUT"
@@ -32,56 +31,38 @@ OUT_ENV_VAR = "EXECFEES_OUT"
 # pipeline operations (importable; the CLI is a thin shell around these)
 
 def _solve_fee(spec: ContractSpec, config: ExperimentConfig, params=None):
-    params = params or config.params
-    if spec.family.is_twap:
-        side = "physical" if spec.family.is_physical else "cash"
-        surface = solve_twap(side, params, config.grid)
-    else:
-        surface = solve_fee_surface(spec, params, config.grid)
+    surface = solve_fee_surface(spec, params or config.params, config.grid)
     fee = surface.value_at(0.0, config.sim.s0, config.sim.q0)
     return fee, surface
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_fees(config: ExperimentConfig, threads: int = 1):
+def run_fees(config: ExperimentConfig):
     """One fee per configured contract at (t=0, q0, s0)."""
     grid_hash = sha256_of(dataclasses.asdict(config.grid))[:12]
     params_hash = sha256_of(dataclasses.asdict(config.params))[:12]
-    fees = _pmap(lambda c: _solve_fee(c, config)[0], list(config.contracts), threads)
-    return [{"family": c.family.value, "fee": fee,
+    return [{"family": c.family.value, "fee": _solve_fee(c, config)[0],
              "grid_hash": grid_hash, "params_hash": params_hash}
-            for c, fee in zip(config.contracts, fees)]
+            for c in config.contracts]
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1):
+def run_sweep(config: ExperimentConfig):
     """Fees over the configured parameter sweep, one row per (value, contract)."""
     if config.sweep is None:
         raise ConfigError("sweep: section required for the sweep command")
     if config.sweep.param not in {f.name for f in dataclasses.fields(config.params)}:
         raise ConfigError("sweep: regulatory parameters are swept by the "
                           "regulatory command")
-    jobs = [(value, contract)
-            for value in config.sweep.values for contract in config.contracts]
-
-    def one(job):
-        value, contract = job
+    rows = []
+    for value in config.sweep.values:
         params = config.params.replace(**{config.sweep.param: value})
-        if contract.family.is_twap and params.r != 0.0:
-            raise ConfigError("sweep: TWAP contracts require r = 0")
-        fee, _ = _solve_fee(contract, config, params=params)
-        return {"param": config.sweep.param, "value": value,
-                "family": contract.family.value, "fee": fee}
-
-    return _pmap(one, jobs, threads)
+        for contract in config.contracts:
+            rows.append({"param": config.sweep.param, "value": value,
+                         "family": contract.family.value,
+                         "fee": _solve_fee(contract, config, params=params)[0]})
+    return rows
 
 
-def run_regulatory(config: ExperimentConfig, threads: int = 1):
+def run_regulatory(config: ExperimentConfig):
     """Pre-decision fees over the p list at the configured tau and sigma."""
     if config.regulatory is None:
         raise ConfigError("regulatory: section required for the regulatory command")
@@ -90,36 +71,33 @@ def run_regulatory(config: ExperimentConfig, threads: int = 1):
         p_values = list(config.sweep.values)
     else:
         p_values = [config.regulatory.p]
-
-    def one(p):
-        res = solve_regulatory(RegulatorySpec(p=p, tau=tau), config.params, config.grid)
-        return {"sigma": config.params.sigma, "tau": tau, "p": p,
-                "fee": res.pre.value_at(0.0, config.sim.s0, config.sim.q0)}
-
-    return _pmap(one, p_values, threads)
+    s0, q0 = config.sim.s0, config.sim.q0
+    return [{"sigma": config.params.sigma, "tau": tau, "p": p,
+             "fee": solve_regulatory(RegulatorySpec(p=p, tau=tau), config.params,
+                                     config.grid).pre.value_at(0.0, s0, q0)}
+            for p in p_values]
 
 
-def run_twap(config: ExperimentConfig, threads: int = 1):
+def run_twap(config: ExperimentConfig):
     """Fees of the two TWAP contracts via the transformed equation."""
-    def one(side):
-        surface = solve_twap(side, config.params, config.grid)
-        return {"family": f"twap_{side}",
-                "fee": surface.value_at(0.0, config.sim.s0, config.sim.q0)}
-    return _pmap(one, ["physical", "cash"], threads)
+    return [{"family": family,
+             "fee": _solve_fee(make_contract(family, config.params), config)[0]}
+            for family in ("twap_physical", "twap_cash")]
 
 
-def run_statarb(config: ExperimentConfig, threads: int = 1):
+def run_statarb(config: ExperimentConfig):
     """Expected-payoff estimates for every configured contract."""
-    def one(contract):
+    rows = []
+    for contract in config.contracts:
         est = expected_payoff_metric(contract, config.params, config.grid, config.sim)
-        return {"family": contract.family.value, "fee": est.fee,
-                "estimate": est.estimate,
-                "stderr": "na" if est.stderr is None else est.stderr,
-                "arbitrage": est.arbitrage}
-    return _pmap(one, list(config.contracts), threads)
+        rows.append({"family": contract.family.value, "fee": est.fee,
+                     "estimate": est.estimate,
+                     "stderr": "na" if est.stderr is None else est.stderr,
+                     "arbitrage": est.arbitrage})
+    return rows
 
 
-def run_paths(config: ExperimentConfig, out_dir: str, threads: int = 1):
+def run_paths(config: ExperimentConfig, out_dir: str):
     """Per-contract trajectory CSVs plus a combined comparison file on shared noise.
 
     Emits one file per contract (and per sweep value when a sweep is
@@ -215,7 +193,7 @@ def _write_json(path: str, obj: dict, cfg_hash: str) -> None:
 # ---------------------------------------------------------------------------
 # reproduce-all
 
-def _reproduce_all(config: ExperimentConfig, out_dir: str, threads: int):
+def _reproduce_all(config: ExperimentConfig, out_dir: str):
     """Chain every table reproduction into one manifest."""
     cfg_hash = config.config_hash()
     artifacts = []
@@ -230,7 +208,7 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str, threads: int):
         for f in ("linear_physical", "linear_cash", "collar_physical", "collar_cash")))
 
     emit("fees_baseline.csv", ["family", "fee", "grid_hash", "params_hash"],
-         run_fees(base, threads))
+         run_fees(base))
 
     for pname, values, contracts, fname in (
             ("r", (0.0, 0.01), base.contracts, "sweep_r.csv"),
@@ -239,7 +217,7 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str, threads: int):
              (make_contract("linear_cash", base.params),), "sweep_alpha_linear_cash.csv")):
         sub = dataclasses.replace(base, contracts=contracts,
                                   sweep=SweepSpec(pname, values))
-        emit(fname, ["param", "value", "family", "fee"], run_sweep(sub, threads))
+        emit(fname, ["param", "value", "family", "fee"], run_sweep(sub))
 
     for sig in (1.0, 5.0):
         sub = dataclasses.replace(
@@ -247,16 +225,16 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str, threads: int):
             regulatory=RegulatorySpec(p=0.5, tau=0.5),
             sweep=SweepSpec("p", (0.0, 0.2, 0.5, 0.8, 1.0)))
         emit(f"regulatory_sigma{sig:g}.csv", ["sigma", "tau", "p", "fee"],
-             run_regulatory(sub, threads))
+             run_regulatory(sub))
 
-    emit("twap_fees.csv", ["family", "fee"], run_twap(base, threads))
+    emit("twap_fees.csv", ["family", "fee"], run_twap(base))
 
     statarb_contracts = base.contracts + (
         make_contract("twap_physical", base.params),
         make_contract("twap_cash", base.params))
     sub = dataclasses.replace(base, contracts=statarb_contracts)
     emit("statarb.csv", ["family", "fee", "estimate", "stderr", "arbitrage"],
-         run_statarb(sub, threads))
+         run_statarb(sub))
 
     digests = []
     for name in artifacts:
@@ -282,8 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", help=f"output directory (overrides ${OUT_ENV_VAR} "
                                   "and the config)")
     ap.add_argument("--seed", type=int, help="override the simulation seed")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="parallel workers for independent solves")
     return ap
 
 
@@ -297,23 +273,23 @@ def main(argv=None) -> int:
         out_dir = args.out or os.environ.get(OUT_ENV_VAR) or config.output_dir
         cfg_hash = config.config_hash()
         if args.command == "fees":
-            rows = run_fees(config, args.threads)
+            rows = run_fees(config)
             _write_csv(os.path.join(out_dir, "fees.csv"),
                        ["family", "fee", "grid_hash", "params_hash"], rows, cfg_hash)
         elif args.command == "sweep":
-            rows = run_sweep(config, args.threads)
+            rows = run_sweep(config)
             _write_csv(os.path.join(out_dir, "sweep.csv"),
                        ["param", "value", "family", "fee"], rows, cfg_hash)
         elif args.command == "regulatory":
-            rows = run_regulatory(config, args.threads)
+            rows = run_regulatory(config)
             _write_csv(os.path.join(out_dir, "regulatory.csv"),
                        ["sigma", "tau", "p", "fee"], rows, cfg_hash)
         elif args.command == "twap":
-            rows = run_twap(config, args.threads)
+            rows = run_twap(config)
             _write_csv(os.path.join(out_dir, "twap_fees.csv"),
                        ["family", "fee"], rows, cfg_hash)
         elif args.command == "statarb":
-            rows = run_statarb(config, args.threads)
+            rows = run_statarb(config)
             _write_csv(os.path.join(out_dir, "statarb.csv"),
                        ["family", "fee", "estimate", "stderr", "arbitrage"],
                        rows, cfg_hash)
@@ -321,9 +297,9 @@ def main(argv=None) -> int:
                         {"rows": rows, "n_paths": config.sim.n_paths,
                          "seed": config.sim.seed}, cfg_hash)
         elif args.command == "paths":
-            run_paths(config, out_dir, args.threads)
+            run_paths(config, out_dir)
         else:
-            _reproduce_all(config, out_dir, args.threads)
+            _reproduce_all(config, out_dir)
     except (ExecFeesError, OSError) as exc:
         print(f"execfees: error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,13 @@ def make_contract(family: Family | str, params: MarketParams,
     return ContractSpec(family=family, K1=K1, K2=K2, liquidation_target=target)
 
 
+def check_count(field: str, value, least: int) -> None:
+    """Reject a count that is not an integer >= least, naming the field."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ConfigError(f"{field}: must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform (price x inventory x time) grid. Defaults match the baseline runs."""
@@ -120,10 +128,8 @@ class GridSpec:
             raise ConfigError("grid: s_min < s_max required")
         if not self.q_min < self.q_max:
             raise ConfigError("grid: q_min < q_max required")
-        if self.I < 2 or self.J < 2:
-            raise ConfigError("grid: need at least 2 intervals per axis")
-        if self.n_steps < 1:
-            raise ConfigError("grid: n_steps >= 1 required")
+        for name, least in (("I", 2), ("J", 2), ("n_steps", 1)):
+            check_count(f"grid.{name}", getattr(self, name), least)
 
     @property
     def ds(self) -> float:

@@ -7,6 +7,9 @@ solves, backward from P(T) = Pi(S) + L(q),
         - (sigma^2*gamma/2)*e^{r(T-t)}*(q - dP/dS)^2
         + sup_{|v|<=C} { -l*v^2 + (b*q - b*dP/dS - dP/dq)*v } = 0.
 
+solve_fee_surface is the single entry point for all six families; the TWAP
+families go through a state reduction (r = 0 only) described there.
+
 Time stepping is a semi-implicit operator splitting: the linear part
 (discounting, drift, diffusion in S) is implicit and reduces to one
 tridiagonal solve per inventory slice; the nonlinear part (quadratic risk
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .contracts import (ContractSpec, Family, GridSpec, MarketParams,
-                        make_contract, terminal_fee)
+                        liquidation_cost, make_contract, terminal_fee)
 from .errors import (BlendOverflow, ConfigError, NonFinite, RequiresZeroRate,
                      SingularTridiagonal)
 
@@ -52,14 +55,14 @@ class RegulatorySpec:
             raise ConfigError(f"regulatory.p: must lie in [0, 1], got {self.p!r}")
 
     def snapped_step(self, params: MarketParams, grid: GridSpec) -> int:
-        """Index of the grid time layer nearest to tau; tau must be interior."""
+        """Index of the grid time layer at tau; tau must be an interior grid time."""
         if not 0.0 < self.tau < params.T:
             raise ConfigError(f"regulatory.tau: must lie in (0, T), got {self.tau!r}")
         dt = grid.dt(params.T)
         n_tau = int(round(self.tau / dt))
         if n_tau <= 0 or n_tau >= grid.n_steps:
             raise ConfigError("regulatory.tau: snaps to an endpoint of the time grid")
-        if abs(n_tau * dt - self.tau) > 0.5 * dt + 1e-12:
+        if abs(n_tau * dt - self.tau) > 1e-9 * dt:
             raise ConfigError("regulatory.tau: does not fall on a grid time step")
         return n_tau
 
@@ -91,22 +94,7 @@ class FeeSurface:
 
     def value_at(self, t: float, S: float, q: float) -> float:
         """Trilinear interpolation; exact at grid nodes."""
-        g = self.grid
-        dt = g.dt(self.params.T)
-        k = np.clip(t / dt - self.n0, 0.0, self.n_layers - 1.0)
-        k0 = int(np.floor(k)); k1 = min(k0 + 1, self.n_layers - 1)
-        wk = k - k0
-        si = np.clip((S - g.s_min) / g.ds, 0.0, g.I - 1e-12)
-        qi = np.clip((q - g.q_min) / g.dq, 0.0, g.J - 1e-12)
-        i0 = int(si); j0 = int(qi)
-        fs = si - i0; fq = qi - j0
-
-        def plane(k_):
-            V = self.values[k_]
-            return (V[i0, j0] * (1 - fs) * (1 - fq) + V[i0 + 1, j0] * fs * (1 - fq)
-                    + V[i0, j0 + 1] * (1 - fs) * fq + V[i0 + 1, j0 + 1] * fs * fq)
-
-        return float((1 - wk) * plane(k0) + wk * plane(k1))
+        return float(_interpolate(self, t, S, q))
 
 
 @dataclass
@@ -127,6 +115,30 @@ class RegulatoryResult:
     post_physical: FeeSurface
     post_cash: FeeSurface
     n_tau: int
+
+
+def _bilinear(V: np.ndarray, g: GridSpec, S, q):
+    """Bilinear interpolation of one (price, inventory) layer, clamped to the hull."""
+    si = np.clip((np.asarray(S) - g.s_min) / g.ds, 0.0, g.I - 1e-12)
+    qi = np.clip((np.asarray(q) - g.q_min) / g.dq, 0.0, g.J - 1e-12)
+    i0 = si.astype(int); j0 = qi.astype(int)
+    fs = si - i0; fq = qi - j0
+    return (V[i0, j0] * (1 - fs) * (1 - fq) + V[i0 + 1, j0] * fs * (1 - fq)
+            + V[i0, j0 + 1] * (1 - fs) * fq + V[i0 + 1, j0 + 1] * fs * fq)
+
+
+def _interpolate(surface: FeeSurface | ControlSurface, t: float, S, q):
+    """Bilinear in (S, q), linear in t between layers; coordinates clamped to the hull."""
+    g = surface.grid
+    dt = g.dt(surface.params.T)
+    n_layers = surface.values.shape[0]
+    k = np.clip(t / dt - surface.n0, 0.0, n_layers - 1.0)
+    k0 = int(np.floor(k)); k1 = min(k0 + 1, n_layers - 1)
+    wk = k - k0
+    v = _bilinear(surface.values[k0], g, S, q)
+    if wk > 0.0:
+        v = (1.0 - wk) * v + wk * _bilinear(surface.values[k1], g, S, q)
+    return v
 
 
 def implicit_matrix_row(i: int, params: MarketParams, grid: GridSpec):
@@ -244,28 +256,21 @@ def _source(n: int, params: MarketParams, grid: GridSpec, twap: bool) -> np.ndar
 def step_backward(P_next: np.ndarray, n: int, params: MarketParams,
                   grid: GridSpec, twap: bool = False,
                   ab: np.ndarray | None = None) -> np.ndarray:
-    """One backward step: layer n from layer n+1.
+    """One backward step: layer n from layer n+1 (a one-step _sweep).
 
     Solves, for each inventory slice, the tridiagonal system whose rows are
     implicit_matrix_row / boundary_rows against the right-hand side
     -P^{n+1} + dt*explicit_nonlinear + dt*(mu - r*S)*q.
     """
-    if ab is None:
-        ab = build_banded(params, grid)
-    dt = grid.dt(params.T)
-    rhs = (-P_next + dt * explicit_nonlinear(P_next, n, params, grid, twap)
-           + dt * _source(n, params, grid, twap))
-    try:
-        P_n = solve_banded((1, 1), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTridiagonal(str(exc)) from exc
-    return P_n
+    return _sweep(P_next, n + 1, n, params, grid, twap, ab)[0]
 
 
 def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
-           grid: GridSpec, twap: bool = False) -> np.ndarray:
+           grid: GridSpec, twap: bool = False,
+           ab: np.ndarray | None = None) -> np.ndarray:
     """Backward sweep from layer n_hi down to n_lo; returns all layers."""
-    ab = build_banded(params, grid)
+    if ab is None:
+        ab = build_banded(params, grid)
     dt = grid.dt(params.T)
     if params.C * dt > 0.6 * grid.dq * (1.0 + 1e-12):
         warnings.warn(
@@ -308,36 +313,27 @@ def _check_strikes_on_grid(spec: ContractSpec, grid: GridSpec) -> None:
 
 def solve_fee_surface(spec: ContractSpec, params: MarketParams,
                       grid: GridSpec) -> FeeSurface:
-    """Full backward solve of the fee equation for a non-TWAP contract."""
-    if spec.family.is_twap:
-        raise ConfigError("TWAP families are solved by solve_twap")
+    """Full backward solve of the fee equation for any contract family.
+
+    TWAP families are solved through the state reduction (requires r = 0):
+    the reduced value U(t, S, q) satisfies the fee equation with q replaced
+    by q - N*t/T in the risk and impact terms, and terminal condition
+    U(T, q) = L(q).  The fee at t = 0 equals U(0, q, S).  The TWAP target is
+    rebuilt from params so that it follows the same N as the schedule N*t/T.
+    """
+    twap = spec.family.is_twap
+    if twap:
+        if params.r != 0.0:
+            raise RequiresZeroRate("the TWAP state reduction is derived for r = 0")
+        spec = make_contract(spec.family, params)
     _check_strikes_on_grid(spec, grid)
     S = grid.s_nodes()[:, None]
     q = grid.q_nodes()[None, :]
-    P_T = terminal_fee(spec, q, S, params) + np.zeros((grid.I + 1, grid.J + 1))
-    values = _sweep(P_T, grid.n_steps, 0, params, grid, twap=False)
-    return FeeSurface(grid=grid, params=params, values=values, contract=spec)
-
-
-def solve_twap(settlement: str, params: MarketParams, grid: GridSpec) -> FeeSurface:
-    """Solve the TWAP contract through the state reduction (requires r = 0).
-
-    The reduced value U(t, S, q) satisfies the fee equation with q replaced
-    by q - N*t/T in the risk and impact terms, and terminal condition
-    U(T, q) = L(q).  The fee at t = 0 equals U(0, q, S).
-    """
-    if params.r != 0.0:
-        raise RequiresZeroRate("the TWAP state reduction is derived for r = 0")
-    if settlement not in ("physical", "cash"):
-        raise ConfigError(f"twap settlement must be physical or cash, got {settlement!r}")
-    family = Family.TWAP_PHYSICAL if settlement == "physical" else Family.TWAP_CASH
-    spec = make_contract(family, params)
-    q = grid.q_nodes()[None, :]
-    U_T = (params.alpha * (q - spec.liquidation_target) ** 2
-           + np.zeros((grid.I + 1, grid.J + 1)))
-    values = _sweep(U_T, grid.n_steps, 0, params, grid, twap=True)
+    P_T = (liquidation_cost(q, spec.liquidation_target, params.alpha) if twap
+           else terminal_fee(spec, q, S, params)) + np.zeros((grid.I + 1, grid.J + 1))
+    values = _sweep(P_T, grid.n_steps, 0, params, grid, twap)
     return FeeSurface(grid=grid, params=params, values=values, contract=spec,
-                      twap=True, kind="twap_value")
+                      twap=twap, kind="twap_value" if twap else "fee")
 
 
 def solve_regulatory(reg: RegulatorySpec, params: MarketParams,

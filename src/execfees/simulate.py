@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import ContractSpec, GridSpec, MarketParams, collar_per_share
+from .contracts import (ContractSpec, GridSpec, MarketParams, check_count,
+                        collar_per_share)
 from .errors import OutOfGrid
-from .hjb import ControlSurface
+from .hjb import (ControlSurface, _bilinear, _interpolate, extract_control,
+                  solve_fee_surface)
 
 # abort when more than this fraction of lookups had to be clamped to the hull
 _CLAMP_BUDGET = 0.01
@@ -32,8 +34,8 @@ class SimConfig:
     zero_noise: bool = False   # trajectory runs: suppress the Brownian term
 
     def __post_init__(self):
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise ValueError("n_paths and n_steps must be >= 1")
+        for name in ("n_paths", "n_steps"):
+            check_count(f"sim.{name}", getattr(self, name), 1)
 
 
 @dataclass
@@ -83,25 +85,8 @@ def interpolate_control(control: ControlSurface, t: float, q, S):
 
     Coordinates outside the grid hull are clamped to it.
     """
-    g = control.grid
-    dt = g.dt(control.params.T)
-    n_layers = control.values.shape[0]
-    k = np.clip(t / dt - control.n0, 0.0, n_layers - 1.0)
-    k0 = int(np.floor(k)); k1 = min(k0 + 1, n_layers - 1)
-    wk = k - k0
-    v = _bilinear(control.values[k0], g, S, q)
-    if wk > 0.0:
-        v = (1.0 - wk) * v + wk * _bilinear(control.values[k1], g, S, q)
-    return np.clip(v, -control.params.C, control.params.C)
-
-
-def _bilinear(V: np.ndarray, g: GridSpec, S, q):
-    si = np.clip((np.asarray(S) - g.s_min) / g.ds, 0.0, g.I - 1e-12)
-    qi = np.clip((np.asarray(q) - g.q_min) / g.dq, 0.0, g.J - 1e-12)
-    i0 = si.astype(int); j0 = qi.astype(int)
-    fs = si - i0; fq = qi - j0
-    return (V[i0, j0] * (1 - fs) * (1 - fq) + V[i0 + 1, j0] * fs * (1 - fq)
-            + V[i0, j0 + 1] * (1 - fs) * fq + V[i0 + 1, j0 + 1] * fs * fq)
+    return np.clip(_interpolate(control, t, S, q),
+                   -control.params.C, control.params.C)
 
 
 def _hull_clamps(g: GridSpec, S, q) -> int:
@@ -194,12 +179,7 @@ def expected_payoff_metric(spec: ContractSpec, params: MarketParams,
     order, so the estimate does not depend on scheduling.
     """
     if control is None or fee is None:
-        from .hjb import extract_control, solve_fee_surface, solve_twap
-        if spec.family.is_twap:
-            side = "physical" if spec.family.is_physical else "cash"
-            surface = solve_twap(side, params, grid)
-        else:
-            surface = solve_fee_surface(spec, params, grid)
+        surface = solve_fee_surface(spec, params, grid)
         fee = surface.value_at(0.0, cfg.s0, cfg.q0) if fee is None else fee
         control = extract_control(surface, params) if control is None else control
     start_cfg = SimConfig(n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed,

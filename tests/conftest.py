@@ -54,4 +54,6 @@ def controls(surfaces, params):
 
 @pytest.fixture(scope="session")
 def twap_surfaces(params, grid):
-    return {side: ef.solve_twap(side, params, grid) for side in ("physical", "cash")}
+    return {side: ef.solve_fee_surface(ef.make_contract(f"twap_{side}", params),
+                                       params, grid)
+            for side in ("physical", "cash")}

@@ -204,7 +204,8 @@ def test_criterion_7g_grid_refinement(params, grid, surfaces, twap_surfaces):
         worst_fee = max(worst_fee,
                         abs(refined.values[0, i1, j1] - surf.values[0, i0, j0]))
     for side, surf in twap_surfaces.items():
-        refined = ef.solve_twap(side, params, fine)
+        refined = ef.solve_fee_surface(ef.make_contract(f"twap_{side}", params),
+                                       params, fine)
         worst_twap = max(worst_twap,
                          abs(refined.values[0, i1, j1] - surf.values[0, i0, j0]))
     ok = worst_fee < 2e-3 and worst_twap < 1e-3

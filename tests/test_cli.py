@@ -36,24 +36,25 @@ def test_fees_rerun_is_byte_identical(tmp_path):
     assert (out / "fees.csv").read_bytes() == first
 
 
-def test_threads_do_not_change_output(tmp_path):
-    cfg = tmp_path / "exp.yaml"
-    cfg.write_text(FAST_GRID + "sweep:\n  param: sigma\n  values: [4.0, 5.0, 6.0]\n"
-                   "contracts: [linear_physical, linear_cash]\n")
-    outs = []
-    for tag, threads in (("t1", "1"), ("t4", "4")):
-        out = tmp_path / tag
-        assert main(["sweep", "--config", str(cfg), "--out", str(out),
-                     "--threads", threads]) == 0
-        outs.append((out / "sweep.csv").read_bytes())
-    assert outs[0] == outs[1]
+# field named in the error message -> config text that is invalid in it
+INVALID_CONFIGS = {
+    "params.sigma": "params:\n  sigma: -3\n",
+    "sim.n_paths": "sim: {n_paths: 0}\n",
+    "sim.n_steps": "sim: {n_steps: 2.5}\n",
+    "grid.I": "grid: {I: 10.5}\n",
+    "grid.J": "grid: {J: 20.0}\n",
+    "grid.n_steps": "grid: {n_steps: 0}\n",
+}
 
 
-def test_invalid_config_exits_nonzero(tmp_path, capsys):
+@pytest.mark.parametrize("field", list(INVALID_CONFIGS))
+def test_invalid_config_exits_nonzero(tmp_path, capsys, field):
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text("params:\n  sigma: -3\n")
+    cfg.write_text(INVALID_CONFIGS[field])
     assert main(["fees", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "params.sigma" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error:") and field in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_exits_nonzero(tmp_path, capsys):
@@ -88,6 +89,30 @@ def test_twap_command(tmp_path):
     assert main(["twap", "--config", str(cfg), "--out", str(out)]) == 0
     _, _, rows = _read_csv(out / "twap_fees.csv")
     assert [r["family"] for r in rows] == ["twap_physical", "twap_cash"]
+
+
+def test_twap_sweep_over_N_matches_fees_at_that_N(tmp_path):
+    # the TWAP target must follow the swept N, as the schedule N*t/T does
+    twap = FAST_GRID + "contracts: [twap_physical, twap_cash]\n"
+    sweep_cfg = tmp_path / "sweep.yaml"
+    sweep_cfg.write_text(twap + "sweep:\n  param: N\n  values: [0.5]\n")
+    fees_cfg = tmp_path / "fees.yaml"
+    fees_cfg.write_text(twap + "params:\n  N: 0.5\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
+    assert main(["fees", "--config", str(fees_cfg), "--out", str(out)]) == 0
+    swept = [r["fee"] for r in _read_csv(out / "sweep.csv")[2]]
+    direct = [r["fee"] for r in _read_csv(out / "fees.csv")[2]]
+    assert swept == direct
+
+
+def test_twap_sweep_over_nonzero_r_exits_nonzero(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(FAST_GRID + "contracts: [twap_cash]\n"
+                   "sweep:\n  param: r\n  values: [0.01]\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "r = 0" in err and "Traceback" not in err
 
 
 def test_regulatory_command(tmp_path):

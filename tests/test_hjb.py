@@ -158,11 +158,6 @@ def test_fee_monotone_in_price(surfaces):
         assert np.diff(surf.values[0], axis=0).min() >= 0.0
 
 
-def test_solve_rejects_twap_family(params, grid):
-    with pytest.raises(ConfigError):
-        ef.solve_fee_surface(contract("twap_physical", params), params, grid)
-
-
 def test_offgrid_strike_warns(params):
     g = ef.GridSpec(I=100, J=10, n_steps=5)   # ds=0.6: strikes 40/50 sit off-node
     with pytest.warns(RuntimeWarning, match="strike"):
@@ -213,6 +208,8 @@ def test_regulatory_tau_validation(params, grid):
         ef.RegulatorySpec(p=0.5, tau=2.0).snapped_step(params, grid)
     with pytest.raises(ConfigError):
         ef.RegulatorySpec(p=1.5, tau=0.5)
+    with pytest.raises(ConfigError, match="regulatory.tau"):
+        ef.RegulatorySpec(p=0.5, tau=0.5004).snapped_step(params, grid)
     assert ef.RegulatorySpec(p=0.5, tau=0.5).snapped_step(params, grid) == 500
 
 
@@ -221,7 +218,8 @@ def test_regulatory_tau_validation(params, grid):
 
 def test_twap_requires_zero_rate(grid):
     with pytest.raises(RequiresZeroRate):
-        ef.solve_twap("physical", ef.MarketParams(r=0.01), grid)
+        p = ef.MarketParams(r=0.01)
+        ef.solve_fee_surface(contract("twap_physical", p), p, grid)
 
 
 def test_twap_surface_is_price_independent(twap_surfaces):
@@ -281,7 +279,7 @@ def test_twap_deterministic_limit(grid):
     # sigma -> 0, b -> 0: price risk gone, the reduction is a pure tracking
     # problem with an exact linear-quadratic value
     p0 = ef.MarketParams(sigma=0.0, b=0.0)
-    surf = ef.solve_twap("physical", p0, grid)
+    surf = ef.solve_fee_surface(contract("twap_physical", p0), p0, grid)
     u0 = surf.values[0, 50, 75]
     exact = (0.5 - p0.N) ** 2 / (1.0 / p0.alpha + p0.T / p0.l)
     assert u0 == pytest.approx(exact, abs=5e-5)

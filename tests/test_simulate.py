@@ -66,6 +66,15 @@ def test_interpolation_constant_and_linear_fields(params, grid):
     for qq in (-0.513, 0.0, 0.721):
         assert ef.interpolate_control(ctrl, 0.0, qq, 45.0) == pytest.approx(
             1.5 * qq - 0.25, abs=1e-12)
+    # FeeSurface.value_at shares the kernel: off-node and between layers it
+    # equals the control lookup on the same field
+    ctrl.values[1] *= 2.0
+    surf = ef.FeeSurface(grid=grid, params=params, values=ctrl.values)
+    t = 0.4 * grid.dt(params.T)
+    for qq, SS in ((-0.513, 41.03), (0.721, 57.77)):
+        assert surf.value_at(t, SS, qq) == ef.interpolate_control(ctrl, t, qq, SS)
+        assert surf.value_at(t, SS, qq) == pytest.approx(1.4 * (1.5 * qq - 0.25),
+                                                         abs=1e-12)
 
 
 def test_interpolation_reclamps(params, grid):
