@@ -17,8 +17,7 @@ def main(argv):
     family = argv[0] if argv else "linear_physical"
     levels = int(argv[1]) if len(argv) > 1 else 3
     params = ef.MarketParams()
-    spec = (ef.make_contract(family, params, K1=40.0, K2=50.0)
-            if ef.Family(family).is_collar else ef.make_contract(family, params))
+    spec = ef.config_from_dict({"contracts": [family]}).contracts[0]
     grid = ef.GridSpec()
     prev = None
     for lvl in range(levels):

@@ -16,15 +16,24 @@ import sys
 
 import numpy as np
 
-from .config import (DEFAULT_K1, DEFAULT_K2, ExperimentConfig, SweepSpec,
-                     load_config, sha256_of)
-from .contracts import ContractSpec, Family, make_contract
+from .config import (ExperimentConfig, SweepSpec, baseline_contracts,
+                     load_config, sha256_of, twap_contracts)
+from .contracts import ContractSpec, make_contract
 from .errors import ConfigError, ExecFeesError
 from .hjb import (RegulatorySpec, extract_control, solve_fee_surface,
                   solve_regulatory)
 from .simulate import common_noise_batch, expected_payoff_metric, simulate_path
 
 OUT_ENV_VAR = "EXECFEES_OUT"
+
+# table command -> (file name, CSV header); `run_<command>` computes its rows
+TABLES = {
+    "fees": ("fees.csv", ["family", "fee", "grid_hash", "params_hash"]),
+    "sweep": ("sweep.csv", ["param", "value", "family", "fee"]),
+    "regulatory": ("regulatory.csv", ["sigma", "tau", "p", "fee"]),
+    "twap": ("twap_fees.csv", ["family", "fee"]),
+    "statarb": ("statarb.csv", ["family", "fee", "estimate", "stderr", "arbitrage"]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +43,16 @@ def _solve_fee(spec: ContractSpec, config: ExperimentConfig, params=None):
     surface = solve_fee_surface(spec, params or config.params, config.grid)
     fee = surface.value_at(0.0, config.sim.s0, config.sim.q0)
     return fee, surface
+
+
+def _swept(config: ExperimentConfig):
+    """[(value, params)] over the model-parameter sweep; [(None, params)] without one."""
+    if config.sweep is None:
+        return [(None, config.params)]
+    if config.sweep.param == "p":
+        raise ConfigError("sweep.param: p is swept only by the regulatory command")
+    return [(value, config.params.replace(**{config.sweep.param: value}))
+            for value in config.sweep.values]
 
 
 def run_fees(config: ExperimentConfig):
@@ -49,12 +68,8 @@ def run_sweep(config: ExperimentConfig):
     """Fees over the configured parameter sweep, one row per (value, contract)."""
     if config.sweep is None:
         raise ConfigError("sweep: section required for the sweep command")
-    if config.sweep.param not in {f.name for f in dataclasses.fields(config.params)}:
-        raise ConfigError("sweep: regulatory parameters are swept by the "
-                          "regulatory command")
     rows = []
-    for value in config.sweep.values:
-        params = config.params.replace(**{config.sweep.param: value})
+    for value, params in _swept(config):
         for contract in config.contracts:
             rows.append({"param": config.sweep.param, "value": value,
                          "family": contract.family.value,
@@ -67,10 +82,13 @@ def run_regulatory(config: ExperimentConfig):
     if config.regulatory is None:
         raise ConfigError("regulatory: section required for the regulatory command")
     tau = config.regulatory.tau
-    if config.sweep is not None and config.sweep.param == "p":
+    if config.sweep is None:
+        p_values = [config.regulatory.p]
+    elif config.sweep.param == "p":
         p_values = list(config.sweep.values)
     else:
-        p_values = [config.regulatory.p]
+        raise ConfigError("sweep.param: the regulatory command sweeps only p, "
+                          f"got {config.sweep.param!r}")
     s0, q0 = config.sim.s0, config.sim.q0
     return [{"sigma": config.params.sigma, "tau": tau, "p": p,
              "fee": solve_regulatory(RegulatorySpec(p=p, tau=tau), config.params,
@@ -80,21 +98,24 @@ def run_regulatory(config: ExperimentConfig):
 
 def run_twap(config: ExperimentConfig):
     """Fees of the two TWAP contracts via the transformed equation."""
-    return [{"family": family,
-             "fee": _solve_fee(make_contract(family, config.params), config)[0]}
-            for family in ("twap_physical", "twap_cash")]
+    return [{"family": c.family.value, "fee": _solve_fee(c, config)[0]}
+            for c in twap_contracts(config.params)]
+
+
+def _statarb_row(contract: ContractSpec, config: ExperimentConfig) -> dict:
+    # the surface is released when this returns, before the next contract's solve
+    fee, surface = _solve_fee(contract, config)
+    est = expected_payoff_metric(contract, config.params, config.sim,
+                                 extract_control(surface, config.params), fee)
+    return {"family": contract.family.value, "fee": est.fee,
+            "estimate": est.estimate,
+            "stderr": "na" if est.stderr is None else est.stderr,
+            "arbitrage": est.arbitrage}
 
 
 def run_statarb(config: ExperimentConfig):
     """Expected-payoff estimates for every configured contract."""
-    rows = []
-    for contract in config.contracts:
-        est = expected_payoff_metric(contract, config.params, config.grid, config.sim)
-        rows.append({"family": contract.family.value, "fee": est.fee,
-                     "estimate": est.estimate,
-                     "stderr": "na" if est.stderr is None else est.stderr,
-                     "arbitrage": est.arbitrage})
-    return rows
+    return [_statarb_row(c, config) for c in config.contracts]
 
 
 def run_paths(config: ExperimentConfig, out_dir: str):
@@ -108,11 +129,8 @@ def run_paths(config: ExperimentConfig, out_dir: str):
     if cfg.n_paths * cfg.n_steps > 2_000_000:
         raise ConfigError("sim.n_paths: trajectory dump too large; the paths "
                           "command is meant for a handful of paths")
-    sweep_values = config.sweep.values if config.sweep is not None else (None,)
     written = []
-    for value in sweep_values:
-        params = (config.params if value is None
-                  else config.params.replace(**{config.sweep.param: value}))
+    for value, params in _swept(config):
         if cfg.zero_noise:
             increments = np.zeros((cfg.n_paths, cfg.n_steps))
         else:
@@ -198,17 +216,13 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str):
     cfg_hash = config.config_hash()
     artifacts = []
 
-    def emit(name, header, rows):
-        _write_csv(os.path.join(out_dir, name), header, rows, cfg_hash)
+    def emit(name, command, rows):
+        _write_csv(os.path.join(out_dir, name), TABLES[command][1], rows, cfg_hash)
         artifacts.append(name)
 
-    base = dataclasses.replace(config, contracts=tuple(
-        make_contract(f, config.params, K1=DEFAULT_K1, K2=DEFAULT_K2)
-        if Family(f).is_collar else make_contract(f, config.params)
-        for f in ("linear_physical", "linear_cash", "collar_physical", "collar_cash")))
+    base = dataclasses.replace(config, contracts=baseline_contracts(config.params))
 
-    emit("fees_baseline.csv", ["family", "fee", "grid_hash", "params_hash"],
-         run_fees(base))
+    emit("fees_baseline.csv", "fees", run_fees(base))
 
     for pname, values, contracts, fname in (
             ("r", (0.0, 0.01), base.contracts, "sweep_r.csv"),
@@ -217,24 +231,20 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str):
              (make_contract("linear_cash", base.params),), "sweep_alpha_linear_cash.csv")):
         sub = dataclasses.replace(base, contracts=contracts,
                                   sweep=SweepSpec(pname, values))
-        emit(fname, ["param", "value", "family", "fee"], run_sweep(sub))
+        emit(fname, "sweep", run_sweep(sub))
 
     for sig in (1.0, 5.0):
         sub = dataclasses.replace(
             base.with_params(sigma=sig),
             regulatory=RegulatorySpec(p=0.5, tau=0.5),
             sweep=SweepSpec("p", (0.0, 0.2, 0.5, 0.8, 1.0)))
-        emit(f"regulatory_sigma{sig:g}.csv", ["sigma", "tau", "p", "fee"],
-             run_regulatory(sub))
+        emit(f"regulatory_sigma{sig:g}.csv", "regulatory", run_regulatory(sub))
 
-    emit("twap_fees.csv", ["family", "fee"], run_twap(base))
+    emit("twap_fees.csv", "twap", run_twap(base))
 
-    statarb_contracts = base.contracts + (
-        make_contract("twap_physical", base.params),
-        make_contract("twap_cash", base.params))
-    sub = dataclasses.replace(base, contracts=statarb_contracts)
-    emit("statarb.csv", ["family", "fee", "estimate", "stderr", "arbitrage"],
-         run_statarb(sub))
+    sub = dataclasses.replace(
+        base, contracts=base.contracts + twap_contracts(base.params))
+    emit("statarb.csv", "statarb", run_statarb(sub))
 
     digests = []
     for name in artifacts:
@@ -253,9 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="execfees",
         description="Indifference fees and hedging strategies for execution contracts")
-    ap.add_argument("command",
-                    choices=["fees", "paths", "statarb", "regulatory", "twap",
-                             "sweep", "reproduce-all"])
+    ap.add_argument("command", choices=[*TABLES, "paths", "reproduce-all"])
     ap.add_argument("--config", help="YAML experiment config (omit for baseline)")
     ap.add_argument("--out", help=f"output directory (overrides ${OUT_ENV_VAR} "
                                   "and the config)")
@@ -272,30 +280,16 @@ def main(argv=None) -> int:
                 config, sim=dataclasses.replace(config.sim, seed=args.seed))
         out_dir = args.out or os.environ.get(OUT_ENV_VAR) or config.output_dir
         cfg_hash = config.config_hash()
-        if args.command == "fees":
-            rows = run_fees(config)
-            _write_csv(os.path.join(out_dir, "fees.csv"),
-                       ["family", "fee", "grid_hash", "params_hash"], rows, cfg_hash)
-        elif args.command == "sweep":
-            rows = run_sweep(config)
-            _write_csv(os.path.join(out_dir, "sweep.csv"),
-                       ["param", "value", "family", "fee"], rows, cfg_hash)
-        elif args.command == "regulatory":
-            rows = run_regulatory(config)
-            _write_csv(os.path.join(out_dir, "regulatory.csv"),
-                       ["sigma", "tau", "p", "fee"], rows, cfg_hash)
-        elif args.command == "twap":
-            rows = run_twap(config)
-            _write_csv(os.path.join(out_dir, "twap_fees.csv"),
-                       ["family", "fee"], rows, cfg_hash)
-        elif args.command == "statarb":
-            rows = run_statarb(config)
-            _write_csv(os.path.join(out_dir, "statarb.csv"),
-                       ["family", "fee", "estimate", "stderr", "arbitrage"],
-                       rows, cfg_hash)
-            _write_json(os.path.join(out_dir, "statarb_summary.json"),
-                        {"rows": rows, "n_paths": config.sim.n_paths,
-                         "seed": config.sim.seed}, cfg_hash)
+        if args.command in TABLES:
+            name, header = TABLES[args.command]
+            # looked up per call, so a rebound module global (a tracing
+            # wrapper, a test double) is the runner that runs
+            rows = globals()[f"run_{args.command}"](config)
+            _write_csv(os.path.join(out_dir, name), header, rows, cfg_hash)
+            if args.command == "statarb":
+                _write_json(os.path.join(out_dir, "statarb_summary.json"),
+                            {"rows": rows, "n_paths": config.sim.n_paths,
+                             "seed": config.sim.seed}, cfg_hash)
         elif args.command == "paths":
             run_paths(config, out_dir)
         else:

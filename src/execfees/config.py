@@ -20,11 +20,11 @@ from .simulate import SimConfig
 DEFAULT_K1 = 40.0
 DEFAULT_K2 = 50.0
 
-_DEFAULT_FAMILIES = ("linear_physical", "linear_cash",
-                     "collar_physical", "collar_cash")
+_BASELINE_FAMILIES = ("linear_physical", "linear_cash",
+                      "collar_physical", "collar_cash")
 
-_SWEEPABLE = tuple(f.name for f in dataclasses.fields(MarketParams)) + \
-    tuple(f.name for f in dataclasses.fields(RegulatorySpec))
+# model parameters, plus the approval probability swept by `regulatory`
+_SWEEPABLE = tuple(f.name for f in dataclasses.fields(MarketParams)) + ("p",)
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in _SWEEPABLE:
             raise ConfigError(
-                f"sweep.param: {self.param!r} is not a model or regulatory field "
+                f"sweep.param: {self.param!r} is not a model parameter or p "
                 f"(one of {', '.join(_SWEEPABLE)})")
         if len(self.values) == 0:
             raise ConfigError("sweep.values: must be non-empty")
@@ -94,6 +94,17 @@ def _build_contract(entry, params: MarketParams) -> ContractSpec:
     return make_contract(family, params, K1=k1, K2=k2)
 
 
+def baseline_contracts(params: MarketParams) -> tuple[ContractSpec, ...]:
+    """The four contracts of the baseline tables (collars at K1 = 40, K2 = 50)."""
+    return tuple(_build_contract(f, params) for f in _BASELINE_FAMILIES)
+
+
+def twap_contracts(params: MarketParams) -> tuple[ContractSpec, ...]:
+    """The physical and cash-settled TWAP contracts."""
+    return (make_contract(Family.TWAP_PHYSICAL, params),
+            make_contract(Family.TWAP_CASH, params))
+
+
 def _filtered_kwargs(cls, section: dict, where: str) -> dict:
     names = {f.name for f in dataclasses.fields(cls)}
     bad = set(section) - names
@@ -105,7 +116,7 @@ def _filtered_kwargs(cls, section: dict, where: str) -> dict:
 def config_from_dict(raw: dict | None) -> ExperimentConfig:
     """Build a validated config; omitted sections fall back to baseline defaults."""
     raw = dict(raw or {})
-    known = {"params", "grid", "contracts", "regulatory", "sim", "sweep", "output_dir"}
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     bad = set(raw) - known
     if bad:
         raise ConfigError(f"config: unknown section(s) {sorted(bad)}")
@@ -116,8 +127,8 @@ def config_from_dict(raw: dict | None) -> ExperimentConfig:
         sim = SimConfig(**_filtered_kwargs(SimConfig, raw.get("sim", {}) or {}, "sim"))
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    entries = raw.get("contracts", list(_DEFAULT_FAMILIES))
-    contracts = tuple(_build_contract(e, params) for e in entries)
+    contracts = (baseline_contracts(params) if raw.get("contracts") is None
+                 else tuple(_build_contract(e, params) for e in raw["contracts"]))
     reg = None
     if raw.get("regulatory") is not None:
         reg = RegulatorySpec(**_filtered_kwargs(RegulatorySpec, raw["regulatory"],

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import (ContractSpec, GridSpec, MarketParams, check_count,
-                        collar_per_share)
+                        collar_per_share, liquidation_cost)
 from .errors import OutOfGrid
-from .hjb import (ControlSurface, _bilinear, _interpolate, extract_control,
-                  solve_fee_surface)
+from .hjb import ControlSurface, _bilinear, _interpolate
 
 # abort when more than this fraction of lookups had to be clamped to the hull
 _CLAMP_BUDGET = 0.01
+# paths per noise block of expected_payoff_metric; fixes its summation order
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,6 @@ class SimPath:
     X: np.ndarray
     v: np.ndarray
     A: np.ndarray | None
-    increments: np.ndarray
-    clamped_steps: int = 0
 
 
 @dataclass
@@ -97,7 +96,7 @@ def _hull_clamps(g: GridSpec, S, q) -> int:
 
 def _euler_batch(control: ControlSurface, params: MarketParams, cfg: SimConfig,
                  increments: np.ndarray, record: bool = False):
-    """Shared Euler kernel; returns terminal states (and trajectories if record)."""
+    """Shared Euler kernel; returns (terminal states, trajectories if record)."""
     g = control.grid
     n = increments.shape[0]
     n_steps = increments.shape[1]
@@ -131,10 +130,7 @@ def _euler_batch(control: ControlSurface, params: MarketParams, cfg: SimConfig,
     frac = clamped / float(n * n_steps)
     if frac > _CLAMP_BUDGET:
         raise OutOfGrid(f"{100 * frac:.2f}% of simulated steps left the grid hull")
-    A = A_int / params.T
-    if record:
-        return (S, Q, X, A), clamped, traj
-    return (S, Q, X, A), clamped, None
+    return (S, Q, X, A_int / params.T), (traj if record else None)
 
 
 def simulate_path(control: ControlSurface, params: MarketParams, cfg: SimConfig,
@@ -142,22 +138,17 @@ def simulate_path(control: ControlSurface, params: MarketParams, cfg: SimConfig,
     """Single Euler path under the interpolated control."""
     increments = np.atleast_2d(increments)
     n_steps = increments.shape[1]
-    _, clamped, traj = _euler_batch(control, params, cfg, increments, record=True)
+    _, traj = _euler_batch(control, params, cfg, increments, record=True)
     times = np.arange(n_steps + 1) * (params.T / n_steps)
     return SimPath(times=times,
                    S=traj["S"][:, 0], Q=traj["Q"][:, 0], X=traj["X"][:, 0],
-                   v=traj["v"][:, 0], A=traj["A"][:, 0],
-                   increments=increments[0], clamped_steps=clamped)
+                   v=traj["v"][:, 0], A=traj["A"][:, 0])
 
 
-def realized_payoff(path_or_terminal, spec: ContractSpec, params: MarketParams):
-    """Terminal contract payoff Y(T) from a SimPath or (S, Q, X, A) arrays."""
-    if isinstance(path_or_terminal, SimPath):
-        S, Q, X, A = (path_or_terminal.S[-1], path_or_terminal.Q[-1],
-                      path_or_terminal.X[-1], path_or_terminal.A[-1])
-    else:
-        S, Q, X, A = path_or_terminal
-    L = params.alpha * (np.asarray(Q) - spec.liquidation_target) ** 2
+def realized_payoff(terminal, spec: ContractSpec, params: MarketParams):
+    """Terminal contract payoff Y(T) from the (S, Q, X, A) terminal states."""
+    S, Q, X, A = terminal
+    L = liquidation_cost(Q, spec.liquidation_target, params.alpha)
     fam = spec.family
     if fam.is_twap:
         return X + Q * S + params.N * (A - S) - L
@@ -167,30 +158,25 @@ def realized_payoff(path_or_terminal, spec: ContractSpec, params: MarketParams):
 
 
 def expected_payoff_metric(spec: ContractSpec, params: MarketParams,
-                           grid: GridSpec, cfg: SimConfig,
-                           control: ControlSurface | None = None,
-                           fee: float | None = None,
-                           chunk: int = 8192) -> PayoffEstimate:
+                           cfg: SimConfig, control: ControlSurface,
+                           fee: float) -> PayoffEstimate:
     """Monte-Carlo estimate of E[Y(T) | X(0) = x0 - q0*s0 + fee] - x0.
 
-    The initial wealth convention makes the broker's cash at t=0 equal to the
+    `control` and `fee` come from the contract's fee surface.  The initial
+    wealth convention makes the broker's cash at t=0 equal to the
     indifference fee; a positive estimate beyond two standard errors flags a
     statistical arbitrage.  Paths are accumulated chunk by chunk in a fixed
     order, so the estimate does not depend on scheduling.
     """
-    if control is None or fee is None:
-        surface = solve_fee_surface(spec, params, grid)
-        fee = surface.value_at(0.0, cfg.s0, cfg.q0) if fee is None else fee
-        control = extract_control(surface, params) if control is None else control
     start_cfg = SimConfig(n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed,
                           x0=cfg.x0 - cfg.q0 * cfg.s0 + fee, q0=cfg.q0, s0=cfg.s0)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < cfg.n_paths:
-        m = min(chunk, cfg.n_paths - done)
+        m = min(_CHUNK, cfg.n_paths - done)
         dW = common_noise_batch(cfg, params, start=done, count=m)
-        terminal, _, _ = _euler_batch(control, params, start_cfg, dW)
+        terminal, _ = _euler_batch(control, params, start_cfg, dW)
         Y = realized_payoff(terminal, spec, params)
         total += float(Y.sum())
         total_sq += float((Y * Y).sum())

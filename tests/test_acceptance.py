@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 import execfees as ef
-from execfees.simulate import _euler_batch
+from execfees.simulate import _CHUNK, _euler_batch
 
 from conftest import cash_unwind_inventory, contract, twap_reduced_ode_value
 
@@ -132,7 +132,6 @@ def test_criterion_5_sensitivity_rows(params, grid):
 
 def test_criterion_6_expected_payoff_tables(params, grid):
     cfg = ef.SimConfig(n_paths=100_000, seed=20240901)
-    chunk = 8192   # expected_payoff_metric's chunk size and summation order
     g = params.gamma
     refs = {**TABLE_STATARB, **TABLE_STATARB_TWAP}
     t0 = time.time()
@@ -142,7 +141,7 @@ def test_criterion_6_expected_payoff_tables(params, grid):
         surface = ef.solve_fee_surface(spec, params, grid)
         control = ef.extract_control(surface, params)
         fee = surface.value_at(0.0, cfg.s0, cfg.q0)
-        est = ef.expected_payoff_metric(spec, params, grid, cfg,
+        est = ef.expected_payoff_metric(spec, params, cfg,
                                         control=control, fee=fee)
         start = replace(cfg, x0=cfg.x0 - cfg.q0 * cfg.s0 + fee)
         runs[fam] = (spec, control, start, est)
@@ -151,10 +150,10 @@ def test_criterion_6_expected_payoff_tables(params, grid):
     sums = {fam: [0.0, 0.0, 0.0] for fam in runs}
     done = 0
     while done < cfg.n_paths:
-        m = min(chunk, cfg.n_paths - done)
+        m = min(_CHUNK, cfg.n_paths - done)   # the metric's summation order
         dW = ef.common_noise_batch(cfg, params, start=done, count=m)
         for fam, (spec, control, start, _) in runs.items():
-            terminal, _, _ = _euler_batch(control, params, start, dW)
+            terminal, _ = _euler_batch(control, params, start, dW)
             Y = ef.realized_payoff(terminal, spec, params)
             w = np.exp(-g * (Y - cfg.x0))
             acc = sums[fam]

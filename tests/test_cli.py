@@ -1,5 +1,6 @@
 import pytest
 
+from execfees import cli
 from execfees.cli import main
 
 # coarse but node-aligned grid: ds=1.5 and dq=0.05 keep (45, 0.5) on nodes
@@ -44,6 +45,7 @@ INVALID_CONFIGS = {
     "grid.I": "grid: {I: 10.5}\n",
     "grid.J": "grid: {J: 20.0}\n",
     "grid.n_steps": "grid: {n_steps: 0}\n",
+    "sweep.param": "sweep: {param: tau, values: [0.3]}\n",
 }
 
 
@@ -54,6 +56,25 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys, field):
     assert main(["fees", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("execfees: error:") and field in err
+    assert "Traceback" not in err
+
+
+# command -> a sweep it does not accept: p belongs to regulatory alone
+WRONG_SWEEPS = {
+    "paths": "sim: {n_paths: 1, n_steps: 400}\nsweep: {param: p, values: [0.5]}\n",
+    "regulatory": "regulatory: {p: 0.5, tau: 0.5}\n"
+                  "sweep: {param: sigma, values: [1.0, 5.0]}\n",
+    "sweep": "sweep: {param: p, values: [0.5]}\n",
+}
+
+
+@pytest.mark.parametrize("command", list(WRONG_SWEEPS))
+def test_sweep_of_wrong_kind_exits_nonzero(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(FAST_GRID + "contracts: [linear_cash]\n" + WRONG_SWEEPS[command])
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error:") and "sweep.param" in err
     assert "Traceback" not in err
 
 
@@ -68,6 +89,21 @@ def test_out_env_var_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("EXECFEES_OUT", str(env_out))
     assert main(["fees", "--config", str(cfg)]) == 0
     assert (env_out / "fees.csv").exists()
+
+
+def test_main_runs_the_runner_bound_at_call_time(tmp_path, monkeypatch):
+    # perfbench/tracer.py wraps run_* by rebinding cli's module globals
+    calls = []
+
+    def fake_run_twap(config):
+        calls.append(config)
+        return [{"family": "twap_cash", "fee": 0.5}]
+
+    monkeypatch.setattr(cli, "run_twap", fake_run_twap)
+    assert main(["twap", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert _read_csv(tmp_path / "twap_fees.csv")[2] == [{"family": "twap_cash",
+                                                        "fee": "0.5"}]
 
 
 def test_sweep_command(tmp_path):

@@ -201,32 +201,32 @@ def _semi_analytic_metric(params, fam):
 
 
 @pytest.mark.parametrize("fam", ["linear_physical", "linear_cash"])
-def test_metric_matches_semi_analytic_value(params, grid, surfaces, controls, fam):
+def test_metric_matches_semi_analytic_value(params, surfaces, controls, fam):
     cfg = ef.SimConfig(n_paths=20_000, seed=31)
     spec = contract(fam, params)
     fee = surfaces[fam].values[0, 50, 75]
-    est = ef.expected_payoff_metric(spec, params, grid, cfg,
+    est = ef.expected_payoff_metric(spec, params, cfg,
                                     control=controls[fam], fee=fee)
     truth = _semi_analytic_metric(params, fam)
     # allow Monte-Carlo noise plus a small discretization margin
     assert est.estimate == pytest.approx(truth, abs=3 * est.stderr + 2e-3)
 
 
-def test_metric_deterministic_for_fixed_seed(params, grid, surfaces, controls):
+def test_metric_deterministic_for_fixed_seed(params, surfaces, controls):
     cfg = ef.SimConfig(n_paths=3000, seed=77)
     spec = contract("linear_physical", params)
     fee = surfaces["linear_physical"].values[0, 50, 75]
     kw = dict(control=controls["linear_physical"], fee=fee)
-    a = ef.expected_payoff_metric(spec, params, grid, cfg, **kw)
-    b = ef.expected_payoff_metric(spec, params, grid, cfg, **kw)
+    a = ef.expected_payoff_metric(spec, params, cfg, **kw)
+    b = ef.expected_payoff_metric(spec, params, cfg, **kw)
     assert a.estimate == b.estimate
     assert a.stderr == b.stderr
 
 
-def test_metric_single_path_has_no_stderr(params, grid, surfaces, controls):
+def test_metric_single_path_has_no_stderr(params, surfaces, controls):
     cfg = ef.SimConfig(n_paths=1, seed=2)
     spec = contract("linear_physical", params)
-    est = ef.expected_payoff_metric(spec, params, grid, cfg,
+    est = ef.expected_payoff_metric(spec, params, cfg,
                                     control=controls["linear_physical"],
                                     fee=surfaces["linear_physical"].values[0, 50, 75])
     assert est.stderr is None
