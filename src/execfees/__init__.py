@@ -8,8 +8,7 @@ from .closed_form import (RiccatiConstants, control_closed, fee_physical_closed,
                           fee_trs_closed, h_quadratic, riccati_theta, trs_h0,
                           trs_h1)
 from .hjb import (ControlSurface, FeeSurface, RegulatoryResult, RegulatorySpec,
-                  explicit_nonlinear, extract_control, implicit_matrix_row,
-                  load_surface, save_surface, solve_fee_surface,
+                  explicit_nonlinear, extract_control, solve_fee_surface,
                   solve_regulatory, step_backward)
 from .simulate import (PayoffEstimate, SimConfig, SimPath, common_noise_batch,
                        expected_payoff_metric, interpolate_control,
@@ -25,9 +24,8 @@ __all__ = [
     "RiccatiConstants", "control_closed", "fee_physical_closed",
     "fee_trs_closed", "h_quadratic", "riccati_theta", "trs_h0", "trs_h1",
     "ControlSurface", "FeeSurface", "RegulatoryResult", "RegulatorySpec",
-    "explicit_nonlinear", "extract_control", "implicit_matrix_row",
-    "load_surface", "save_surface", "solve_fee_surface", "solve_regulatory",
-    "step_backward",
+    "explicit_nonlinear", "extract_control", "solve_fee_surface",
+    "solve_regulatory", "step_backward",
     "PayoffEstimate", "SimConfig", "SimPath", "common_noise_batch",
     "expected_payoff_metric", "interpolate_control", "realized_payoff",
     "simulate_path",

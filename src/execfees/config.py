@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .contracts import ContractSpec, Family, GridSpec, MarketParams, make_contract
+from .contracts import (ContractSpec, Family, GridSpec, MarketParams, check_real,
+                        make_contract)
 from .errors import ConfigError
 from .hjb import RegulatorySpec
 from .simulate import SimConfig
@@ -39,6 +40,8 @@ class SweepSpec:
                 f"(one of {', '.join(_SWEEPABLE)})")
         if len(self.values) == 0:
             raise ConfigError("sweep.values: must be non-empty")
+        for v in self.values:
+            check_real("sweep.values", v)
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,9 @@ def _build_contract(entry, params: MarketParams) -> ContractSpec:
         raise ConfigError(f"contracts.family: unknown family {entry['family']!r}") from None
     k1 = entry.get("K1", DEFAULT_K1 if family.is_collar else None)
     k2 = entry.get("K2", DEFAULT_K2 if family.is_collar else None)
+    for name, k in (("K1", k1), ("K2", k2)):
+        if k is not None:
+            check_real(f"contracts.{name}", k)
     return make_contract(family, params, K1=k1, K2=k2)
 
 
@@ -105,12 +111,26 @@ def twap_contracts(params: MarketParams) -> tuple[ContractSpec, ...]:
             make_contract(Family.TWAP_CASH, params))
 
 
-def _filtered_kwargs(cls, section: dict, where: str) -> dict:
-    names = {f.name for f in dataclasses.fields(cls)}
-    bad = set(section) - names
+def _section(cls, section, where: str) -> dict:
+    """Keyword arguments of `cls` from one config section; None means all defaults."""
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {section!r}")
+    fields = dataclasses.fields(cls)
+    bad = set(section) - {f.name for f in fields}
     if bad:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(bad)}")
+        raise ConfigError(f"{where}: unknown field(s) {sorted(map(str, bad))}")
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in section]
+    if missing:
+        raise ConfigError(f"{where}: missing field(s) {missing}")
     return section
+
+
+def _listed(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict | None) -> ExperimentConfig:
@@ -120,28 +140,27 @@ def config_from_dict(raw: dict | None) -> ExperimentConfig:
     bad = set(raw) - known
     if bad:
         raise ConfigError(f"config: unknown section(s) {sorted(bad)}")
-    try:
-        params = MarketParams(**_filtered_kwargs(MarketParams, raw.get("params", {}) or {},
-                                                 "params"))
-        grid = GridSpec(**_filtered_kwargs(GridSpec, raw.get("grid", {}) or {}, "grid"))
-        sim = SimConfig(**_filtered_kwargs(SimConfig, raw.get("sim", {}) or {}, "sim"))
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = MarketParams(**_section(MarketParams, raw.get("params"), "params"))
+    grid = GridSpec(**_section(GridSpec, raw.get("grid"), "grid"))
+    sim = SimConfig(**_section(SimConfig, raw.get("sim"), "sim"))
     contracts = (baseline_contracts(params) if raw.get("contracts") is None
-                 else tuple(_build_contract(e, params) for e in raw["contracts"]))
+                 else tuple(_build_contract(e, params)
+                            for e in _listed(raw["contracts"], "contracts")))
     reg = None
     if raw.get("regulatory") is not None:
-        reg = RegulatorySpec(**_filtered_kwargs(RegulatorySpec, raw["regulatory"],
-                                                "regulatory"))
+        reg = RegulatorySpec(**_section(RegulatorySpec, raw["regulatory"], "regulatory"))
     sweep = None
     if raw.get("sweep") is not None:
         s = raw["sweep"]
         if not isinstance(s, dict) or "param" not in s or "values" not in s:
             raise ConfigError("sweep: expected mapping with param and values")
-        sweep = SweepSpec(param=s["param"], values=tuple(s["values"]))
+        sweep = SweepSpec(param=s["param"],
+                          values=tuple(_listed(s["values"], "sweep.values")))
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a path, got {output_dir!r}")
     return ExperimentConfig(params=params, grid=grid, contracts=contracts,
-                            regulatory=reg, sim=sim, sweep=sweep,
-                            output_dir=raw.get("output_dir", "out"))
+                            regulatory=reg, sim=sim, sweep=sweep, output_dir=output_dir)
 
 
 def load_config(path: str | None) -> ExperimentConfig:

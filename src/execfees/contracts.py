@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,13 +59,15 @@ class MarketParams:
     T: float = 1.0        # horizon
 
     def __post_init__(self):
+        for f in fields(self):
+            check_real(f"params.{f.name}", getattr(self, f.name))
         # strict positivity where division occurs (l, gamma) or the model
         # degenerates (C, T); sigma = 0 is a valid deterministic limit
         for name, lo_strict in (("l", True), ("gamma", True), ("C", True),
                                 ("T", True), ("sigma", False), ("alpha", False),
                                 ("N", False)):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0 or (lo_strict and v == 0):
+            if v < 0 or (lo_strict and v == 0):
                 op = ">" if lo_strict else ">="
                 raise ConfigError(f"params.{name}: must be {op} 0, got {v!r}")
 
@@ -111,6 +113,13 @@ def check_count(field: str, value, least: int) -> None:
         raise ConfigError(f"{field}: must be an integer >= {least}, got {value!r}")
 
 
+def check_real(field: str, value) -> None:
+    """Reject a value that is not a finite real number, naming the field."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{field}: must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform (price x inventory x time) grid. Defaults match the baseline runs."""
@@ -124,6 +133,8 @@ class GridSpec:
     n_steps: int = 1000   # time steps (n_steps + 1 layers)
 
     def __post_init__(self):
+        for name in ("s_min", "s_max", "q_min", "q_max"):
+            check_real(f"grid.{name}", getattr(self, name))
         if not self.s_min < self.s_max:
             raise ConfigError("grid: s_min < s_max required")
         if not self.q_min < self.q_max:

@@ -27,14 +27,13 @@ point into the grid.
 """
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .contracts import (ContractSpec, Family, GridSpec, MarketParams,
+from .contracts import (ContractSpec, Family, GridSpec, MarketParams, check_real,
                         liquidation_cost, make_contract, terminal_fee)
 from .errors import (BlendOverflow, ConfigError, NonFinite, RequiresZeroRate,
                      SingularTridiagonal)
@@ -51,6 +50,8 @@ class RegulatorySpec:
     tau: float
 
     def __post_init__(self):
+        check_real("regulatory.p", self.p)
+        check_real("regulatory.tau", self.tau)
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"regulatory.p: must lie in [0, 1], got {self.p!r}")
 
@@ -94,7 +95,7 @@ class FeeSurface:
 
     def value_at(self, t: float, S: float, q: float) -> float:
         """Trilinear interpolation; exact at grid nodes."""
-        return float(_interpolate(self, t, S, q))
+        return float(_interpolate(self, _layer_position(self, t), S, q))
 
 
 @dataclass
@@ -127,13 +128,22 @@ def _bilinear(V: np.ndarray, g: GridSpec, S, q):
             + V[i0, j0 + 1] * (1 - fs) * fq + V[i0 + 1, j0 + 1] * fs * fq)
 
 
-def _interpolate(surface: FeeSurface | ControlSurface, t: float, S, q):
-    """Bilinear in (S, q), linear in t between layers; coordinates clamped to the hull."""
+def _layer_position(surface: FeeSurface | ControlSurface, t: float) -> float:
+    """Fractional index of time t among the surface's layers."""
+    return t / surface.grid.dt(surface.params.T) - surface.n0
+
+
+def _interpolate(surface: FeeSurface | ControlSurface, k: float, S, q):
+    """Bilinear in (S, q), linear between layers at fractional layer position k.
+
+    Coordinates outside the grid hull are clamped to it; an integer k reads
+    layer k alone.
+    """
     g = surface.grid
-    dt = g.dt(surface.params.T)
     n_layers = surface.values.shape[0]
-    k = np.clip(t / dt - surface.n0, 0.0, n_layers - 1.0)
-    k0 = int(np.floor(k)); k1 = min(k0 + 1, n_layers - 1)
+    # builtins, not np.clip: this runs on a scalar once per Euler step
+    k = min(max(k, 0.0), n_layers - 1.0)
+    k0 = int(k); k1 = min(k0 + 1, n_layers - 1)
     wk = k - k0
     v = _bilinear(surface.values[k0], g, S, q)
     if wk > 0.0:
@@ -141,50 +151,25 @@ def _interpolate(surface: FeeSurface | ControlSurface, t: float, S, q):
     return v
 
 
-def implicit_matrix_row(i: int, params: MarketParams, grid: GridSpec):
-    """Tridiagonal coefficients (sub, diag, super) of interior price row i.
+def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
+    """Banded (3, I+1) storage of the implicit matrix for scipy.solve_banded.
 
-    The implicit operator contains no inventory derivatives, so the same row
-    serves every inventory slice.
+    Interior rows hold the diffusion and the central drift, the same for every
+    price row; the operator contains no inventory derivatives, so the matrix
+    serves every inventory slice.  The rows at S_min and S_max impose
+    d2P/dS2 = 0 with a one-sided first derivative.
     """
-    if not 1 <= i <= grid.I - 1:
-        raise ValueError(f"interior row expected, got i={i}")
     dt = grid.dt(params.T)
     ds = grid.ds
     diff = params.sigma**2 * dt / (2.0 * ds**2)
     conv = params.mu * dt / (2.0 * ds)
-    sub = diff - conv
-    diag = -(params.sigma**2 * dt / ds**2 + 1.0 + params.r * dt)
-    sup = diff + conv
-    return sub, diag, sup
-
-
-def boundary_rows(params: MarketParams, grid: GridSpec):
-    """Rows at S_min and S_max: d2P/dS2 = 0 and a one-sided first derivative.
-
-    Returns ((diag_0, super_0), (sub_I, diag_I)).
-    """
-    dt = grid.dt(params.T)
-    ds = grid.ds
     c = params.mu * dt / ds
-    lo = (-(1.0 + params.r * dt + c), c)
-    hi = (-c, -(1.0 + params.r * dt - c))
-    return lo, hi
-
-
-def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
-    """Banded (3, I+1) storage of the implicit matrix for scipy.solve_banded."""
-    I = grid.I
-    sub = np.empty(I + 1); dia = np.empty(I + 1); sup = np.empty(I + 1)
-    s, d, u = implicit_matrix_row(1, params, grid)
-    sub[:] = s; dia[:] = d; sup[:] = u
-    (d0, u0), (sI, dI) = boundary_rows(params, grid)
-    dia[0] = d0; sup[0] = u0
-    sub[I] = sI; dia[I] = dI
-    ab = np.zeros((3, I + 1))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = dia
-    ab[2, :-1] = sub[1:]
+    ab = np.zeros((3, grid.I + 1))
+    ab[0, 2:] = diff + conv                                       # super, rows 1..I-1
+    ab[1, 1:-1] = -(params.sigma**2 * dt / ds**2 + 1.0 + params.r * dt)
+    ab[2, :-2] = diff - conv                                      # sub, rows 1..I-1
+    ab[1, 0], ab[0, 1] = -(1.0 + params.r * dt + c), c            # row at S_min
+    ab[2, -2], ab[1, -1] = -c, -(1.0 + params.r * dt - c)         # row at S_max
     return ab
 
 
@@ -258,8 +243,8 @@ def step_backward(P_next: np.ndarray, n: int, params: MarketParams,
                   ab: np.ndarray | None = None) -> np.ndarray:
     """One backward step: layer n from layer n+1 (a one-step _sweep).
 
-    Solves, for each inventory slice, the tridiagonal system whose rows are
-    implicit_matrix_row / boundary_rows against the right-hand side
+    Solves, for each inventory slice, the tridiagonal system assembled by
+    build_banded (passed in as ab, or built here) against the right-hand side
     -P^{n+1} + dt*explicit_nonlinear + dt*(mu - r*S)*q.
     """
     return _sweep(P_next, n + 1, n, params, grid, twap, ab)[0]
@@ -409,44 +394,3 @@ def extract_control(surface: FeeSurface, params: MarketParams) -> ControlSurface
         v[:, -1] = np.minimum(v[:, -1], 0.0)
         out[k] = v
     return ControlSurface(grid=g, params=params, values=out, n0=surface.n0)
-
-
-def save_surface(surface: FeeSurface | ControlSurface, basepath: str) -> None:
-    """Flat float64 dump (time-major, then price, then inventory) + JSON sidecar."""
-    surface.values.astype(np.float64).ravel(order="C").tofile(basepath + ".bin")
-    meta = {
-        "shape": list(surface.values.shape),
-        "order": "time,price,inventory",
-        "grid": asdict(surface.grid),
-        "params": asdict(surface.params),
-        "n0": surface.n0,
-    }
-    if isinstance(surface, FeeSurface):
-        meta["kind"] = surface.kind
-        meta["twap"] = surface.twap
-        if surface.contract is not None:
-            c = asdict(surface.contract)
-            c["family"] = surface.contract.family.value
-            meta["contract"] = c
-    else:
-        meta["kind"] = "control"
-    with open(basepath + ".json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-
-
-def load_surface(basepath: str) -> FeeSurface | ControlSurface:
-    """Inverse of save_surface."""
-    with open(basepath + ".json") as fh:
-        meta = json.load(fh)
-    values = np.fromfile(basepath + ".bin", dtype=np.float64).reshape(meta["shape"])
-    grid = GridSpec(**meta["grid"])
-    params = MarketParams(**meta["params"])
-    if meta["kind"] == "control":
-        return ControlSurface(grid=grid, params=params, values=values, n0=meta["n0"])
-    contract = None
-    if "contract" in meta:
-        c = dict(meta["contract"])
-        c["family"] = Family(c["family"])
-        contract = ContractSpec(**c)
-    return FeeSurface(grid=grid, params=params, values=values, contract=contract,
-                      n0=meta["n0"], twap=meta.get("twap", False), kind=meta["kind"])

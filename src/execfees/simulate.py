@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import (ContractSpec, GridSpec, MarketParams, check_count,
-                        collar_per_share, liquidation_cost)
-from .errors import OutOfGrid
-from .hjb import ControlSurface, _bilinear, _interpolate
+                        check_real, collar_per_share, liquidation_cost)
+from .errors import ConfigError, OutOfGrid
+from .hjb import ControlSurface, _interpolate, _layer_position
 
 # abort when more than this fraction of lookups had to be clamped to the hull
 _CLAMP_BUDGET = 0.01
@@ -37,6 +37,12 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_paths", "n_steps"):
             check_count(f"sim.{name}", getattr(self, name), 1)
+        check_count("sim.seed", self.seed, 0)
+        for name in ("x0", "q0", "s0"):
+            check_real(f"sim.{name}", getattr(self, name))
+        if not isinstance(self.zero_noise, bool):
+            raise ConfigError("sim.zero_noise: must be true or false, "
+                              f"got {self.zero_noise!r}")
 
 
 @dataclass
@@ -53,11 +59,14 @@ class SimPath:
 
 @dataclass
 class PayoffEstimate:
+    """E[Y] - x0 and the certainty equivalent CE, each with its standard error."""
+
     estimate: float
     stderr: float | None
+    ce: float
+    ce_stderr: float | None
     fee: float
     n_paths: int
-    seed: int
     arbitrage: bool
 
 
@@ -84,7 +93,7 @@ def interpolate_control(control: ControlSurface, t: float, q, S):
 
     Coordinates outside the grid hull are clamped to it.
     """
-    return np.clip(_interpolate(control, t, S, q),
+    return np.clip(_interpolate(control, _layer_position(control, t), S, q),
                    -control.params.C, control.params.C)
 
 
@@ -98,11 +107,8 @@ def _euler_batch(control: ControlSurface, params: MarketParams, cfg: SimConfig,
                  increments: np.ndarray, record: bool = False):
     """Shared Euler kernel; returns (terminal states, trajectories if record)."""
     g = control.grid
-    n = increments.shape[0]
-    n_steps = increments.shape[1]
+    n, n_steps = increments.shape
     dt = params.T / n_steps
-    layers = control.values.shape[0]
-    aligned = (n_steps == layers - 1 and control.n0 == 0)
     S = np.full(n, cfg.s0); Q = np.full(n, cfg.q0); X = np.full(n, cfg.x0)
     A_int = np.zeros(n)
     clamped = 0
@@ -114,11 +120,10 @@ def _euler_batch(control: ControlSurface, params: MarketParams, cfg: SimConfig,
         traj["A"][0] = S
     for k in range(n_steps):
         clamped += _hull_clamps(g, S, Q)
-        if aligned:
-            v = np.clip(_bilinear(control.values[k], g, S, Q),
-                        -params.C, params.C)
-        else:
-            v = interpolate_control(control, k * dt, Q, S)
+        # layer of t = k*dt without rounding through dt: a step at a grid
+        # time reads that layer alone
+        v = np.clip(_interpolate(control, k * g.n_steps / n_steps - control.n0, S, Q),
+                    -params.C, params.C)
         X = X + (params.r * X - v * (S + params.l * v)) * dt
         A_int = A_int + S * dt
         S = S + (params.mu + params.b * v) * dt + params.sigma * increments[:, k]
@@ -165,30 +170,41 @@ def expected_payoff_metric(spec: ContractSpec, params: MarketParams,
     `control` and `fee` come from the contract's fee surface.  The initial
     wealth convention makes the broker's cash at t=0 equal to the
     indifference fee; a positive estimate beyond two standard errors flags a
-    statistical arbitrage.  Paths are accumulated chunk by chunk in a fixed
-    order, so the estimate does not depend on scheduling.
+    statistical arbitrage.  The same paths give the certainty equivalent
+    CE = -log(mean w)/gamma with w = exp(-gamma*(Y - x0)), which the
+    indifference fee sets to 0, and se(CE) = sd(w)/(sqrt(n)*gamma*mean w).
+    Paths are accumulated chunk by chunk in a fixed order, so the estimates
+    do not depend on scheduling.
     """
     start_cfg = SimConfig(n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed,
                           x0=cfg.x0 - cfg.q0 * cfg.s0 + fee, q0=cfg.q0, s0=cfg.s0)
-    total = 0.0
-    total_sq = 0.0
+    g = params.gamma
+    n = cfg.n_paths
+    total = total_sq = total_w = total_w2 = 0.0
     done = 0
-    while done < cfg.n_paths:
-        m = min(_CHUNK, cfg.n_paths - done)
+    while done < n:
+        m = min(_CHUNK, n - done)
         dW = common_noise_batch(cfg, params, start=done, count=m)
         terminal, _ = _euler_batch(control, params, start_cfg, dW)
         Y = realized_payoff(terminal, spec, params)
+        w = np.exp(-g * (Y - cfg.x0))
         total += float(Y.sum())
         total_sq += float((Y * Y).sum())
+        total_w += float(w.sum())
+        total_w2 += float((w * w).sum())
         done += m
-    mean = total / cfg.n_paths
+    mean = total / n
+    mean_w = total_w / n
     est = mean - cfg.x0
-    if cfg.n_paths > 1:
-        var = max(0.0, (total_sq - cfg.n_paths * mean**2) / (cfg.n_paths - 1))
-        stderr = float(np.sqrt(var / cfg.n_paths))
+    ce = float(-np.log(mean_w) / g)
+    if n > 1:
+        var = max(0.0, (total_sq - n * mean**2) / (n - 1))
+        stderr = float(np.sqrt(var / n))
+        sd_w = np.sqrt(max(0.0, (total_w2 - n * mean_w**2) / (n - 1)))
+        ce_stderr = float(sd_w / (np.sqrt(n) * g * mean_w))
         arb = est > 2.0 * stderr
     else:
-        stderr = None
+        stderr = ce_stderr = None
         arb = False
-    return PayoffEstimate(estimate=est, stderr=stderr, fee=fee,
-                          n_paths=cfg.n_paths, seed=cfg.seed, arbitrage=arb)
+    return PayoffEstimate(estimate=est, stderr=stderr, ce=ce, ce_stderr=ce_stderr,
+                          fee=fee, n_paths=n, arbitrage=arb)

@@ -22,12 +22,10 @@ physical entries are out of reach; and with finite alpha the optimal cash
 unwind stops near Q(T) = 0.05, above the 0.02 the criterion once asked for.
 """
 import time
-from dataclasses import replace
 
 import numpy as np
 
 import execfees as ef
-from execfees.simulate import _CHUNK, _euler_batch
 
 from conftest import cash_unwind_inventory, contract, twap_reduced_ode_value
 
@@ -132,52 +130,25 @@ def test_criterion_5_sensitivity_rows(params, grid):
 
 def test_criterion_6_expected_payoff_tables(params, grid):
     cfg = ef.SimConfig(n_paths=100_000, seed=20240901)
-    g = params.gamma
     refs = {**TABLE_STATARB, **TABLE_STATARB_TWAP}
     t0 = time.time()
-    runs = {}
+    rows = {}
     for fam in refs:
         spec = contract(fam, params)
         surface = ef.solve_fee_surface(spec, params, grid)
         control = ef.extract_control(surface, params)
         fee = surface.value_at(0.0, cfg.s0, cfg.q0)
-        est = ef.expected_payoff_metric(spec, params, cfg,
-                                        control=control, fee=fee)
-        start = replace(cfg, x0=cfg.x0 - cfg.q0 * cfg.s0 + fee)
-        runs[fam] = (spec, control, start, est)
-    # the same paths again, each noise chunk drawn once for all six families:
-    # sums of Y, of w = exp(-gamma*(Y - x0)) and of w^2
-    sums = {fam: [0.0, 0.0, 0.0] for fam in runs}
-    done = 0
-    while done < cfg.n_paths:
-        m = min(_CHUNK, cfg.n_paths - done)   # the metric's summation order
-        dW = ef.common_noise_batch(cfg, params, start=done, count=m)
-        for fam, (spec, control, start, _) in runs.items():
-            terminal, _ = _euler_batch(control, params, start, dW)
-            Y = ef.realized_payoff(terminal, spec, params)
-            w = np.exp(-g * (Y - cfg.x0))
-            acc = sums[fam]
-            acc[0] += float(Y.sum()); acc[1] += float(w.sum())
-            acc[2] += float((w * w).sum())
-        done += m
+        # the certainty equivalent of Y(T) - x0 comes from the metric's own paths
+        rows[fam] = ef.expected_payoff_metric(spec, params, cfg,
+                                              control=control, fee=fee)
     elapsed = time.time() - t0
-    n = cfg.n_paths
-    rows = {}
-    for fam, (sum_y, sum_w, sum_w2) in sums.items():
-        est = runs[fam][3]
-        mean_w = sum_w / n
-        sd_w = np.sqrt(max(0.0, (sum_w2 - n * mean_w**2) / (n - 1)))
-        ce = -np.log(mean_w) / g
-        se_ce = sd_w / (np.sqrt(n) * g * mean_w)
-        same_paths = abs(sum_y / n - cfg.x0 - est.estimate) <= 1e-9
-        rows[fam] = (est, ce, se_ce, same_paths)
-    ok = (all(same and abs(ce) <= 3 * se for _, ce, se, same in rows.values())
+    ok = (all(abs(est.ce) <= 3 * est.ce_stderr for est in rows.values())
           and elapsed < 300.0)
     detail = "; ".join(
         f"{f}: E[Y]-x0={est.estimate:+.4f}+-{est.stderr:.4f} "
         f"(table {refs[f]:+.4f}, sign {SIGN_PATTERN[f]:+d}) "
-        f"CE={ce:+.4f}+-{se:.4f} z={ce / se:+.2f} same_paths={same}"
-        for f, (est, ce, se, same) in rows.items())
+        f"CE={est.ce:+.4f}+-{est.ce_stderr:.4f} z={est.ce / est.ce_stderr:+.2f}"
+        for f, est in rows.items())
     _report(6, ok, f"{detail}; runtime {elapsed:.0f}s")
 
 

@@ -37,26 +37,37 @@ def test_fees_rerun_is_byte_identical(tmp_path):
     assert (out / "fees.csv").read_bytes() == first
 
 
-# field named in the error message -> config text that is invalid in it
+# field named in the error message -> config texts that are invalid in it;
+# every one is rejected when the config loads, before any command runs
 INVALID_CONFIGS = {
-    "params.sigma": "params:\n  sigma: -3\n",
-    "sim.n_paths": "sim: {n_paths: 0}\n",
-    "sim.n_steps": "sim: {n_steps: 2.5}\n",
-    "grid.I": "grid: {I: 10.5}\n",
-    "grid.J": "grid: {J: 20.0}\n",
-    "grid.n_steps": "grid: {n_steps: 0}\n",
-    "sweep.param": "sweep: {param: tau, values: [0.3]}\n",
+    "params.sigma": ["params:\n  sigma: -3\n", "params: {sigma: abc}\n"],
+    "params": ["params: 5\n"],
+    "sim.n_paths": ["sim: {n_paths: 0}\n"],
+    "sim.n_steps": ["sim: {n_steps: 2.5}\n"],
+    "sim.seed": ["sim: {seed: abc}\n"],
+    "sim.s0": ["sim: {s0: abc}\n"],
+    "grid.I": ["grid: {I: 10.5}\n"],
+    "grid.J": ["grid: {J: 20.0}\n"],
+    "grid.n_steps": ["grid: {n_steps: 0}\n"],
+    "sweep.param": ["sweep: {param: tau, values: [0.3]}\n"],
+    "sweep.values": ["sweep: {param: sigma, values: 5}\n",
+                     "sweep: {param: sigma, values: [abc]}\n"],
+    "contracts": ["contracts: 5\n"],
+    "contracts.K1": ["contracts: [{family: collar_cash, K1: abc, K2: 50}]\n"],
+    "regulatory": ["regulatory: 5\n"],
+    "regulatory.p": ["regulatory: {p: abc, tau: 0.5}\n"],
 }
 
 
 @pytest.mark.parametrize("field", list(INVALID_CONFIGS))
 def test_invalid_config_exits_nonzero(tmp_path, capsys, field):
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text(INVALID_CONFIGS[field])
-    assert main(["fees", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("execfees: error:") and field in err
-    assert "Traceback" not in err
+    for text in INVALID_CONFIGS[field]:
+        cfg.write_text(text)
+        assert main(["fees", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"execfees: error: {field}:"), (text, err)
+        assert "Traceback" not in err
 
 
 # command -> a sweep it does not accept: p belongs to regulatory alone

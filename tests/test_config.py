@@ -66,3 +66,18 @@ def test_load_yaml_roundtrip(tmp_path):
 
 def test_hash_is_stable_under_key_order():
     assert sha256_of({"a": 1, "b": 2.5}) == sha256_of({"b": 2.5, "a": 1})
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"regulatory": {"p": 0.5}}, "regulatory: missing field(s) ['tau']"),
+    ({"output_dir": 5}, "output_dir:"),
+    ({"grid": {"s_min": "abc"}}, "grid.s_min:"),
+    ({"sim": {"seed": -1}}, "sim.seed:"),
+    ({"sim": {"zero_noise": "abc"}}, "sim.zero_noise:"),
+    ({"params": {"b": "1e-3"}}, "params.b:"),   # YAML 1.1 reads 1e-3 as a string
+    ({"contracts": [{"family": "collar_cash", "K2": float("inf")}]}, "contracts.K2:"),
+])
+def test_config_rejects_malformed_values(raw, field):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value).startswith(field)

@@ -4,7 +4,7 @@ import pytest
 import execfees as ef
 from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
-from execfees.hjb import _sweep, boundary_rows
+from execfees.hjb import _sweep, build_banded
 
 from conftest import contract, twap_reduced_ode_value
 
@@ -12,34 +12,35 @@ from conftest import contract, twap_reduced_ode_value
 # ---------------------------------------------------------------------------
 # implicit operator
 
+def _interior_bands(ab):
+    """(sub, diag, super) of the interior price rows 1..I-1 of build_banded."""
+    return ab[2, :-2], ab[1, 1:-1], ab[0, 2:]
+
+
 def test_implicit_row_baseline_coefficients(params, grid):
     # plug the baseline spacings into the printed coefficients by hand
-    sub, diag, sup = ef.implicit_matrix_row(50, params, grid)
-    assert sub == pytest.approx(25.0 * 1e-3 / (2 * 0.36), rel=1e-12)
-    assert sup == pytest.approx(25.0 * 1e-3 / (2 * 0.36), rel=1e-12)
-    assert diag == pytest.approx(-(25.0 * 1e-3 / 0.36 + 1.0), rel=1e-12)
+    ab = build_banded(params, grid)
+    sub, diag, sup = _interior_bands(ab)
+    off = np.full(grid.I - 1, 25.0 * 1e-3 / (2 * 0.36))
+    assert sub == pytest.approx(off, rel=1e-12)
+    assert sup == pytest.approx(off, rel=1e-12)
+    assert diag == pytest.approx(np.full(grid.I - 1, -(25.0 * 1e-3 / 0.36 + 1.0)),
+                                 rel=1e-12)
+    assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0   # unused corners of the storage
 
 
 def test_implicit_row_symmetry_and_copy_limit(grid):
-    p = ef.MarketParams(mu=0.0)
-    sub, _, sup = ef.implicit_matrix_row(3, p, grid)
-    assert sub == sup
+    sub, _, sup = _interior_bands(build_banded(ef.MarketParams(mu=0.0), grid))
+    assert np.array_equal(sub, sup)
     p0 = ef.MarketParams(sigma=0.0, mu=0.0, r=0.0)
-    sub, diag, sup = ef.implicit_matrix_row(3, p0, grid)
-    assert (sub, diag, sup) == (0.0, -1.0, 0.0)
-
-
-def test_implicit_row_rejects_boundary_index(params, grid):
-    with pytest.raises(ValueError):
-        ef.implicit_matrix_row(0, params, grid)
-    with pytest.raises(ValueError):
-        ef.implicit_matrix_row(grid.I, params, grid)
+    sub, diag, sup = _interior_bands(build_banded(p0, grid))
+    assert (set(sub), set(diag), set(sup)) == ({0.0}, {-1.0}, {0.0})
 
 
 def test_boundary_rows_no_drift(params, grid):
-    (d0, u0), (sI, dI) = boundary_rows(params, grid)
-    assert (d0, u0) == (-1.0, 0.0)   # r = mu = 0: pure copy row
-    assert (sI, dI) == (0.0, -1.0)
+    ab = build_banded(params, grid)
+    assert (ab[1, 0], ab[0, 1]) == (-1.0, 0.0)    # r = mu = 0: pure copy row at S_min
+    assert (ab[2, -2], ab[1, -1]) == (0.0, -1.0)  # and at S_max
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +265,3 @@ def test_twap_deterministic_limit(grid):
     assert u0 == pytest.approx(exact, abs=5e-5)
     dp = _deterministic_dp_value(p0, p0.N, 0.5)
     assert u0 == pytest.approx(dp, abs=1e-4)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_surface_roundtrip(tmp_path, params, surfaces):
-    surf = surfaces["collar_cash"]
-    base = str(tmp_path / "colc")
-    ef.save_surface(surf, base)
-    back = ef.load_surface(base)
-    assert np.array_equal(back.values, surf.values)
-    assert back.grid == surf.grid
-    assert back.params == surf.params
-    assert back.contract == surf.contract
-
-
-def test_control_surface_roundtrip(tmp_path, controls):
-    ctrl = controls["linear_physical"]
-    base = str(tmp_path / "ctrl")
-    ef.save_surface(ctrl, base)
-    back = ef.load_surface(base)
-    assert isinstance(back, ef.ControlSurface)
-    assert np.array_equal(back.values, ctrl.values)

@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 
 import execfees as ef
 from execfees.errors import OutOfGrid
+from execfees.hjb import _bilinear
 
 from conftest import cash_unwind_inventory, contract
 
@@ -81,6 +82,24 @@ def test_interpolation_reclamps(params, grid):
     ctrl = zero_control(params, grid, n_layers=2)
     ctrl.values[:] = 50.0   # out-of-bound field: lookups stay within [-C, C]
     assert ef.interpolate_control(ctrl, 0.0, 0.0, 45.0) == params.C
+
+
+@pytest.mark.parametrize("n_steps", [400, 200, 800])
+def test_euler_reads_grid_time_layers_exactly(params, n_steps):
+    # a step at a grid time reads that layer alone, bit for bit, whether or
+    # not the simulation's time grid is the solver's
+    g = ef.GridSpec(I=40, J=40, n_steps=400)
+    rng = np.random.default_rng(5)
+    ctrl = ef.ControlSurface(grid=g, params=params,
+                             values=rng.uniform(-1.0, 1.0, (401, 41, 41)))
+    cfg = ef.SimConfig(n_paths=1, n_steps=n_steps, seed=3)
+    path = ef.simulate_path(ctrl, params, cfg, ef.common_noise_batch(cfg, params))
+    on_grid = [k for k in range(n_steps) if k * 400 % n_steps == 0]
+    assert len(on_grid) == min(n_steps, 400)
+    for k in on_grid:
+        layer = ctrl.values[k * 400 // n_steps]
+        assert path.v[k] == np.clip(_bilinear(layer, g, path.S[k], path.Q[k]),
+                                    -params.C, params.C), k
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +238,8 @@ def test_metric_deterministic_for_fixed_seed(params, surfaces, controls):
     kw = dict(control=controls["linear_physical"], fee=fee)
     a = ef.expected_payoff_metric(spec, params, cfg, **kw)
     b = ef.expected_payoff_metric(spec, params, cfg, **kw)
-    assert a.estimate == b.estimate
-    assert a.stderr == b.stderr
+    assert (a.estimate, a.stderr, a.ce, a.ce_stderr) == (
+        b.estimate, b.stderr, b.ce, b.ce_stderr)
 
 
 def test_metric_single_path_has_no_stderr(params, surfaces, controls):
@@ -229,5 +248,5 @@ def test_metric_single_path_has_no_stderr(params, surfaces, controls):
     est = ef.expected_payoff_metric(spec, params, cfg,
                                     control=controls["linear_physical"],
                                     fee=surfaces["linear_physical"].values[0, 50, 75])
-    assert est.stderr is None
+    assert est.stderr is None and est.ce_stderr is None
     assert est.arbitrage is False
