@@ -2,8 +2,9 @@
 """Fee convergence under uniform grid refinement.
 
 Solves one contract on the baseline grid and on dyadic refinements of it,
-printing the fee at (t=0, q0=0.5, S0=45) per level. Useful to size the
-discretization error against the table tolerances.
+printing the fee at (t=0, q0=0.5, S0=45) per level and the grid the solve
+ran on (price-affine contracts at r = 0 keep a 3-node price axis). Useful
+to size the discretization error against the table tolerances.
 
 Usage: python scripts/grid_refinement.py [family] [levels]
 """
@@ -22,9 +23,11 @@ def main(argv):
     prev = None
     for lvl in range(levels):
         t0 = time.time()
-        fee = ef.solve_fee_surface(spec, params, grid).value_at(0.0, 45.0, 0.5)
+        surface = ef.solve_fee_surface(spec, params, grid)
+        fee = surface.value_at(0.0, 45.0, 0.5)
         delta = "" if prev is None else f"  delta={fee - prev:+.2e}"
-        print(f"level {lvl}: I={grid.I:4d} J={grid.J:4d} n_steps={grid.n_steps:5d}  "
+        g = surface.grid   # the grid the solve ran on, not the requested one
+        print(f"level {lvl}: I={g.I:4d} J={g.J:4d} n_steps={g.n_steps:5d}  "
               f"fee={fee:.6f}{delta}  ({time.time() - t0:.1f}s)")
         prev = fee
         grid = grid.refine(2)

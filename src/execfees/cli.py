@@ -107,7 +107,7 @@ def _statarb_row(contract: ContractSpec, config: ExperimentConfig) -> dict:
     fee, surface = _solve_fee(contract, config)
     est = expected_payoff_metric(contract, config.params, config.sim,
                                  extract_control(surface, config.params), fee)
-    return {"family": contract.family.value, "fee": est.fee,
+    return {"family": contract.family.value, "fee": fee,
             "estimate": est.estimate,
             "stderr": "na" if est.stderr is None else est.stderr,
             "arbitrage": est.arbitrage}
@@ -235,7 +235,7 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str):
 
     for sig in (1.0, 5.0):
         sub = dataclasses.replace(
-            base.with_params(sigma=sig),
+            base, params=base.params.replace(sigma=sig),
             regulatory=RegulatorySpec(p=0.5, tau=0.5),
             sweep=SweepSpec("p", (0.0, 0.2, 0.5, 0.8, 1.0)))
         emit(f"regulatory_sigma{sig:g}.csv", "regulatory", run_regulatory(sub))

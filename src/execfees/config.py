@@ -55,7 +55,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def canonical_dict(self) -> dict:
-        d = {
+        return {
             "params": dataclasses.asdict(self.params),
             "grid": dataclasses.asdict(self.grid),
             "contracts": [_contract_dict(c) for c in self.contracts],
@@ -64,13 +64,9 @@ class ExperimentConfig:
             "sweep": {"param": self.sweep.param, "values": list(self.sweep.values)}
             if self.sweep else None,
         }
-        return d
 
     def config_hash(self) -> str:
         return sha256_of(self.canonical_dict())
-
-    def with_params(self, **kw) -> "ExperimentConfig":
-        return dataclasses.replace(self, params=self.params.replace(**kw))
 
 
 def _contract_dict(c: ContractSpec) -> dict:
@@ -139,7 +135,7 @@ def config_from_dict(raw: dict | None) -> ExperimentConfig:
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     bad = set(raw) - known
     if bad:
-        raise ConfigError(f"config: unknown section(s) {sorted(bad)}")
+        raise ConfigError(f"config: unknown section(s) {sorted(map(str, bad))}")
     params = MarketParams(**_section(MarketParams, raw.get("params"), "params"))
     grid = GridSpec(**_section(GridSpec, raw.get("grid"), "grid"))
     sim = SimConfig(**_section(SimConfig, raw.get("sim"), "sim"))

@@ -10,8 +10,8 @@ benchmarked to the running time average of the price.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -115,8 +115,9 @@ def check_count(field: str, value, least: int) -> None:
 
 def check_real(field: str, value) -> None:
     """Reject a value that is not a finite real number, naming the field."""
+    # abs() <= max also rejects nan and integers beyond the float range
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{field}: must be a finite real number, got {value!r}")
 
 

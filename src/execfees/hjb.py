@@ -28,7 +28,7 @@ point into the grid.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -73,9 +73,9 @@ class FeeSurface:
     """Fee values on the (time, price, inventory) grid.
 
     ``values[k, i, j]`` approximates the fee at time layer ``n0 + k``, price
-    node i, inventory node j.  For TWAP contracts the surface holds the
-    reduced value U; the fee at time t is N*(t/T)*(S - A) + U, which at t = 0
-    is U itself.
+    node i, inventory node j of ``grid``, the grid it was solved on (see
+    _terminal_layer).  For TWAP contracts the surface holds the reduced value
+    U; the fee at time t is N*(t/T)*(S - A) + U, which at t = 0 is U itself.
     """
 
     grid: GridSpec
@@ -89,9 +89,6 @@ class FeeSurface:
     @property
     def n_layers(self) -> int:
         return self.values.shape[0]
-
-    def layer_time(self, k: int) -> float:
-        return (self.n0 + k) * self.grid.dt(self.params.T)
 
     def value_at(self, t: float, S: float, q: float) -> float:
         """Trilinear interpolation; exact at grid nodes."""
@@ -286,14 +283,26 @@ def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
     return layers
 
 
-def _check_strikes_on_grid(spec: ContractSpec, grid: GridSpec) -> None:
-    if not spec.family.is_collar:
-        return
-    for name, k in (("K1", spec.K1), ("K2", spec.K2)):
-        off = (k - grid.s_min) / grid.ds
-        if abs(off - round(off)) > 1e-9:
-            warnings.warn(f"collar strike {name}={k} does not lie on a price node; "
-                          "terminal kink lands between nodes", RuntimeWarning)
+def _terminal_layer(spec: ContractSpec, params: MarketParams,
+                    grid: GridSpec) -> tuple[GridSpec, np.ndarray]:
+    """The grid a solve runs on, and its terminal layer P(T).
+
+    At r = 0 every non-collar fee is affine in S (a(t, q) + N*S, or the TWAP
+    reduction's price-free U); the scheme and bilinear lookup are exact on an
+    affine field, so those solves take a 3-node price axis on the same hull.
+    """
+    if spec.family.is_collar:
+        for name, k in (("K1", spec.K1), ("K2", spec.K2)):
+            off = (k - grid.s_min) / grid.ds
+            if abs(off - round(off)) > 1e-9:
+                warnings.warn(f"collar strike {name}={k} does not lie on a price "
+                              "node; terminal kink lands between nodes", RuntimeWarning)
+    elif params.r == 0.0:
+        grid = replace(grid, I=2)
+    S, q = grid.s_nodes()[:, None], grid.q_nodes()[None, :]
+    P_T = (liquidation_cost(q, spec.liquidation_target, params.alpha)
+           if spec.family.is_twap else terminal_fee(spec, q, S, params))
+    return grid, P_T + np.zeros((grid.I + 1, grid.J + 1))
 
 
 def solve_fee_surface(spec: ContractSpec, params: MarketParams,
@@ -311,11 +320,7 @@ def solve_fee_surface(spec: ContractSpec, params: MarketParams,
         if params.r != 0.0:
             raise RequiresZeroRate("the TWAP state reduction is derived for r = 0")
         spec = make_contract(spec.family, params)
-    _check_strikes_on_grid(spec, grid)
-    S = grid.s_nodes()[:, None]
-    q = grid.q_nodes()[None, :]
-    P_T = (liquidation_cost(q, spec.liquidation_target, params.alpha) if twap
-           else terminal_fee(spec, q, S, params)) + np.zeros((grid.I + 1, grid.J + 1))
+    grid, P_T = _terminal_layer(spec, params, grid)
     values = _sweep(P_T, grid.n_steps, 0, params, grid, twap)
     return FeeSurface(grid=grid, params=params, values=values, contract=spec,
                       twap=twap, kind="twap_value" if twap else "fee")
@@ -338,32 +343,24 @@ def solve_regulatory(reg: RegulatorySpec, params: MarketParams,
     The exponentials are rescaled by their nodewise maximum before the log.
     """
     n_tau = reg.snapped_step(params, grid)
-    S = grid.s_nodes()[:, None]
-    q = grid.q_nodes()[None, :]
-    shape = np.zeros((grid.I + 1, grid.J + 1))
-    phys = make_contract(Family.LINEAR_PHYSICAL, params)
-    cash = make_contract(Family.LINEAR_CASH, params)
-    post1 = _sweep(terminal_fee(phys, q, S, params) + shape,
-                   grid.n_steps, n_tau, params, grid)
-    post0 = _sweep(terminal_fee(cash, q, S, params) + shape,
-                   grid.n_steps, n_tau, params, grid)
-    tau = n_tau * grid.dt(params.T)
+    post = []
+    for family in (Family.LINEAR_PHYSICAL, Family.LINEAR_CASH):
+        spec = make_contract(family, params)
+        solved, P_T = _terminal_layer(spec, params, grid)
+        post.append(FeeSurface(grid=solved, params=params, contract=spec, n0=n_tau,
+                               values=_sweep(P_T, grid.n_steps, n_tau, params, solved)))
+    tau = n_tau * solved.dt(params.T)
     g = params.gamma * np.exp(params.r * (params.T - tau))
-    P1, P0 = post1[0], post0[0]
+    P1, P0 = post[0].values[0], post[1].values[0]
     M = np.maximum(P1, P0)
     mix = reg.p * np.exp(g * (P1 - M)) + (1.0 - reg.p) * np.exp(g * (P0 - M))
     if not np.isfinite(mix).all() or np.any(mix <= 0.0):
         raise BlendOverflow("regulatory mixture left the representable range")
     P_tau = M + np.log(mix) / g
-    pre = _sweep(P_tau, n_tau, 0, params, grid)
-    mk = lambda vals, c, n0, kind: FeeSurface(grid=grid, params=params, values=vals,
-                                              contract=c, n0=n0, kind=kind)
-    return RegulatoryResult(
-        pre=mk(pre, None, 0, "regulatory_pre"),
-        post_physical=mk(post1, phys, n_tau, "fee"),
-        post_cash=mk(post0, cash, n_tau, "fee"),
-        n_tau=n_tau,
-    )
+    pre = FeeSurface(grid=solved, params=params, kind="regulatory_pre",
+                     values=_sweep(P_tau, n_tau, 0, params, solved))
+    return RegulatoryResult(pre=pre, post_physical=post[0], post_cash=post[1],
+                            n_tau=n_tau)
 
 
 def extract_control(surface: FeeSurface, params: MarketParams) -> ControlSurface:
@@ -387,7 +384,8 @@ def extract_control(surface: FeeSurface, params: MarketParams) -> ControlSurface
         Dq[:, 1:-1] = (P[:, 2:] - P[:, :-2]) / (2.0 * dq)
         Dq[:, 0] = (-3.0 * P[:, 0] + 4.0 * P[:, 1] - P[:, 2]) / (2.0 * dq)
         Dq[:, -1] = (3.0 * P[:, -1] - 4.0 * P[:, -2] + P[:, -3]) / (2.0 * dq)
-        sched = (params.N * surface.layer_time(k) / params.T) if surface.twap else 0.0
+        t = (surface.n0 + k) * g.dt(params.T)
+        sched = (params.N * t / params.T) if surface.twap else 0.0
         v = (params.b * (q - sched) - params.b * DS - Dq) / (2.0 * params.l)
         np.clip(v, -params.C, params.C, out=v)
         v[:, 0] = np.maximum(v[:, 0], 0.0)

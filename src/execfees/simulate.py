@@ -20,6 +20,8 @@ from .hjb import ControlSurface, _interpolate, _layer_position
 _CLAMP_BUDGET = 0.01
 # paths per noise block of expected_payoff_metric; fixes its summation order
 _CHUNK = 8192
+# past 2**63 numpy builds the Philox key in float64: 2**63 + 1 rounds to 2**63
+_MAX_SEED = 2**63
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,8 @@ class SimConfig:
         for name in ("n_paths", "n_steps"):
             check_count(f"sim.{name}", getattr(self, name), 1)
         check_count("sim.seed", self.seed, 0)
+        if self.seed > _MAX_SEED:
+            raise ConfigError(f"sim.seed: must be <= 2**63, got {self.seed!r}")
         for name in ("x0", "q0", "s0"):
             check_real(f"sim.{name}", getattr(self, name))
         if not isinstance(self.zero_noise, bool):
@@ -65,7 +69,6 @@ class PayoffEstimate:
     stderr: float | None
     ce: float
     ce_stderr: float | None
-    fee: float
     n_paths: int
     arbitrage: bool
 
@@ -207,4 +210,4 @@ def expected_payoff_metric(spec: ContractSpec, params: MarketParams,
         stderr = ce_stderr = None
         arb = False
     return PayoffEstimate(estimate=est, stderr=stderr, ce=ce, ce_stderr=ce_stderr,
-                          fee=fee, n_paths=n, arbitrage=arb)
+                          n_paths=n, arbitrage=arb)

@@ -30,7 +30,6 @@ import execfees as ef
 from conftest import cash_unwind_inventory, contract, twap_reduced_ode_value
 
 Q0, S0 = 0.5, 45.0
-NODE = (50, 75)
 
 TABLE_FEES = {"linear_physical": 45.0029, "linear_cash": 45.0130,
               "collar_physical": 45.0042, "collar_cash": 45.0078}
@@ -65,17 +64,15 @@ def test_criterion_1_closed_form_oracle(params, grid):
     t0 = time.time()
     cash = ef.solve_fee_surface(contract("linear_cash", params), params, grid)
     t_cash = time.time() - t0
-    i0, j0 = NODE
-    d_phys = abs(phys.values[0, i0, j0] - ef.fee_physical_closed(0.0, Q0, S0, params))
-    d_cash = abs(cash.values[0, i0, j0] - ef.fee_trs_closed(0.0, Q0, S0, params))
+    d_phys = abs(phys.value_at(0.0, S0, Q0) - ef.fee_physical_closed(0.0, Q0, S0, params))
+    d_cash = abs(cash.value_at(0.0, S0, Q0) - ef.fee_trs_closed(0.0, Q0, S0, params))
     ok = d_phys <= 1e-3 and d_cash <= 1e-3 and max(t_phys, t_cash) < 30.0
     _report(1, ok, f"|pde-closed| phys={d_phys:.2e} cash={d_cash:.2e}, "
                    f"solve times {t_phys:.1f}s/{t_cash:.1f}s")
 
 
 def test_criterion_2_fee_table(surfaces):
-    i0, j0 = NODE
-    diffs = {fam: abs(surfaces[fam].values[0, i0, j0] - ref)
+    diffs = {fam: abs(surfaces[fam].value_at(0.0, S0, Q0) - ref)
              for fam, ref in TABLE_FEES.items()}
     ok = all(d <= 2e-3 for d in diffs.values())
     _report(2, ok, "fee-table deviations " +
@@ -90,7 +87,7 @@ def test_criterion_3_regulatory_table(params, grid):
         fees = []
         for p in P_LIST:
             res = ef.solve_regulatory(ef.RegulatorySpec(p=p, tau=0.5), pars, grid)
-            fees.append(res.pre.values[0, NODE[0], NODE[1]])
+            fees.append(res.pre.value_at(0.0, S0, Q0))
         worst = max(worst, max(abs(f - r) for f, r in zip(fees, refs)))
         monotone &= all(fees[k] > fees[k + 1] for k in range(len(fees) - 1))
     ok = worst <= 2e-3 and monotone
@@ -98,8 +95,7 @@ def test_criterion_3_regulatory_table(params, grid):
 
 
 def test_criterion_4_twap_fee_table(params, twap_surfaces):
-    i0, j0 = NODE
-    rows = {side: (twap_surfaces[side].values[0, i0, j0],
+    rows = {side: (twap_surfaces[side].value_at(0.0, S0, Q0),
                    twap_reduced_ode_value(params, target, Q0))
             for side, target in (("physical", params.N), ("cash", 0.0))}
     ok = all(abs(u - oracle) <= 1e-3 for u, oracle in rows.values())
@@ -113,15 +109,15 @@ def test_criterion_5_sensitivity_rows(params, grid):
     pars_r = params.replace(r=0.01)
     for fam, ref in TABLE_R001.items():
         s = ef.solve_fee_surface(contract(fam, pars_r), pars_r, grid)
-        diffs[f"r=0.01 {fam}"] = abs(s.values[0, NODE[0], NODE[1]] - ref)
+        diffs[f"r=0.01 {fam}"] = abs(s.value_at(0.0, S0, Q0) - ref)
     pars_s = params.replace(sigma=7.0)
     for fam, ref in TABLE_SIGMA7.items():
         s = ef.solve_fee_surface(contract(fam, pars_s), pars_s, grid)
-        diffs[f"sigma=7 {fam}"] = abs(s.values[0, NODE[0], NODE[1]] - ref)
+        diffs[f"sigma=7 {fam}"] = abs(s.value_at(0.0, S0, Q0) - ref)
     for alpha, ref in TABLE_ALPHA_CASH.items():
         pars_a = params.replace(alpha=alpha)
         s = ef.solve_fee_surface(contract("linear_cash", pars_a), pars_a, grid)
-        diffs[f"alpha={alpha} cash"] = abs(s.values[0, NODE[0], NODE[1]] - ref)
+        diffs[f"alpha={alpha} cash"] = abs(s.value_at(0.0, S0, Q0) - ref)
     worst = max(diffs.values())
     ok = worst <= 5e-3
     _report(5, ok, f"worst deviation {worst:.1e} "
@@ -152,10 +148,11 @@ def test_criterion_6_expected_payoff_tables(params, grid):
     _report(6, ok, f"{detail}; runtime {elapsed:.0f}s")
 
 
-def test_criterion_7a_terminal_exactness(params, grid, surfaces):
-    S = grid.s_nodes()[:, None]; q = grid.q_nodes()[None, :]
+def test_criterion_7a_terminal_exactness(params, surfaces):
     ok = all(np.array_equal(surf.values[-1],
-                            ef.terminal_fee(contract(fam, params), q, S, params)
+                            ef.terminal_fee(contract(fam, params),
+                                            surf.grid.q_nodes()[None, :],
+                                            surf.grid.s_nodes()[:, None], params)
                             + np.zeros_like(surf.values[-1]))
              for fam, surf in surfaces.items())
     _report("7a", ok, "terminal layer reproduces Pi(S)+L(q) bit-for-bit")
@@ -217,19 +214,19 @@ def test_criterion_7f_deterministic_inventory_targets(params, controls):
 
 
 def test_criterion_7g_grid_refinement(params, grid, surfaces, twap_surfaces):
+    # the price-affine families run on a 3-node price axis at any refinement,
+    # so for them this refines J and n_steps, which set their error
     fine = grid.refine(2)
-    i0, j0 = NODE
-    i1, j1 = 2 * i0, 2 * j0
     worst_fee, worst_twap = 0.0, 0.0
     for fam, surf in surfaces.items():
         refined = ef.solve_fee_surface(contract(fam, params), params, fine)
-        worst_fee = max(worst_fee,
-                        abs(refined.values[0, i1, j1] - surf.values[0, i0, j0]))
+        worst_fee = max(worst_fee, abs(refined.value_at(0.0, S0, Q0)
+                                       - surf.value_at(0.0, S0, Q0)))
     for side, surf in twap_surfaces.items():
         refined = ef.solve_fee_surface(ef.make_contract(f"twap_{side}", params),
                                        params, fine)
-        worst_twap = max(worst_twap,
-                         abs(refined.values[0, i1, j1] - surf.values[0, i0, j0]))
+        worst_twap = max(worst_twap, abs(refined.value_at(0.0, S0, Q0)
+                                         - surf.value_at(0.0, S0, Q0)))
     ok = worst_fee < 2e-3 and worst_twap < 1e-3
     _report("7g", ok, f"halved spacings move fees by {worst_fee:.1e} "
                       f"(contracts), {worst_twap:.1e} (TWAP)")

@@ -44,7 +44,8 @@ INVALID_CONFIGS = {
     "params": ["params: 5\n"],
     "sim.n_paths": ["sim: {n_paths: 0}\n"],
     "sim.n_steps": ["sim: {n_steps: 2.5}\n"],
-    "sim.seed": ["sim: {seed: abc}\n"],
+    "sim.seed": ["sim: {seed: abc}\n", f"sim: {{seed: {2**64 - 1}}}\n",
+                 f"sim: {{seed: {2**64}}}\n"],
     "sim.s0": ["sim: {s0: abc}\n"],
     "grid.I": ["grid: {I: 10.5}\n"],
     "grid.J": ["grid: {J: 20.0}\n"],

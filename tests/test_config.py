@@ -1,4 +1,8 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import execfees as ef
 from execfees.config import config_from_dict, sha256_of
@@ -76,8 +80,71 @@ def test_hash_is_stable_under_key_order():
     ({"sim": {"zero_noise": "abc"}}, "sim.zero_noise:"),
     ({"params": {"b": "1e-3"}}, "params.b:"),   # YAML 1.1 reads 1e-3 as a string
     ({"contracts": [{"family": "collar_cash", "K2": float("inf")}]}, "contracts.K2:"),
+    ({"params": {"sigma": 10**400}}, "params.sigma:"),   # beyond the float range
+    ({"paramz": {}, 1: {}}, "config: unknown section(s) ['1', 'paramz']"),
 ])
 def test_config_rejects_malformed_values(raw, field):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(raw)
     assert str(exc.value).startswith(field)
+
+
+# ---------------------------------------------------------------------------
+# round trip: accepted configs survive canonical_dict, rejected ones say so
+
+# YAML can produce any of these; integers beyond the float range included
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                  st.integers(2**1023, 2**1100), st.text(max_size=4),
+                  st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_REAL = st.floats(-5.0, 100.0) | st.integers(-5, 100)
+_FAMILY = st.sampled_from([f.value for f in ef.Family])
+_COUNT = st.integers(-1, 300)
+_SECTIONS = {
+    "params": st.fixed_dictionaries(
+        {}, optional={f.name: _REAL for f in dataclasses.fields(ef.MarketParams)}),
+    "grid": st.fixed_dictionaries(
+        {}, optional={"s_min": _REAL, "s_max": _REAL, "q_min": _REAL, "q_max": _REAL,
+                      "I": _COUNT, "J": _COUNT, "n_steps": _COUNT}),
+    "sim": st.fixed_dictionaries(
+        {}, optional={"n_paths": _COUNT, "n_steps": _COUNT,
+                      "seed": st.integers(-1, 2**65), "x0": _REAL, "q0": _REAL,
+                      "s0": _REAL, "zero_noise": st.booleans()}),
+    "contracts": st.none() | st.lists(
+        _FAMILY | st.fixed_dictionaries({"family": _FAMILY},
+                                        optional={"K1": _REAL, "K2": _REAL}),
+        max_size=3),
+    "regulatory": st.none() | st.fixed_dictionaries({"p": st.floats(-0.5, 1.5),
+                                                     "tau": _REAL}),
+    "sweep": st.none() | st.fixed_dictionaries(
+        {"param": st.sampled_from(["sigma", "r", "N", "p", "tau"]),
+         "values": st.lists(_REAL, max_size=3)}),
+    "output_dir": st.text(max_size=8),
+}
+
+
+@st.composite
+def _raw_configs(draw):
+    """A config dict of mostly plausible values with up to two junk entries."""
+    raw = {name: draw(section) for name, section in _SECTIONS.items()
+           if draw(st.booleans())}
+    for _ in range(draw(st.integers(0, 2))):
+        holder = draw(st.sampled_from(
+            [raw] + [v for v in raw.values() if isinstance(v, dict)]))
+        known = st.sampled_from(sorted(holder, key=str)) if holder else st.nothing()
+        key = draw(known | st.text(max_size=3) | st.integers())
+        holder[key] = draw(_JUNK)
+    return raw
+
+
+@settings(max_examples=300)
+@given(raw=_raw_configs())
+def test_config_round_trips_or_raises_config_error(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    again = config_from_dict(cfg.canonical_dict())
+    # output_dir is where artifacts go, not part of the experiment
+    assert again == dataclasses.replace(cfg, output_dir=again.output_dir)
+    assert again.config_hash() == cfg.config_hash()

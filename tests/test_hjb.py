@@ -4,7 +4,7 @@ import pytest
 import execfees as ef
 from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
-from execfees.hjb import _sweep, build_banded
+from execfees.hjb import _interpolate, _sweep, build_banded
 
 from conftest import contract, twap_reduced_ode_value
 
@@ -115,32 +115,32 @@ def test_explicit_guard_warns_on_coarse_time():
 # ---------------------------------------------------------------------------
 # full solves vs the closed-form oracle
 
-def test_pde_matches_closed_forms(params, surfaces, node):
-    i0, j0 = node
+def test_pde_matches_closed_forms(params, surfaces):
     for surf in surfaces.values():
         assert np.isfinite(surf.values).all()
-    phys = surfaces["linear_physical"].values[0, i0, j0]
-    cash = surfaces["linear_cash"].values[0, i0, j0]
+    phys = surfaces["linear_physical"].value_at(0.0, 45.0, 0.5)
+    cash = surfaces["linear_cash"].value_at(0.0, 45.0, 0.5)
     assert phys == pytest.approx(ef.fee_physical_closed(0.0, 0.5, 45.0, params),
                                  abs=1e-3)
     assert cash == pytest.approx(ef.fee_trs_closed(0.0, 0.5, 45.0, params), abs=1e-3)
 
 
 def test_oracle_equivalence_window(params, grid, surfaces):
-    # max |PDE - closed| over S in [30, 60], q in [0, 1] at t = 0
+    # max |PDE - closed| over the configured grid's nodes with S in [30, 60],
+    # q in [0, 1] at t = 0, looked up on the grid each surface was solved on
     S = grid.s_nodes(); q = grid.q_nodes()
     ii = (S >= 30.0) & (S <= 60.0)
     jj = (q >= 0.0) & (q <= 1.0)
     Sw = S[ii][:, None]; qw = q[jj][None, :]
     for fam, closed in (("linear_physical", ef.fee_physical_closed),
                         ("linear_cash", ef.fee_trs_closed)):
-        pde = surfaces[fam].values[0][np.ix_(ii, jj)]
+        pde = _interpolate(surfaces[fam], 0, Sw, qw)
         assert np.abs(pde - closed(0.0, qw, Sw, params)).max() <= 2e-3
 
 
-def test_terminal_layer_is_exact(params, grid, surfaces):
-    S = grid.s_nodes()[:, None]; q = grid.q_nodes()[None, :]
+def test_terminal_layer_is_exact(params, surfaces):
     for fam, surf in surfaces.items():
+        S = surf.grid.s_nodes()[:, None]; q = surf.grid.q_nodes()[None, :]
         expected = ef.terminal_fee(contract(fam, params), q, S, params)
         assert np.array_equal(surf.values[-1], expected + np.zeros_like(surf.values[-1]))
 
@@ -172,35 +172,32 @@ def test_controls_bounded(controls, params):
         assert np.abs(ctrl.values).max() <= params.C
 
 
-def test_control_matches_closed_form(controls, params, node):
-    i0, j0 = node
-    v_pde = controls["linear_physical"].values[0, i0, j0]
+def test_control_matches_closed_form(controls, params):
+    v_pde = ef.interpolate_control(controls["linear_physical"], 0.0, 0.5, 45.0)
     v_cf = ef.control_closed(0.0, 0.5, ef.Family.LINEAR_PHYSICAL, params)
     assert v_pde == pytest.approx(v_cf, abs=1e-2)
-    v_pde = controls["linear_cash"].values[0, i0, j0]
+    v_pde = ef.interpolate_control(controls["linear_cash"], 0.0, 0.5, 45.0)
     v_cf = ef.control_closed(0.0, 0.5, ef.Family.LINEAR_CASH, params)
     assert v_pde == pytest.approx(v_cf, abs=1e-2)
 
 
-def test_control_near_target_and_saturation(controls, params, grid, node):
-    i0, _ = node
-    jN = grid.J   # q = 1 = N
-    assert controls["linear_physical"].values[-1, i0, jN] == pytest.approx(0.0,
-                                                                           abs=1e-6)
+def test_control_near_target_and_saturation(controls, params, grid):
+    # at S = 45 and q = 1 = N
+    assert ef.interpolate_control(controls["linear_physical"], params.T, 1.0,
+                                  45.0) == pytest.approx(0.0, abs=1e-6)
     # cash contract close to maturity with full inventory sells at the bound
-    n95 = int(round(0.95 * grid.n_steps))
-    assert controls["linear_cash"].values[n95, i0, jN] == -params.C
+    t95 = int(round(0.95 * grid.n_steps)) * grid.dt(params.T)
+    assert ef.interpolate_control(controls["linear_cash"], t95, 1.0, 45.0) == -params.C
 
 
 # ---------------------------------------------------------------------------
 # regulatory switching
 
-def test_regulatory_endpoints_recover_single_contract(params, grid, surfaces, node):
-    i0, j0 = node
+def test_regulatory_endpoints_recover_single_contract(params, grid, surfaces):
     for p_val, fam in ((1.0, "linear_physical"), (0.0, "linear_cash")):
         res = ef.solve_regulatory(ef.RegulatorySpec(p=p_val, tau=0.5), params, grid)
-        assert res.pre.values[0, i0, j0] == pytest.approx(
-            surfaces[fam].values[0, i0, j0], abs=1e-9)
+        assert res.pre.value_at(0.0, 45.0, 0.5) == pytest.approx(
+            surfaces[fam].value_at(0.0, 45.0, 0.5), abs=1e-9)
 
 
 def test_regulatory_tau_validation(params, grid):
@@ -227,18 +224,17 @@ def test_twap_surface_is_price_independent(twap_surfaces):
         assert np.abs(np.diff(surf.values[0], axis=0)).max() < 1e-10
 
 
-def test_twap_terminal_is_liquidation_cost(params, grid, twap_surfaces):
-    q = grid.q_nodes()
+def test_twap_terminal_is_liquidation_cost(params, twap_surfaces):
     for side, target in (("physical", params.N), ("cash", 0.0)):
-        expected = params.alpha * (q - target) ** 2
+        g = twap_surfaces[side].grid
+        expected = params.alpha * (g.q_nodes() - target) ** 2
         assert np.array_equal(twap_surfaces[side].values[-1],
-                              np.tile(expected, (grid.I + 1, 1)))
+                              np.tile(expected, (g.I + 1, 1)))
 
 
-def test_twap_matches_reduced_ode_oracle(params, twap_surfaces, node):
-    i0, j0 = node
+def test_twap_matches_reduced_ode_oracle(params, twap_surfaces):
     for side, target in (("physical", params.N), ("cash", 0.0)):
-        u0 = twap_surfaces[side].values[0, i0, j0]
+        u0 = twap_surfaces[side].value_at(0.0, 45.0, 0.5)
         oracle = twap_reduced_ode_value(params, target, 0.5)
         assert u0 == pytest.approx(oracle, abs=5e-4)
 
@@ -260,8 +256,67 @@ def test_twap_deterministic_limit(grid):
     # problem with an exact linear-quadratic value
     p0 = ef.MarketParams(sigma=0.0, b=0.0)
     surf = ef.solve_fee_surface(contract("twap_physical", p0), p0, grid)
-    u0 = surf.values[0, 50, 75]
+    u0 = surf.value_at(0.0, 45.0, 0.5)
     exact = (0.5 - p0.N) ** 2 / (1.0 / p0.alpha + p0.T / p0.l)
     assert u0 == pytest.approx(exact, abs=5e-5)
     dp = _deterministic_dp_value(p0, p0.N, 0.5)
     assert u0 == pytest.approx(dp, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# price axis: at r = 0 the affine families solve on 3 price nodes
+
+AXIS_GRID = ef.GridSpec(I=40, J=40, n_steps=400)   # (45, 0.5) is node (20, 30)
+
+
+def _assert_matches_full_axis(coarse, full, params):
+    """Fee at (45, 0.5) within 1e-9; control within 1e-6 at every full node."""
+    g = AXIS_GRID
+    assert coarse.grid == ef.GridSpec(I=2, J=40, n_steps=400)
+    assert coarse.value_at(0.0, 45.0, 0.5) == pytest.approx(full.values[0, 20, 30],
+                                                             abs=1e-9)
+    coarse_ctrl = ef.extract_control(coarse, params)
+    full_ctrl = ef.extract_control(full, params)
+    S = g.s_nodes()[:, None]; q = g.q_nodes()[None, :]
+    for k in range(full.n_layers):
+        assert np.abs(_interpolate(coarse_ctrl, k, S, q)
+                      - full_ctrl.values[k]).max() <= 1e-6, k
+
+
+@pytest.mark.parametrize("sigma", [1.0, 5.0])
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_affine_families_solve_exactly_on_three_price_nodes(sigma, mu):
+    p = ef.MarketParams(sigma=sigma, mu=mu)
+    g = AXIS_GRID
+    S = g.s_nodes()[:, None]; q = g.q_nodes()[None, :]
+    zeros = np.zeros((g.I + 1, g.J + 1))
+    for fam in ("linear_physical", "linear_cash", "twap_physical", "twap_cash"):
+        spec = contract(fam, p)
+        twap = spec.family.is_twap
+        P_T = (ef.liquidation_cost(q, spec.liquidation_target, p.alpha) if twap
+               else ef.terminal_fee(spec, q, S, p)) + zeros
+        full = ef.FeeSurface(grid=g, params=p, contract=spec, twap=twap,
+                             values=_sweep(P_T, g.n_steps, 0, p, g, twap))
+        _assert_matches_full_axis(ef.solve_fee_surface(spec, p, g), full, p)
+    # regulatory mixture at p = 1/2, mixed independently of solve_regulatory
+    res = ef.solve_regulatory(ef.RegulatorySpec(p=0.5, tau=0.5), p, g)
+    n_tau = res.n_tau
+    P1, P0 = (_sweep(ef.terminal_fee(contract(fam, p), q, S, p) + zeros,
+                     g.n_steps, n_tau, p, g)[0]
+              for fam in ("linear_physical", "linear_cash"))
+    P_tau = (np.logaddexp(p.gamma * P1, p.gamma * P0) + np.log(0.5)) / p.gamma
+    full = ef.FeeSurface(grid=g, params=p, values=_sweep(P_tau, n_tau, 0, p, g))
+    _assert_matches_full_axis(res.pre, full, p)
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_collars_and_nonzero_rate_keep_the_configured_grid():
+    g = ef.GridSpec(I=40, J=10, n_steps=100)
+    p = ef.MarketParams()
+    p_r = ef.MarketParams(r=0.01)
+    for fam in ("collar_physical", "collar_cash"):
+        assert ef.solve_fee_surface(contract(fam, p), p, g).grid == g
+    for fam in ("linear_physical", "linear_cash"):
+        assert ef.solve_fee_surface(contract(fam, p_r), p_r, g).grid == g
+    res = ef.solve_regulatory(ef.RegulatorySpec(p=0.5, tau=0.5), p_r, g)
+    assert res.pre.grid == res.post_physical.grid == res.post_cash.grid == g

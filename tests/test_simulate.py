@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 import execfees as ef
-from execfees.errors import OutOfGrid
+from execfees.errors import ConfigError, OutOfGrid
 from execfees.hjb import _bilinear
+from execfees.simulate import _MAX_SEED
 
 from conftest import cash_unwind_inventory, contract
 
@@ -43,11 +46,28 @@ def test_common_noise_moments(params):
     assert abs(dw.var() - dt) < 3.0 * dt * np.sqrt(2.0 / n)
 
 
+def test_largest_seed_keys_its_own_stream(params):
+    # the largest accepted seed reaches Philox exactly and quietly; one more
+    # would be rounded onto its stream
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        key = np.random.Philox(key=[_MAX_SEED, 3]).state["state"]["key"]
+        dw = ef.common_noise_batch(ef.SimConfig(n_paths=4, n_steps=20, seed=_MAX_SEED),
+                                   params)
+    assert [int(k) for k in key] == [_MAX_SEED, 3]
+    own = np.random.Generator(np.random.Philox(key=np.array([_MAX_SEED, 3], np.uint64)))
+    assert np.array_equal(dw[3], own.standard_normal(20) * np.sqrt(params.T / 20))
+    assert int(np.random.Philox(key=[_MAX_SEED + 1, 3]).state["state"]["key"][0]) \
+        == _MAX_SEED
+    with pytest.raises(ConfigError, match="sim.seed"):
+        ef.SimConfig(seed=_MAX_SEED + 1)
+
+
 # ---------------------------------------------------------------------------
 # control interpolation
 
 def test_interpolation_hits_node_values(params, controls, grid):
-    ctrl = controls["linear_physical"]
+    ctrl = controls["collar_physical"]   # solved on the configured grid
     S = grid.s_nodes(); q = grid.q_nodes()
     for (k, i, j) in ((0, 50, 75), (500, 3, 10), (1000, 100, 100)):
         t = k * grid.dt(params.T)
@@ -223,7 +243,7 @@ def _semi_analytic_metric(params, fam):
 def test_metric_matches_semi_analytic_value(params, surfaces, controls, fam):
     cfg = ef.SimConfig(n_paths=20_000, seed=31)
     spec = contract(fam, params)
-    fee = surfaces[fam].values[0, 50, 75]
+    fee = surfaces[fam].value_at(0.0, 45.0, 0.5)
     est = ef.expected_payoff_metric(spec, params, cfg,
                                     control=controls[fam], fee=fee)
     truth = _semi_analytic_metric(params, fam)
@@ -234,7 +254,7 @@ def test_metric_matches_semi_analytic_value(params, surfaces, controls, fam):
 def test_metric_deterministic_for_fixed_seed(params, surfaces, controls):
     cfg = ef.SimConfig(n_paths=3000, seed=77)
     spec = contract("linear_physical", params)
-    fee = surfaces["linear_physical"].values[0, 50, 75]
+    fee = surfaces["linear_physical"].value_at(0.0, 45.0, 0.5)
     kw = dict(control=controls["linear_physical"], fee=fee)
     a = ef.expected_payoff_metric(spec, params, cfg, **kw)
     b = ef.expected_payoff_metric(spec, params, cfg, **kw)
@@ -247,6 +267,7 @@ def test_metric_single_path_has_no_stderr(params, surfaces, controls):
     spec = contract("linear_physical", params)
     est = ef.expected_payoff_metric(spec, params, cfg,
                                     control=controls["linear_physical"],
-                                    fee=surfaces["linear_physical"].values[0, 50, 75])
+                                    fee=surfaces["linear_physical"].value_at(0.0, 45.0,
+                                                                             0.5))
     assert est.stderr is None and est.ce_stderr is None
     assert est.arbitrage is False
