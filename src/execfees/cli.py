@@ -39,10 +39,31 @@ TABLES = {
 # ---------------------------------------------------------------------------
 # pipeline operations (importable; the CLI is a thin shell around these)
 
-def _solve_fee(spec: ContractSpec, config: ExperimentConfig, params=None):
-    surface = solve_fee_surface(spec, params or config.params, config.grid)
+def _solve_fee(spec: ContractSpec, config: ExperimentConfig, params=None,
+               memo=None):
+    """Fee at (t=0, s0, q0) and its surface; the fee is recorded in memo."""
+    params = params or config.params
+    surface = solve_fee_surface(spec, params, config.grid)
     fee = surface.value_at(0.0, config.sim.s0, config.sim.q0)
+    if memo is not None:
+        memo[_fee_key(spec, config, params)] = fee
     return fee, surface
+
+
+def _fee_key(spec: ContractSpec, config: ExperimentConfig, params) -> tuple:
+    """Every input of a fee: contract, params, grid and (s0, q0)."""
+    return (spec, params, config.grid, config.sim.s0, config.sim.q0)
+
+
+def _fee(spec: ContractSpec, config: ExperimentConfig, memo: dict, params=None):
+    """The fee alone, solved unless memo holds the fee of the same inputs.
+
+    A memo belongs to one run and holds fee scalars, never surfaces.
+    """
+    key = _fee_key(spec, config, params or config.params)
+    if key not in memo:
+        _solve_fee(spec, config, params, memo)
+    return memo[key]
 
 
 def _swept(config: ExperimentConfig):
@@ -55,25 +76,27 @@ def _swept(config: ExperimentConfig):
             for value in config.sweep.values]
 
 
-def run_fees(config: ExperimentConfig):
+def run_fees(config: ExperimentConfig, memo=None):
     """One fee per configured contract at (t=0, q0, s0)."""
+    memo = {} if memo is None else memo
     grid_hash = sha256_of(dataclasses.asdict(config.grid))[:12]
     params_hash = sha256_of(dataclasses.asdict(config.params))[:12]
-    return [{"family": c.family.value, "fee": _solve_fee(c, config)[0],
+    return [{"family": c.family.value, "fee": _fee(c, config, memo),
              "grid_hash": grid_hash, "params_hash": params_hash}
             for c in config.contracts]
 
 
-def run_sweep(config: ExperimentConfig):
+def run_sweep(config: ExperimentConfig, memo=None):
     """Fees over the configured parameter sweep, one row per (value, contract)."""
     if config.sweep is None:
         raise ConfigError("sweep: section required for the sweep command")
+    memo = {} if memo is None else memo
     rows = []
     for value, params in _swept(config):
         for contract in config.contracts:
             rows.append({"param": config.sweep.param, "value": value,
                          "family": contract.family.value,
-                         "fee": _solve_fee(contract, config, params=params)[0]})
+                         "fee": _fee(contract, config, memo, params=params)})
     return rows
 
 
@@ -90,21 +113,23 @@ def run_regulatory(config: ExperimentConfig):
         raise ConfigError("sweep.param: the regulatory command sweeps only p, "
                           f"got {config.sweep.param!r}")
     s0, q0 = config.sim.s0, config.sim.q0
+    pre = solve_regulatory(tau, p_values, config.params, config.grid).pre
     return [{"sigma": config.params.sigma, "tau": tau, "p": p,
-             "fee": solve_regulatory(RegulatorySpec(p=p, tau=tau), config.params,
-                                     config.grid).pre.value_at(0.0, s0, q0)}
-            for p in p_values]
+             "fee": surface.value_at(0.0, s0, q0)}
+            for p, surface in zip(p_values, pre)]
 
 
-def run_twap(config: ExperimentConfig):
+def run_twap(config: ExperimentConfig, memo=None):
     """Fees of the two TWAP contracts via the transformed equation."""
-    return [{"family": c.family.value, "fee": _solve_fee(c, config)[0]}
+    memo = {} if memo is None else memo
+    return [{"family": c.family.value, "fee": _fee(c, config, memo)}
             for c in twap_contracts(config.params)]
 
 
-def _statarb_row(contract: ContractSpec, config: ExperimentConfig) -> dict:
+def _statarb_row(contract: ContractSpec, config: ExperimentConfig,
+                 memo=None) -> dict:
     # the surface is released when this returns, before the next contract's solve
-    fee, surface = _solve_fee(contract, config)
+    fee, surface = _solve_fee(contract, config, memo=memo)
     est = expected_payoff_metric(contract, config.params, config.sim,
                                  extract_control(surface, config.params), fee)
     return {"family": contract.family.value, "fee": fee,
@@ -113,9 +138,9 @@ def _statarb_row(contract: ContractSpec, config: ExperimentConfig) -> dict:
             "arbitrage": est.arbitrage}
 
 
-def run_statarb(config: ExperimentConfig):
-    """Expected-payoff estimates for every configured contract."""
-    return [_statarb_row(c, config) for c in config.contracts]
+def run_statarb(config: ExperimentConfig, memo=None):
+    """Expected-payoff estimates for every configured contract; fees go to memo."""
+    return [_statarb_row(c, config, memo) for c in config.contracts]
 
 
 def run_paths(config: ExperimentConfig, out_dir: str):
@@ -138,8 +163,8 @@ def run_paths(config: ExperimentConfig, out_dir: str):
         tag = "" if value is None else f"_{config.sweep.param}={value:g}"
         shared = {}
         for contract in config.contracts:
-            fee, surface = _solve_fee(contract, config, params=params)
-            control = extract_control(surface, params)
+            control = extract_control(
+                solve_fee_surface(contract, params, config.grid), params)
             rows = []
             for p in range(cfg.n_paths):
                 path = simulate_path(control, params, cfg, increments[p])
@@ -212,17 +237,25 @@ def _write_json(path: str, obj: dict, cfg_hash: str) -> None:
 # reproduce-all
 
 def _reproduce_all(config: ExperimentConfig, out_dir: str):
-    """Chain every table reproduction into one manifest."""
+    """Chain every table reproduction into one manifest.
+
+    One fee memo serves the whole run, so each distinct (contract, params,
+    grid) is solved once.  The statarb solves run first and fill it; the
+    artifacts are still written in table order.
+    """
     cfg_hash = config.config_hash()
     artifacts = []
+    memo = {}
 
     def emit(name, command, rows):
         _write_csv(os.path.join(out_dir, name), TABLES[command][1], rows, cfg_hash)
         artifacts.append(name)
 
     base = dataclasses.replace(config, contracts=baseline_contracts(config.params))
+    statarb = run_statarb(dataclasses.replace(
+        base, contracts=base.contracts + twap_contracts(base.params)), memo)
 
-    emit("fees_baseline.csv", "fees", run_fees(base))
+    emit("fees_baseline.csv", "fees", run_fees(base, memo))
 
     for pname, values, contracts, fname in (
             ("r", (0.0, 0.01), base.contracts, "sweep_r.csv"),
@@ -231,7 +264,7 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str):
              (make_contract("linear_cash", base.params),), "sweep_alpha_linear_cash.csv")):
         sub = dataclasses.replace(base, contracts=contracts,
                                   sweep=SweepSpec(pname, values))
-        emit(fname, "sweep", run_sweep(sub))
+        emit(fname, "sweep", run_sweep(sub, memo))
 
     for sig in (1.0, 5.0):
         sub = dataclasses.replace(
@@ -240,11 +273,8 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str):
             sweep=SweepSpec("p", (0.0, 0.2, 0.5, 0.8, 1.0)))
         emit(f"regulatory_sigma{sig:g}.csv", "regulatory", run_regulatory(sub))
 
-    emit("twap_fees.csv", "twap", run_twap(base))
-
-    sub = dataclasses.replace(
-        base, contracts=base.contracts + twap_contracts(base.params))
-    emit("statarb.csv", "statarb", run_statarb(sub))
+    emit("twap_fees.csv", "twap", run_twap(base, memo))
+    emit("statarb.csv", "statarb", statarb)
 
     digests = []
     for name in artifacts:

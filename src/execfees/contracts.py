@@ -107,10 +107,12 @@ def make_contract(family: Family | str, params: MarketParams,
 
 
 def check_count(field: str, value, least: int) -> None:
-    """Reject a count that is not an integer >= least, naming the field."""
+    """Reject a count that is not an integer in [least, float max], naming the field."""
+    # a count beyond the float range would overflow in dt = T/n_steps or ds
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ConfigError(f"{field}: must be an integer >= {least}, got {value!r}")
+            or not least <= value <= sys.float_info.max):
+        raise ConfigError(f"{field}: must be an integer >= {least} within the "
+                          f"float range, got {value!r}")
 
 
 def check_real(field: str, value) -> None:

@@ -107,9 +107,9 @@ class ControlSurface:
 
 @dataclass
 class RegulatoryResult:
-    """Pre-decision surface on [0, tau] and the two post-decision branches."""
+    """Pre-decision surfaces on [0, tau], one per p, and the two post-decision branches."""
 
-    pre: FeeSurface
+    pre: list[FeeSurface]
     post_physical: FeeSurface
     post_cash: FeeSurface
     n_tau: int
@@ -326,39 +326,44 @@ def solve_fee_surface(spec: ContractSpec, params: MarketParams,
                       twap=twap, kind="twap_value" if twap else "fee")
 
 
-def solve_regulatory(reg: RegulatorySpec, params: MarketParams,
+def solve_regulatory(tau: float, p_values, params: MarketParams,
                      grid: GridSpec) -> RegulatoryResult:
     """Two-stage solve for the physical-or-cash regulatory switch at tau.
 
     On [tau, T] the physical (approved, R=1) and cash (rejected, R=0)
-    surfaces P1, P0 are solved separately.  At tau the pre-decision value
-    function is the probability mixture of the two branch value functions;
-    writing each branch as -exp(-gamma*e^{r(T-tau)}*(x + q*S - P_i)) and
-    matching the same form for the mixture gives the fee-level terminal
+    surfaces P1, P0 are solved once; they do not depend on p.  At tau the
+    pre-decision value function is the probability mixture of the two branch
+    value functions; writing each branch as -exp(-gamma*e^{r(T-tau)}*(x + q*S - P_i))
+    and matching the same form for the mixture gives the fee-level terminal
 
         P_pre(tau) = e^{-r(T-tau)}/gamma
                      * log( p*e^{g*P1} + (1-p)*e^{g*P0} ),  g = gamma*e^{r(T-tau)},
 
-    which is then propagated to t = 0 with the standard backward stepping.
-    The exponentials are rescaled by their nodewise maximum before the log.
+    which is then propagated to t = 0 with the standard backward stepping,
+    once per approval probability in p_values.  The exponentials are rescaled
+    by their nodewise maximum before the log.
     """
-    n_tau = reg.snapped_step(params, grid)
+    specs = [RegulatorySpec(p=p, tau=tau) for p in p_values]
+    n_tau = specs[0].snapped_step(params, grid)
     post = []
     for family in (Family.LINEAR_PHYSICAL, Family.LINEAR_CASH):
         spec = make_contract(family, params)
         solved, P_T = _terminal_layer(spec, params, grid)
         post.append(FeeSurface(grid=solved, params=params, contract=spec, n0=n_tau,
                                values=_sweep(P_T, grid.n_steps, n_tau, params, solved)))
-    tau = n_tau * solved.dt(params.T)
+    tau = n_tau * solved.dt(params.T)   # the grid time tau snaps to
     g = params.gamma * np.exp(params.r * (params.T - tau))
     P1, P0 = post[0].values[0], post[1].values[0]
     M = np.maximum(P1, P0)
-    mix = reg.p * np.exp(g * (P1 - M)) + (1.0 - reg.p) * np.exp(g * (P0 - M))
-    if not np.isfinite(mix).all() or np.any(mix <= 0.0):
-        raise BlendOverflow("regulatory mixture left the representable range")
-    P_tau = M + np.log(mix) / g
-    pre = FeeSurface(grid=solved, params=params, kind="regulatory_pre",
-                     values=_sweep(P_tau, n_tau, 0, params, solved))
+    E1, E0 = np.exp(g * (P1 - M)), np.exp(g * (P0 - M))
+    pre = []
+    for spec in specs:
+        mix = spec.p * E1 + (1.0 - spec.p) * E0
+        if not np.isfinite(mix).all() or np.any(mix <= 0.0):
+            raise BlendOverflow("regulatory mixture left the representable range")
+        pre.append(FeeSurface(grid=solved, params=params, kind="regulatory_pre",
+                              values=_sweep(M + np.log(mix) / g, n_tau, 0, params,
+                                            solved)))
     return RegulatoryResult(pre=pre, post_physical=post[0], post_cash=post[1],
                             n_tau=n_tau)
 

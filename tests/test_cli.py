@@ -1,6 +1,8 @@
+import collections
+
 import pytest
 
-from execfees import cli
+from execfees import cli, hjb
 from execfees.cli import main
 
 # coarse but node-aligned grid: ds=1.5 and dq=0.05 keep (45, 0.5) on nodes
@@ -43,11 +45,12 @@ INVALID_CONFIGS = {
     "params.sigma": ["params:\n  sigma: -3\n", "params: {sigma: abc}\n"],
     "params": ["params: 5\n"],
     "sim.n_paths": ["sim: {n_paths: 0}\n"],
-    "sim.n_steps": ["sim: {n_steps: 2.5}\n"],
+    "sim.n_steps": ["sim: {n_steps: 2.5}\n", f"sim: {{n_steps: {10**400}}}\n"],
     "sim.seed": ["sim: {seed: abc}\n", f"sim: {{seed: {2**64 - 1}}}\n",
                  f"sim: {{seed: {2**64}}}\n"],
     "sim.s0": ["sim: {s0: abc}\n"],
-    "grid.I": ["grid: {I: 10.5}\n"],
+    "grid.I": ["grid: {I: 10.5}\n",
+               f"grid: {{I: {10**400}}}\ncontracts: [collar_cash]\n"],
     "grid.J": ["grid: {J: 20.0}\n"],
     "grid.n_steps": ["grid: {n_steps: 0}\n"],
     "sweep.param": ["sweep: {param: tau, values: [0.3]}\n"],
@@ -87,6 +90,25 @@ def test_sweep_of_wrong_kind_exits_nonzero(tmp_path, capsys, command):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("execfees: error:") and "sweep.param" in err
+    assert "Traceback" not in err
+
+
+# regulatory inputs rejected only when the command runs: a swept p outside
+# [0, 1] and a tau off the time grid
+BAD_REGULATORY = {
+    "regulatory.p": "regulatory: {p: 0.5, tau: 0.5}\n"
+                    "sweep: {param: p, values: [0.5, 1.5]}\n",
+    "regulatory.tau": "regulatory: {p: 0.5, tau: 0.5004}\n",
+}
+
+
+@pytest.mark.parametrize("field", list(BAD_REGULATORY))
+def test_bad_regulatory_input_exits_nonzero(tmp_path, capsys, field):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(FAST_GRID + BAD_REGULATORY[field])
+    assert main(["regulatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"execfees: error: {field}:"), err
     assert "Traceback" not in err
 
 
@@ -237,3 +259,85 @@ def test_paths_guardrail_on_huge_dumps(tmp_path):
     cfg.write_text(FAST_GRID + "contracts: [linear_physical]\n"
                    "sim: {n_paths: 100000, n_steps: 1000, seed: 5}\n")
     assert main(["paths", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+# ---------------------------------------------------------------------------
+# reproduce-all: each distinct solve once, and the same rows as its parts
+
+REPRODUCE = FAST_GRID + "sim: {n_paths: 200, n_steps: 400, seed: 3}\n"
+SIX = "contracts: [linear_physical, linear_cash, collar_physical, collar_cash, " \
+      "twap_physical, twap_cash]\n"
+
+# sweep artifact -> (contracts line, swept parameter, values)
+SWEEPS = {
+    "sweep_r.csv": ("", "r", [0.0, 0.01]),
+    "sweep_sigma.csv": ("", "sigma", [5.0, 6.0, 7.0]),
+    "sweep_alpha_linear_cash.csv": ("contracts: [linear_cash]\n", "alpha",
+                                    [0.002, 0.02, 0.2]),
+}
+
+# artifact -> (standalone command, its file, the config lines added to REPRODUCE)
+PARTS = {
+    "fees_baseline.csv": ("fees", "fees.csv", ""),
+    **{name: ("sweep", "sweep.csv",
+              f"{contracts}sweep: {{param: {param}, values: {values}}}\n")
+       for name, (contracts, param, values) in SWEEPS.items()},
+    **{f"regulatory_sigma{sig}.csv": (
+        "regulatory", "regulatory.csv",
+        f"params: {{sigma: {sig}.0}}\nregulatory: {{p: 0.5, tau: 0.5}}\n"
+        "sweep: {param: p, values: [0.0, 0.2, 0.5, 0.8, 1.0]}\n")
+       for sig in (1, 5)},
+    "twap_fees.csv": ("twap", "twap_fees.csv", ""),
+    "statarb.csv": ("statarb", "statarb.csv", SIX),
+}
+
+
+def _lines(path):
+    """Every line of a CSV but the config hash: the header and the data rows."""
+    return path.read_text().split("\n")[1:]
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_reproduce_all_solves_each_distinct_sweep_once(tmp_path, monkeypatch):
+    keys = []
+    sweep = hjb._sweep
+
+    def counting_sweep(P_terminal, n_hi, n_lo, params, grid, twap=False, ab=None):
+        keys.append((P_terminal.tobytes(), params, grid, n_hi, n_lo, twap))
+        return sweep(P_terminal, n_hi, n_lo, params, grid, twap, ab)
+
+    monkeypatch.setattr(hjb, "_sweep", counting_sweep)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(REPRODUCE)
+    assert main(["reproduce-all", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    repeated = [k[1:] for k, n in collections.Counter(keys).items() if n > 1]
+    assert not repeated
+    assert len(keys) == 34
+    # the post-decision branches end at tau (n_lo > 0): two per sigma, not 2 per p
+    branches = collections.Counter(k[1].sigma for k in keys if k[4] > 0)
+    assert branches == {1.0: 2, 5.0: 2}
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_reproduce_all_rows_equal_the_standalone_commands(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(REPRODUCE)
+    whole = tmp_path / "whole"
+    assert main(["reproduce-all", "--config", str(cfg), "--out", str(whole)]) == 0
+    assert sorted(p.name for p in whole.iterdir()) == sorted([*PARTS, "manifest.json"])
+    for artifact, (command, name, extra) in PARTS.items():
+        cfg.write_text(REPRODUCE + extra)
+        part = tmp_path / artifact
+        assert main([command, "--config", str(cfg), "--out", str(part)]) == 0
+        assert _lines(part / name) == _lines(whole / artifact), artifact
+    # each sweep value alone: a fee memo key that missed the swept parameter
+    # would give the sweep command the same wrong rows, but not these
+    for artifact, (contracts, param, values) in SWEEPS.items():
+        alone = []
+        for value in values:
+            cfg.write_text(REPRODUCE + contracts
+                           + f"sweep: {{param: {param}, values: [{value}]}}\n")
+            part = tmp_path / f"{param}={value}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(part)]) == 0
+            alone += _lines(part / "sweep.csv")[1:-1]
+        assert alone == _lines(whole / artifact)[1:-1], artifact

@@ -194,10 +194,23 @@ def test_control_near_target_and_saturation(controls, params, grid):
 # regulatory switching
 
 def test_regulatory_endpoints_recover_single_contract(params, grid, surfaces):
-    for p_val, fam in ((1.0, "linear_physical"), (0.0, "linear_cash")):
-        res = ef.solve_regulatory(ef.RegulatorySpec(p=p_val, tau=0.5), params, grid)
-        assert res.pre.value_at(0.0, 45.0, 0.5) == pytest.approx(
+    res = ef.solve_regulatory(0.5, [1.0, 0.0], params, grid)
+    for pre, fam in zip(res.pre, ("linear_physical", "linear_cash")):
+        assert pre.value_at(0.0, 45.0, 0.5) == pytest.approx(
             surfaces[fam].value_at(0.0, 45.0, 0.5), abs=1e-9)
+
+
+def test_regulatory_branches_serve_every_p_exactly():
+    # one call sweeps the branches once for all p; each pre-decision surface
+    # is bitwise the surface of a call for that p alone
+    g = ef.GridSpec(I=40, J=40, n_steps=400)
+    for p in (ef.MarketParams(), ef.MarketParams(r=0.01)):
+        p_values = [0.0, 0.2, 0.5, 0.8, 1.0]
+        together = ef.solve_regulatory(0.5, p_values, p, g)
+        assert len(together.pre) == len(p_values)
+        for p_val, pre in zip(p_values, together.pre):
+            alone = ef.solve_regulatory(0.5, [p_val], p, g).pre[0]
+            assert np.array_equal(pre.values, alone.values), p_val
 
 
 def test_regulatory_tau_validation(params, grid):
@@ -299,14 +312,14 @@ def test_affine_families_solve_exactly_on_three_price_nodes(sigma, mu):
                              values=_sweep(P_T, g.n_steps, 0, p, g, twap))
         _assert_matches_full_axis(ef.solve_fee_surface(spec, p, g), full, p)
     # regulatory mixture at p = 1/2, mixed independently of solve_regulatory
-    res = ef.solve_regulatory(ef.RegulatorySpec(p=0.5, tau=0.5), p, g)
+    res = ef.solve_regulatory(0.5, [0.5], p, g)
     n_tau = res.n_tau
     P1, P0 = (_sweep(ef.terminal_fee(contract(fam, p), q, S, p) + zeros,
                      g.n_steps, n_tau, p, g)[0]
               for fam in ("linear_physical", "linear_cash"))
     P_tau = (np.logaddexp(p.gamma * P1, p.gamma * P0) + np.log(0.5)) / p.gamma
     full = ef.FeeSurface(grid=g, params=p, values=_sweep(P_tau, n_tau, 0, p, g))
-    _assert_matches_full_axis(res.pre, full, p)
+    _assert_matches_full_axis(res.pre[0], full, p)
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")
@@ -318,5 +331,5 @@ def test_collars_and_nonzero_rate_keep_the_configured_grid():
         assert ef.solve_fee_surface(contract(fam, p), p, g).grid == g
     for fam in ("linear_physical", "linear_cash"):
         assert ef.solve_fee_surface(contract(fam, p_r), p_r, g).grid == g
-    res = ef.solve_regulatory(ef.RegulatorySpec(p=0.5, tau=0.5), p_r, g)
-    assert res.pre.grid == res.post_physical.grid == res.post_cash.grid == g
+    res = ef.solve_regulatory(0.5, [0.5], p_r, g)
+    assert res.pre[0].grid == res.post_physical.grid == res.post_cash.grid == g
