@@ -126,21 +126,24 @@ def run_twap(config: ExperimentConfig, memo=None):
             for c in twap_contracts(config.params)]
 
 
-def _statarb_row(contract: ContractSpec, config: ExperimentConfig,
-                 memo=None) -> dict:
-    # the surface is released when this returns, before the next contract's solve
-    fee, surface = _solve_fee(contract, config, memo=memo)
-    est = expected_payoff_metric(contract, config.params, config.sim,
-                                 extract_control(surface, config.params), fee)
-    return {"family": contract.family.value, "fee": fee,
-            "estimate": est.estimate,
-            "stderr": "na" if est.stderr is None else est.stderr,
-            "arbitrage": est.arbitrage}
-
-
 def run_statarb(config: ExperimentConfig, memo=None):
-    """Expected-payoff estimates for every configured contract; fees go to memo."""
-    return [_statarb_row(c, config, memo) for c in config.contracts]
+    """Expected-payoff estimates for every configured contract; fees go to memo.
+
+    Every contract is solved first and its control written over its own fee
+    surface, so no surface outlives its solve; one Monte-Carlo pass then
+    steps all controls on each path's noise, drawn once.
+    """
+    solved = []
+    for contract in config.contracts:
+        fee, surface = _solve_fee(contract, config, memo=memo)
+        control = extract_control(surface, config.params, out=surface.values)
+        solved.append((contract, control, fee))
+    estimates = expected_payoff_metric(config.params, config.sim, solved)
+    return [{"family": contract.family.value, "fee": fee,
+             "estimate": est.estimate,
+             "stderr": "na" if est.stderr is None else est.stderr,
+             "arbitrage": est.arbitrage}
+            for (contract, _, fee), est in zip(solved, estimates)]
 
 
 def run_paths(config: ExperimentConfig, out_dir: str):

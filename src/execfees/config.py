@@ -164,7 +164,11 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return config_from_dict(None)
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except (yaml.YAMLError, ValueError) as exc:
+            # ValueError: an integer past Python's digit limit for int()
+            raise ConfigError(f"config: not a valid YAML document: {exc}") from None
     if raw is not None and not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping at top level")
     return config_from_dict(raw)

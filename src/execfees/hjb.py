@@ -121,8 +121,12 @@ def _bilinear(V: np.ndarray, g: GridSpec, S, q):
     qi = np.clip((np.asarray(q) - g.q_min) / g.dq, 0.0, g.J - 1e-12)
     i0 = si.astype(int); j0 = qi.astype(int)
     fs = si - i0; fq = qi - j0
-    return (V[i0, j0] * (1 - fs) * (1 - fq) + V[i0 + 1, j0] * fs * (1 - fq)
-            + V[i0, j0 + 1] * (1 - fs) * fq + V[i0 + 1, j0 + 1] * fs * fq)
+    # four 1-D gathers at one flat index: cheaper than 2-D fancy indexing
+    flat = V.ravel()
+    row = V.shape[1]
+    idx = i0 * row + j0
+    return (flat.take(idx) * (1 - fs) * (1 - fq) + flat.take(idx + row) * fs * (1 - fq)
+            + flat.take(idx + 1) * (1 - fs) * fq + flat.take(idx + (row + 1)) * fs * fq)
 
 
 def _layer_position(surface: FeeSurface | ControlSurface, t: float) -> float:
@@ -368,17 +372,22 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
                             n_tau=n_tau)
 
 
-def extract_control(surface: FeeSurface, params: MarketParams) -> ControlSurface:
+def extract_control(surface: FeeSurface, params: MarketParams,
+                    out: np.ndarray | None = None) -> ControlSurface:
     """Clamped optimal speed v* = clip((b*q - b*dP/dS - dP/dq)/(2l), [-C, C]).
 
     Central differences in the interior, second-order one-sided at the edges;
     at the inventory boundaries the speed is additionally restricted to point
-    into the grid, matching the solver's boundary Hamiltonian.
+    into the grid, matching the solver's boundary Hamiltonian.  The control
+    is written to `out` (freshly allocated when None), which may be
+    `surface.values` itself: each layer is read in full before its control
+    overwrites it, and no other layer is read.
     """
     g = surface.grid
     ds, dq = g.ds, g.dq
     q = g.q_nodes()[None, :]
-    out = np.empty_like(surface.values)
+    if out is None:
+        out = np.empty_like(surface.values)
     for k in range(surface.n_layers):
         P = surface.values[k]
         DS = np.empty_like(P)

@@ -78,16 +78,22 @@ def common_noise_batch(cfg: SimConfig, params: MarketParams,
     """Brownian increments for paths [start, start+count), shape (count, n_steps).
 
     Row p is the stream of the counter-based generator keyed (seed, start+p);
-    increments have variance dt = T / n_steps.
+    increments have variance dt = T / n_steps.  One generator serves every
+    row: its state is reset to the row's key, counter 0 and an empty buffer,
+    which is what a generator built fresh from that key starts from.
     """
     if count is None:
         count = cfg.n_paths - start
     dt = params.T / cfg.n_steps
     out = np.empty((count, cfg.n_steps))
-    root = np.sqrt(dt)
+    bitgen = np.random.Philox(key=[cfg.seed, start])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
     for p in range(count):
-        gen = np.random.Generator(np.random.Philox(key=[cfg.seed, start + p]))
-        out[p] = gen.standard_normal(cfg.n_steps) * root
+        state["state"]["key"][1] = start + p
+        bitgen.state = state
+        gen.standard_normal(cfg.n_steps, out=out[p])
+    out *= np.sqrt(dt)
     return out
 
 
@@ -165,40 +171,53 @@ def realized_payoff(terminal, spec: ContractSpec, params: MarketParams):
     return X - (params.N - Q) * S - L
 
 
-def expected_payoff_metric(spec: ContractSpec, params: MarketParams,
-                           cfg: SimConfig, control: ControlSurface,
-                           fee: float) -> PayoffEstimate:
-    """Monte-Carlo estimate of E[Y(T) | X(0) = x0 - q0*s0 + fee] - x0.
+def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
+                           contracts) -> list[PayoffEstimate]:
+    """Monte-Carlo estimate of E[Y(T) | X(0) = x0 - q0*s0 + fee] - x0, per contract.
 
-    `control` and `fee` come from the contract's fee surface.  The initial
-    wealth convention makes the broker's cash at t=0 equal to the
-    indifference fee; a positive estimate beyond two standard errors flags a
-    statistical arbitrage.  The same paths give the certainty equivalent
-    CE = -log(mean w)/gamma with w = exp(-gamma*(Y - x0)), which the
-    indifference fee sets to 0, and se(CE) = sd(w)/(sqrt(n)*gamma*mean w).
-    Paths are accumulated chunk by chunk in a fixed order, so the estimates
-    do not depend on scheduling.
+    `contracts` is a sequence of (spec, control, fee), the control and fee
+    coming from the contract's fee surface; one estimate is returned per
+    contract, in order.  Each noise chunk is drawn once and every contract is
+    stepped on it (common random numbers), with its own accumulators and
+    its own hull-clamp budget per chunk, so each estimate equals the one a
+    single-contract call gives.  The initial wealth convention makes the
+    broker's cash at t=0 equal to the indifference fee; a positive estimate
+    beyond two standard errors flags a statistical arbitrage.  The same paths
+    give the certainty equivalent CE = -log(mean w)/gamma with
+    w = exp(-gamma*(Y - x0)), which the indifference fee sets to 0, and
+    se(CE) = sd(w)/(sqrt(n)*gamma*mean w).  Paths are accumulated chunk by
+    chunk in a fixed order, so the estimates do not depend on scheduling.
     """
-    start_cfg = SimConfig(n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed,
-                          x0=cfg.x0 - cfg.q0 * cfg.s0 + fee, q0=cfg.q0, s0=cfg.s0)
+    contracts = list(contracts)
+    starts = [SimConfig(n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed,
+                        x0=cfg.x0 - cfg.q0 * cfg.s0 + fee, q0=cfg.q0, s0=cfg.s0)
+              for _, _, fee in contracts]
     g = params.gamma
     n = cfg.n_paths
-    total = total_sq = total_w = total_w2 = 0.0
+    # per contract: sum Y, sum Y^2, sum w, sum w^2
+    totals = [[0.0, 0.0, 0.0, 0.0] for _ in contracts]
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
         dW = common_noise_batch(cfg, params, start=done, count=m)
-        terminal, _ = _euler_batch(control, params, start_cfg, dW)
-        Y = realized_payoff(terminal, spec, params)
-        w = np.exp(-g * (Y - cfg.x0))
-        total += float(Y.sum())
-        total_sq += float((Y * Y).sum())
-        total_w += float(w.sum())
-        total_w2 += float((w * w).sum())
+        for (spec, control, _), start_cfg, acc in zip(contracts, starts, totals):
+            terminal = _euler_batch(control, params, start_cfg, dW)[0]
+            Y = realized_payoff(terminal, spec, params)
+            w = np.exp(-g * (Y - cfg.x0))
+            acc[0] += float(Y.sum())
+            acc[1] += float((Y * Y).sum())
+            acc[2] += float(w.sum())
+            acc[3] += float((w * w).sum())
         done += m
+    return [_estimate(acc, n, cfg.x0, g) for acc in totals]
+
+
+def _estimate(totals, n: int, x0: float, g: float) -> PayoffEstimate:
+    """PayoffEstimate from one contract's path sums (Y, Y^2, w, w^2)."""
+    total, total_sq, total_w, total_w2 = totals
     mean = total / n
     mean_w = total_w / n
-    est = mean - cfg.x0
+    est = mean - x0
     ce = float(-np.log(mean_w) / g)
     if n > 1:
         var = max(0.0, (total_sq - n * mean**2) / (n - 1))

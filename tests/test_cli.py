@@ -42,6 +42,8 @@ def test_fees_rerun_is_byte_identical(tmp_path):
 # field named in the error message -> config texts that are invalid in it;
 # every one is rejected when the config loads, before any command runs
 INVALID_CONFIGS = {
+    # not YAML, and an integer past Python's 4300-digit int() limit
+    "config": ["grid: {I: [\n", f"sim: {{n_steps: {'1' * 5000}}}\n"],
     "params.sigma": ["params:\n  sigma: -3\n", "params: {sigma: abc}\n"],
     "params": ["params: 5\n"],
     "sim.n_paths": ["sim: {n_paths: 0}\n"],

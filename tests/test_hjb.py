@@ -181,6 +181,19 @@ def test_control_matches_closed_form(controls, params):
     assert v_pde == pytest.approx(v_cf, abs=1e-2)
 
 
+@pytest.mark.filterwarnings("ignore:collar strike")
+@pytest.mark.parametrize("fam", ["collar_cash", "twap_cash", "linear_physical"])
+def test_control_written_over_its_surface_equals_fresh_control(params, fam):
+    g = ef.GridSpec(I=20, J=20, n_steps=200)
+    surface = ef.solve_fee_surface(contract(fam, params), params, g)
+    fresh = ef.extract_control(surface, params)
+    values = surface.values
+    in_place = ef.extract_control(surface, params, out=surface.values)
+    assert in_place.values is values
+    assert np.array_equal(in_place.values, fresh.values)
+    assert (in_place.n0, in_place.grid) == (fresh.n0, fresh.grid)
+
+
 def test_control_near_target_and_saturation(controls, params, grid):
     # at S = 45 and q = 1 = N
     assert ef.interpolate_control(controls["linear_physical"], params.T, 1.0,

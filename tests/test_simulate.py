@@ -7,9 +7,11 @@ from scipy.integrate import solve_ivp
 import execfees as ef
 from execfees.errors import ConfigError, OutOfGrid
 from execfees.hjb import _bilinear
-from execfees.simulate import _MAX_SEED
+from execfees.simulate import _CHUNK, _MAX_SEED
 
-from conftest import cash_unwind_inventory, contract
+from conftest import BASELINE_FAMILIES, cash_unwind_inventory, contract
+
+ALL_FAMILIES = BASELINE_FAMILIES + ("twap_physical", "twap_cash")
 
 
 def zero_control(params, grid, n_layers=None):
@@ -61,6 +63,20 @@ def test_largest_seed_keys_its_own_stream(params):
         == _MAX_SEED
     with pytest.raises(ConfigError, match="sim.seed"):
         ef.SimConfig(seed=_MAX_SEED + 1)
+
+
+@pytest.mark.parametrize("seed", [0, _MAX_SEED])
+def test_common_noise_rows_equal_fresh_generators(params, seed):
+    # the reused generator gives every row exactly the stream of a generator
+    # built fresh from the row's key, at any start
+    cfg = ef.SimConfig(n_paths=20, n_steps=37, seed=seed)
+    start = 11
+    dw = ef.common_noise_batch(cfg, params, start=start, count=6)
+    root = np.sqrt(params.T / cfg.n_steps)
+    for p in range(6):
+        key = np.array([seed, start + p], np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(dw[p], fresh.standard_normal(cfg.n_steps) * root), p
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +260,7 @@ def test_metric_matches_semi_analytic_value(params, surfaces, controls, fam):
     cfg = ef.SimConfig(n_paths=20_000, seed=31)
     spec = contract(fam, params)
     fee = surfaces[fam].value_at(0.0, 45.0, 0.5)
-    est = ef.expected_payoff_metric(spec, params, cfg,
-                                    control=controls[fam], fee=fee)
+    [est] = ef.expected_payoff_metric(params, cfg, [(spec, controls[fam], fee)])
     truth = _semi_analytic_metric(params, fam)
     # allow Monte-Carlo noise plus a small discretization margin
     assert est.estimate == pytest.approx(truth, abs=3 * est.stderr + 2e-3)
@@ -255,9 +270,9 @@ def test_metric_deterministic_for_fixed_seed(params, surfaces, controls):
     cfg = ef.SimConfig(n_paths=3000, seed=77)
     spec = contract("linear_physical", params)
     fee = surfaces["linear_physical"].value_at(0.0, 45.0, 0.5)
-    kw = dict(control=controls["linear_physical"], fee=fee)
-    a = ef.expected_payoff_metric(spec, params, cfg, **kw)
-    b = ef.expected_payoff_metric(spec, params, cfg, **kw)
+    contracts = [(spec, controls["linear_physical"], fee)]
+    [a] = ef.expected_payoff_metric(params, cfg, contracts)
+    [b] = ef.expected_payoff_metric(params, cfg, contracts)
     assert (a.estimate, a.stderr, a.ce, a.ce_stderr) == (
         b.estimate, b.stderr, b.ce, b.ce_stderr)
 
@@ -265,9 +280,29 @@ def test_metric_deterministic_for_fixed_seed(params, surfaces, controls):
 def test_metric_single_path_has_no_stderr(params, surfaces, controls):
     cfg = ef.SimConfig(n_paths=1, seed=2)
     spec = contract("linear_physical", params)
-    est = ef.expected_payoff_metric(spec, params, cfg,
-                                    control=controls["linear_physical"],
-                                    fee=surfaces["linear_physical"].value_at(0.0, 45.0,
-                                                                             0.5))
+    fee = surfaces["linear_physical"].value_at(0.0, 45.0, 0.5)
+    [est] = ef.expected_payoff_metric(params, cfg,
+                                      [(spec, controls["linear_physical"], fee)])
     assert est.stderr is None and est.ce_stderr is None
     assert est.arbitrage is False
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_metric_over_all_contracts_equals_one_contract_calls(params):
+    # drawing each noise chunk once for all contracts changes no bit of any
+    # contract's estimate; 9000 paths span two chunks
+    assert 9000 > _CHUNK
+    g = ef.GridSpec(I=10, J=10, n_steps=100)
+    cfg = ef.SimConfig(n_paths=9000, n_steps=100, seed=13)
+    contracts = []
+    for fam in ALL_FAMILIES:
+        spec = contract(fam, params)
+        surface = ef.solve_fee_surface(spec, params, g)
+        fee = surface.value_at(0.0, cfg.s0, cfg.q0)
+        contracts.append((spec, ef.extract_control(surface, params), fee))
+    together = ef.expected_payoff_metric(params, cfg, contracts)
+    assert len(together) == len(ALL_FAMILIES)
+    for entry, est in zip(contracts, together):
+        [alone] = ef.expected_payoff_metric(params, cfg, [entry])
+        assert (est.estimate, est.stderr, est.ce, est.ce_stderr, est.n_paths) == (
+            alone.estimate, alone.stderr, alone.ce, alone.ce_stderr, alone.n_paths)
