@@ -22,7 +22,8 @@ from .contracts import ContractSpec, make_contract
 from .errors import ConfigError, ExecFeesError
 from .hjb import (RegulatorySpec, extract_control, solve_fee_surface,
                   solve_regulatory)
-from .simulate import common_noise_batch, expected_payoff_metric, simulate_path
+from .simulate import (SimPath, common_noise_batch, expected_payoff_metric,
+                       simulate_path)
 
 OUT_ENV_VAR = "EXECFEES_OUT"
 
@@ -151,12 +152,14 @@ def run_paths(config: ExperimentConfig, out_dir: str):
 
     Emits one file per contract (and per sweep value when a sweep is
     configured); all files for one sweep value share the same Brownian
-    increments so trajectory differences isolate the contract effect.
+    increments so trajectory differences isolate the contract effect.  Each
+    contract is stepped once over all paths; the comparison file reads path 0.
     """
     cfg = config.sim
     if cfg.n_paths * cfg.n_steps > 2_000_000:
         raise ConfigError("sim.n_paths: trajectory dump too large; the paths "
                           "command is meant for a handful of paths")
+    cfg_hash = config.config_hash()
     written = []
     for value, params in _swept(config):
         if cfg.zero_noise:
@@ -164,44 +167,42 @@ def run_paths(config: ExperimentConfig, out_dir: str):
         else:
             increments = common_noise_batch(cfg, params, 0, cfg.n_paths)
         tag = "" if value is None else f"_{config.sweep.param}={value:g}"
-        shared = {}
+        shared = {}   # family -> text columns S, Q, v of path 0
         for contract in config.contracts:
             control = extract_control(
                 solve_fee_surface(contract, params, config.grid), params)
-            rows = []
-            for p in range(cfg.n_paths):
-                path = simulate_path(control, params, cfg, increments[p])
-                for k in range(len(path.times)):
-                    rows.append({
-                        "path": p, "t": path.times[k], "S": path.S[k],
-                        "Q": path.Q[k], "X": path.X[k],
-                        "v": path.v[k] if k < len(path.v) else 0.0,
-                        "A": path.A[k]})
-                if p == 0:
-                    shared[contract.family.value] = path
+            path = simulate_path(control, params, cfg, increments)
+            times = _text(path.times)
+            shared[contract.family.value] = [_text(path.S[:, 0]), _text(path.Q[:, 0]),
+                                             _text(path.v[:, 0], 0.0)]
             name = f"paths_{contract.family.value}{tag}.csv"
-            _write_csv(os.path.join(out_dir, name),
-                       ["path", "t", "S", "Q", "X", "v", "A"], rows,
-                       config.config_hash())
+            _write_lines(os.path.join(out_dir, name),
+                         ["path", "t", "S", "Q", "X", "v", "A"],
+                         _path_lines(path, times), cfg_hash)
             written.append(name)
         if shared:
             fams = sorted(shared)
             header = ["t"] + [f"{c}_{f}" for f in fams for c in ("S", "Q", "v")]
-            rows = []
-            times = shared[fams[0]].times
-            for k in range(len(times)):
-                row = {"t": times[k]}
-                for f in fams:
-                    pth = shared[f]
-                    row[f"S_{f}"] = pth.S[k]
-                    row[f"Q_{f}"] = pth.Q[k]
-                    row[f"v_{f}"] = pth.v[k] if k < len(pth.v) else 0.0
-                rows.append(row)
+            columns = [times] + [col for f in fams for col in shared[f]]
             name = f"paths_comparison{tag}.csv"
-            _write_csv(os.path.join(out_dir, name), header, rows,
-                       config.config_hash())
+            _write_lines(os.path.join(out_dir, name), header,
+                         (",".join(cells) for cells in zip(*columns)), cfg_hash)
             written.append(name)
     return written
+
+
+def _text(values: np.ndarray, *tail: float) -> list[str]:
+    """Each value written as `_fmt` writes a float, then the tail values."""
+    return [repr(x) for x in values.tolist() + list(tail)]
+
+
+def _path_lines(path: SimPath, times: list[str]):
+    """Data lines of a trajectory CSV, path by path; v is 0 at T."""
+    for p in range(path.S.shape[1]):
+        columns = (_text(path.S[:, p]), _text(path.Q[:, p]), _text(path.X[:, p]),
+                   _text(path.v[:, p], 0.0), _text(path.A[:, p]))
+        for t, S, Q, X, v, A in zip(times, *columns):
+            yield f"{p},{t},{S},{Q},{X},{v},{A}"
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +225,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows: list[dict], cfg_hash: str) -> None:
-    lines = [f"# config_hash={cfg_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[h]) for h in header))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Table rows, dicts keyed by the header's names, one line each."""
+    _write_lines(path, header, (",".join(_fmt(row[h]) for h in header) for row in rows),
+                 cfg_hash)
+
+
+def _write_lines(path: str, header: list[str], lines, cfg_hash: str) -> None:
+    """A CSV file: the config hash, the header, then the data lines given."""
+    text = "\n".join([f"# config_hash={cfg_hash}", ",".join(header), *lines])
+    _atomic_write(path, text + "\n")
 
 
 def _write_json(path: str, obj: dict, cfg_hash: str) -> None:

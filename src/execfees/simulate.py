@@ -51,7 +51,10 @@ class SimConfig:
 
 @dataclass
 class SimPath:
-    """One realized trajectory; v[k] acts on [times[k], times[k+1])."""
+    """Realized trajectories, one column per path; v[k] acts on [times[k], times[k+1]).
+
+    S, Q, X and A have shape (n_steps + 1, n_paths), v has (n_steps, n_paths).
+    """
 
     times: np.ndarray
     S: np.ndarray
@@ -106,15 +109,20 @@ def interpolate_control(control: ControlSurface, t: float, q, S):
                    -control.params.C, control.params.C)
 
 
-def _hull_clamps(g: GridSpec, S, q) -> int:
+def _hull_clamps(g: GridSpec, S, q, axis=None):
+    """Lookups outside the grid hull: the total, or the counts along `axis`."""
     eps = 1e-9
-    return int(np.count_nonzero((S < g.s_min - eps) | (S > g.s_max + eps)
-                                | (q < g.q_min - eps) | (q > g.q_max + eps)))
+    return np.count_nonzero((S < g.s_min - eps) | (S > g.s_max + eps)
+                            | (q < g.q_min - eps) | (q > g.q_max + eps), axis=axis)
 
 
 def _euler_batch(control: ControlSurface, params: MarketParams, cfg: SimConfig,
                  increments: np.ndarray, record: bool = False):
-    """Shared Euler kernel; returns (terminal states, trajectories if record)."""
+    """Shared Euler kernel; returns (terminal states, trajectories if record).
+
+    The hull-clamp budget holds per call, and in record mode per row: each
+    recorded trajectory is checked on its own.
+    """
     g = control.grid
     n, n_steps = increments.shape
     dt = params.T / n_steps
@@ -128,7 +136,8 @@ def _euler_batch(control: ControlSurface, params: MarketParams, cfg: SimConfig,
             traj[key][0] = x0
         traj["A"][0] = S
     for k in range(n_steps):
-        clamped += _hull_clamps(g, S, Q)
+        if not record:
+            clamped += _hull_clamps(g, S, Q)
         # layer of t = k*dt without rounding through dt: a step at a grid
         # time reads that layer alone
         v = np.clip(_interpolate(control, k * g.n_steps / n_steps - control.n0, S, Q),
@@ -141,22 +150,28 @@ def _euler_batch(control: ControlSurface, params: MarketParams, cfg: SimConfig,
             traj["v"][k] = v
             traj["S"][k + 1] = S; traj["Q"][k + 1] = Q; traj["X"][k + 1] = X
             traj["A"][k + 1] = A_int / ((k + 1) * dt)
-    frac = clamped / float(n * n_steps)
-    if frac > _CLAMP_BUDGET:
-        raise OutOfGrid(f"{100 * frac:.2f}% of simulated steps left the grid hull")
+    if record:   # the states each step looked up, one column per row
+        fracs = _hull_clamps(g, traj["S"][:-1], traj["Q"][:-1], axis=0) / float(n_steps)
+    else:
+        fracs = [clamped / float(n * n_steps)]
+    for frac in fracs:
+        if frac > _CLAMP_BUDGET:
+            raise OutOfGrid(f"{100 * frac:.2f}% of simulated steps left the grid hull")
     return (S, Q, X, A_int / params.T), (traj if record else None)
 
 
 def simulate_path(control: ControlSurface, params: MarketParams, cfg: SimConfig,
                   increments: np.ndarray) -> SimPath:
-    """Single Euler path under the interpolated control."""
-    increments = np.atleast_2d(increments)
+    """Euler paths under the interpolated control, one per row of `increments`.
+
+    `increments` is (n_paths, n_steps); the SimPath holds one column per
+    path, each with its own hull-clamp budget, so a column equals the path
+    that its row alone gives.
+    """
     n_steps = increments.shape[1]
     _, traj = _euler_batch(control, params, cfg, increments, record=True)
     times = np.arange(n_steps + 1) * (params.T / n_steps)
-    return SimPath(times=times,
-                   S=traj["S"][:, 0], Q=traj["Q"][:, 0], X=traj["X"][:, 0],
-                   v=traj["v"][:, 0], A=traj["A"][:, 0])
+    return SimPath(times=times, **traj)
 
 
 def realized_payoff(terminal, spec: ContractSpec, params: MarketParams):

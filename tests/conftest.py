@@ -86,3 +86,16 @@ def twap_surfaces(params, grid):
     return {side: ef.solve_fee_surface(ef.make_contract(f"twap_{side}", params),
                                        params, grid)
             for side in ("physical", "cash")}
+
+
+@pytest.fixture(scope="session")
+def refined_fees(params, grid):
+    """Fee at (t=0, S0=45, q0=0.5) of all six families on grid.refine(2).
+
+    Each refined surface is dropped once its fee is read: a refined collar
+    surface holds 2001 layers of 201x201 nodes, 650 MB.
+    """
+    fine = grid.refine(2)
+    return {fam: ef.solve_fee_surface(contract(fam, params), params, fine)
+            .value_at(0.0, 45.0, 0.5)
+            for fam in BASELINE_FAMILIES + ("twap_physical", "twap_cash")}

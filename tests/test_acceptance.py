@@ -191,7 +191,7 @@ def _zero_noise_path(fam, params, controls):
 def test_criterion_7e_deterministic_sign_changes(params, controls):
     changes = {}
     for fam in ("linear_physical", "linear_cash"):
-        v = _zero_noise_path(fam, params, controls).v
+        v = _zero_noise_path(fam, params, controls).v[:, 0]
         live = np.abs(v) > 1e-3 * np.abs(v).max()
         s = np.sign(v[live])
         changes[fam] = int(np.sum(s[1:] != s[:-1]))
@@ -203,8 +203,8 @@ def test_criterion_7f_deterministic_inventory_targets(params, controls):
     # NOTE: with finite alpha the optimal cash unwind stops short of 0, so
     # the 0.02 band is taken around Q*(T) ~ 0.052 from the clipped
     # closed-form control (the speed-bounded optimum is ~0.051), not around 0.
-    q_phys = _zero_noise_path("linear_physical", params, controls).Q[-1]
-    q_cash = _zero_noise_path("linear_cash", params, controls).Q[-1]
+    q_phys = _zero_noise_path("linear_physical", params, controls).Q[-1, 0]
+    q_cash = _zero_noise_path("linear_cash", params, controls).Q[-1, 0]
     q_star = cash_unwind_inventory(params, Q0)
     ok = abs(q_phys - params.N) <= 0.02 and abs(q_cash - q_star) <= 0.02
     _report("7f", ok, f"zero-noise terminal inventory: physical={q_phys:.4f} "
@@ -212,20 +212,13 @@ def test_criterion_7f_deterministic_inventory_targets(params, controls):
                       f"{q_star:.4f}, table target 0)")
 
 
-def test_criterion_7g_grid_refinement(params, grid, surfaces, twap_surfaces):
+def test_criterion_7g_grid_refinement(surfaces, twap_surfaces, refined_fees):
     # the price-affine families run on a 3-node price axis at any refinement,
     # so for them this refines J and n_steps, which set their error
-    fine = grid.refine(2)
-    worst_fee, worst_twap = 0.0, 0.0
-    for fam, surf in surfaces.items():
-        refined = ef.solve_fee_surface(contract(fam, params), params, fine)
-        worst_fee = max(worst_fee, abs(refined.value_at(0.0, S0, Q0)
-                                       - surf.value_at(0.0, S0, Q0)))
-    for side, surf in twap_surfaces.items():
-        refined = ef.solve_fee_surface(ef.make_contract(f"twap_{side}", params),
-                                       params, fine)
-        worst_twap = max(worst_twap, abs(refined.value_at(0.0, S0, Q0)
-                                         - surf.value_at(0.0, S0, Q0)))
+    worst_fee = max(abs(refined_fees[fam] - surf.value_at(0.0, S0, Q0))
+                    for fam, surf in surfaces.items())
+    worst_twap = max(abs(refined_fees[f"twap_{side}"] - surf.value_at(0.0, S0, Q0))
+                     for side, surf in twap_surfaces.items())
     ok = worst_fee < 2e-3 and worst_twap < 1e-3
     _report("7g", ok, f"halved spacings move fees by {worst_fee:.1e} "
                       f"(contracts), {worst_twap:.1e} (TWAP)")

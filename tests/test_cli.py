@@ -1,9 +1,12 @@
 import collections
 
+import numpy as np
 import pytest
 
 from execfees import cli, hjb
 from execfees.cli import main
+from execfees.config import load_config
+from execfees.simulate import common_noise_batch, simulate_path
 
 # coarse but node-aligned grid: ds=1.5 and dq=0.05 keep (45, 0.5) on nodes
 FAST_GRID = "grid:\n  I: 40\n  J: 40\n  n_steps: 400\n"
@@ -254,6 +257,49 @@ def test_paths_twap_sigma_sweep_enumerates_files(tmp_path):
         for fam in ("twap_physical", "twap_cash"):
             assert (out / f"paths_{fam}_sigma={sig}.csv").exists()
         assert (out / f"paths_comparison_sigma={sig}.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+@pytest.mark.parametrize("sim", [
+    "sim: {n_paths: 3, n_steps: 200, seed: 8}\nsweep: {param: sigma, values: [4.0, 6.0]}\n",
+    "sim: {n_paths: 3, n_steps: 200, seed: 8, zero_noise: true}\n"],
+    ids=["sigma_sweep", "zero_noise"])
+def test_paths_rows_equal_one_path_runs(tmp_path, sim):
+    # each contract is stepped once over all paths: every row of path p is,
+    # bit for bit, the path that its increment row alone gives
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(FAST_GRID + "contracts: [linear_cash, collar_physical]\n" + sim)
+    out = tmp_path / "out"
+    assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 0
+    config = load_config(str(cfg))
+    n_paths, n_steps = config.sim.n_paths, config.sim.n_steps
+    for value, params in cli._swept(config):
+        tag = "" if value is None else f"_sigma={value:g}"
+        if config.sim.zero_noise:
+            increments = np.zeros((n_paths, n_steps))
+        else:
+            increments = common_noise_batch(config.sim, params, 0, n_paths)
+        _, _, compared = _read_csv(out / f"paths_comparison{tag}.csv")
+        for contract in config.contracts:
+            fam = contract.family.value
+            control = hjb.extract_control(
+                hjb.solve_fee_surface(contract, params, config.grid), params)
+            _, _, rows = _read_csv(out / f"paths_{fam}{tag}.csv")
+            assert len(rows) == n_paths * (n_steps + 1)
+            for p in range(n_paths):
+                one = simulate_path(control, params, config.sim, increments[p:p + 1])
+                mine = rows[p * (n_steps + 1):(p + 1) * (n_steps + 1)]
+                assert {r["path"] for r in mine} == {str(p)}
+                expected = {"t": one.times.tolist(), "S": one.S[:, 0].tolist(),
+                            "Q": one.Q[:, 0].tolist(), "X": one.X[:, 0].tolist(),
+                            "v": one.v[:, 0].tolist() + [0.0],
+                            "A": one.A[:, 0].tolist()}
+                for col, values in expected.items():
+                    assert [float(r[col]) for r in mine] == values, (fam, p, col)
+                if p == 0:
+                    for col in ("S", "Q", "v"):
+                        assert [float(r[f"{col}_{fam}"]) for r in compared] \
+                            == expected[col], (fam, col)
 
 
 def test_paths_guardrail_on_huge_dumps(tmp_path):

@@ -130,12 +130,13 @@ def test_euler_reads_grid_time_layers_exactly(params, n_steps):
                              values=rng.uniform(-1.0, 1.0, (401, 41, 41)))
     cfg = ef.SimConfig(n_paths=1, n_steps=n_steps, seed=3)
     path = ef.simulate_path(ctrl, params, cfg, ef.common_noise_batch(cfg, params))
+    v, S, Q = path.v[:, 0], path.S[:, 0], path.Q[:, 0]
     on_grid = [k for k in range(n_steps) if k * 400 % n_steps == 0]
     assert len(on_grid) == min(n_steps, 400)
     for k in on_grid:
         layer = ctrl.values[k * 400 // n_steps]
-        assert path.v[k] == np.clip(_bilinear(layer, g, path.S[k], path.Q[k]),
-                                    -params.C, params.C), k
+        assert v[k] == np.clip(_bilinear(layer, g, S[k], Q[k]),
+                               -params.C, params.C), k
 
 
 # ---------------------------------------------------------------------------
@@ -149,26 +150,27 @@ def test_idle_path_grows_at_riskfree_rate():
     dt = p.T / 8
     assert np.all(path.S == cfg.s0)
     assert np.all(path.Q == cfg.q0)
-    assert path.X[-1] == pytest.approx(10.0 * (1 + p.r * dt) ** 8, rel=1e-14)
+    assert path.X[-1, 0] == pytest.approx(10.0 * (1 + p.r * dt) ** 8, rel=1e-14)
 
 
 def test_wealth_identity_zero_rate(params, controls):
     cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=4)
     dw = ef.common_noise_batch(cfg, params, count=1)
     path = ef.simulate_path(controls["linear_cash"], params, cfg, dw)
+    v, S, X = path.v[:, 0], path.S[:, 0], path.X[:, 0]
     dt = params.T / cfg.n_steps
-    spend = np.sum(path.v * (path.S[:-1] + params.l * path.v) * dt)
-    assert path.X[-1] - path.X[0] == pytest.approx(-spend, abs=1e-10)
+    spend = np.sum(v * (S[:-1] + params.l * v) * dt)
+    assert X[-1] - X[0] == pytest.approx(-spend, abs=1e-10)
 
 
 def test_inventory_increments_bounded(params, controls):
     cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=5)
     dw = ef.common_noise_batch(cfg, params, count=1)
     path = ef.simulate_path(controls["linear_physical"], params, cfg, dw)
-    dq = np.diff(path.Q)
+    dq = np.diff(path.Q[:, 0])
     dt = params.T / cfg.n_steps
     assert np.abs(dq).max() <= params.C * dt + 1e-12
-    assert np.allclose(dq, path.v * dt)
+    assert np.allclose(dq, path.v[:, 0] * dt)
 
 
 def test_running_average_left_rule(params, controls):
@@ -176,14 +178,17 @@ def test_running_average_left_rule(params, controls):
     dw = ef.common_noise_batch(cfg, ef.MarketParams(), count=1)[:, :100]
     path = ef.simulate_path(zero_control(params, ef.GridSpec(I=4, J=4, n_steps=100), 101),
                             params, cfg, dw)
-    assert path.A[0] == path.S[0]
+    A, S = path.A[:, 0], path.S[:, 0]
+    assert A[0] == S[0]
     k = 40
-    assert path.A[k] == pytest.approx(path.S[:k].mean(), rel=1e-12)
+    assert A[k] == pytest.approx(S[:k].mean(), rel=1e-12)
 
 
 def _zero_noise_path(fam, params, controls):
+    """(Q, v) of the one zero-noise path."""
     cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=0)
-    return ef.simulate_path(controls[fam], params, cfg, np.zeros((1, 1000)))
+    path = ef.simulate_path(controls[fam], params, cfg, np.zeros((1, 1000)))
+    return path.Q[:, 0], path.v[:, 0]
 
 
 def _sign_changes(v):
@@ -193,19 +198,19 @@ def _sign_changes(v):
 
 
 def test_deterministic_path_physical(params, controls):
-    path = _zero_noise_path("linear_physical", params, controls)
-    assert abs(path.Q[-1] - params.N) <= 0.02
-    assert _sign_changes(path.v) == 0
+    Q, v = _zero_noise_path("linear_physical", params, controls)
+    assert abs(Q[-1] - params.N) <= 0.02
+    assert _sign_changes(v) == 0
 
 
 def test_deterministic_path_cash(params, controls):
     # the exact optimal unwind leaves ~0.052 shares at T (finite alpha);
     # the simulated path must land near that value, with one buy->sell flip
     q_exact = cash_unwind_inventory(params, 0.5)
-    path = _zero_noise_path("linear_cash", params, controls)
+    Q, v = _zero_noise_path("linear_cash", params, controls)
     assert q_exact == pytest.approx(0.0523, abs=5e-4)
-    assert abs(path.Q[-1] - q_exact) <= 0.015
-    assert _sign_changes(path.v) == 1
+    assert abs(Q[-1] - q_exact) <= 0.015
+    assert _sign_changes(v) == 1
 
 
 def test_out_of_grid_detection(params, grid):
@@ -214,6 +219,22 @@ def test_out_of_grid_detection(params, grid):
     cfg = ef.SimConfig(n_paths=2, n_steps=1000, seed=1)
     with pytest.raises(OutOfGrid):
         ef.simulate_path(ctrl, params, cfg, np.zeros((1, 1000)))
+
+
+def test_clamp_budget_is_per_path(params):
+    # one path of 200 leaves the price hull at step 0 and never returns: the
+    # batch is out for 99/20000 < 1% of its lookups, that path for 99%
+    g = ef.GridSpec(I=4, J=4, n_steps=100)
+    cfg = ef.SimConfig(n_paths=200, n_steps=100, seed=0)
+    dw = np.zeros((200, 100))
+    dw[17, 0] = 2.0 * (g.s_max - cfg.s0) / params.sigma
+    ctrl = zero_control(params, g, 101)
+    with pytest.raises(OutOfGrid):
+        ef.simulate_path(ctrl, params, cfg, dw)
+    with pytest.raises(OutOfGrid):
+        ef.simulate_path(ctrl, params, cfg, dw[17:18])
+    path = ef.simulate_path(ctrl, params, cfg, np.delete(dw, 17, axis=0))
+    assert path.S.shape == (101, 199) and path.v.shape == (100, 199)
 
 
 # ---------------------------------------------------------------------------
