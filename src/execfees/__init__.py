@@ -11,8 +11,7 @@ from .hjb import (ControlSurface, FeeSurface, RegulatoryResult, RegulatorySpec,
                   explicit_nonlinear, extract_control, solve_fee_surface,
                   solve_regulatory, step_backward)
 from .simulate import (PayoffEstimate, SimConfig, SimPath, common_noise_batch,
-                       expected_payoff_metric, interpolate_control,
-                       realized_payoff, simulate_path)
+                       expected_payoff_metric, realized_payoff, simulate_path)
 from .config import ExperimentConfig, SweepSpec, config_from_dict, load_config
 from . import errors
 
@@ -27,8 +26,7 @@ __all__ = [
     "explicit_nonlinear", "extract_control", "solve_fee_surface",
     "solve_regulatory", "step_backward",
     "PayoffEstimate", "SimConfig", "SimPath", "common_noise_batch",
-    "expected_payoff_metric", "interpolate_control", "realized_payoff",
-    "simulate_path",
+    "expected_payoff_metric", "realized_payoff", "simulate_path",
     "ExperimentConfig", "SweepSpec", "config_from_dict", "load_config",
     "errors",
 ]

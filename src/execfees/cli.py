@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .config import (ExperimentConfig, SweepSpec, baseline_contracts,
-                     load_config, sha256_of, twap_contracts)
-from .contracts import ContractSpec, make_contract
+from .config import (BASELINE_CONTRACTS, TWAP_CONTRACTS, ExperimentConfig,
+                     SweepSpec, load_config, sha256_of)
+from .contracts import ContractSpec, Family
 from .errors import ConfigError, ExecFeesError
 from .hjb import (RegulatorySpec, extract_control, solve_fee_surface,
                   solve_regulatory)
@@ -124,7 +124,7 @@ def run_twap(config: ExperimentConfig, memo=None):
     """Fees of the two TWAP contracts via the transformed equation."""
     memo = {} if memo is None else memo
     return [{"family": c.family.value, "fee": _fee(c, config, memo)}
-            for c in twap_contracts(config.params)]
+            for c in TWAP_CONTRACTS]
 
 
 def run_statarb(config: ExperimentConfig, memo=None):
@@ -160,13 +160,19 @@ def run_paths(config: ExperimentConfig, out_dir: str):
         raise ConfigError("sim.n_paths: trajectory dump too large; the paths "
                           "command is meant for a handful of paths")
     cfg_hash = config.config_hash()
+    swept = _swept(config)
+    tags = ["" if value is None else f"_{config.sweep.param}={value:g}"
+            for value, _ in swept]
+    for k, tag in enumerate(tags):
+        if tag in tags[:k]:
+            raise ConfigError(f"sweep.values: {swept[tags.index(tag)][0]!r} and "
+                              f"{swept[k][0]!r} both name the files tagged {tag!r}")
     written = []
-    for value, params in _swept(config):
+    for (_, params), tag in zip(swept, tags):
         if cfg.zero_noise:
             increments = np.zeros((cfg.n_paths, cfg.n_steps))
         else:
             increments = common_noise_batch(cfg, params, 0, cfg.n_paths)
-        tag = "" if value is None else f"_{config.sweep.param}={value:g}"
         shared = {}   # family -> text columns S, Q, v of path 0
         for contract in config.contracts:
             control = extract_control(
@@ -260,9 +266,9 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str):
         _write_csv(os.path.join(out_dir, name), TABLES[command][1], rows, cfg_hash)
         artifacts.append(name)
 
-    base = dataclasses.replace(config, contracts=baseline_contracts(config.params))
+    base = dataclasses.replace(config, contracts=BASELINE_CONTRACTS)
     statarb = run_statarb(dataclasses.replace(
-        base, contracts=base.contracts + twap_contracts(base.params)), memo)
+        base, contracts=BASELINE_CONTRACTS + TWAP_CONTRACTS), memo)
 
     emit("fees_baseline.csv", "fees", run_fees(base, memo))
 
@@ -270,7 +276,7 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str):
             ("r", (0.0, 0.01), base.contracts, "sweep_r.csv"),
             ("sigma", (5.0, 6.0, 7.0), base.contracts, "sweep_sigma.csv"),
             ("alpha", (0.002, 0.02, 0.2),
-             (make_contract("linear_cash", base.params),), "sweep_alpha_linear_cash.csv")):
+             (ContractSpec(Family.LINEAR_CASH),), "sweep_alpha_linear_cash.csv")):
         sub = dataclasses.replace(base, contracts=contracts,
                                   sweep=SweepSpec(pname, values))
         emit(fname, "sweep", run_sweep(sub, memo))

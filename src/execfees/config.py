@@ -21,8 +21,8 @@ from .simulate import SimConfig
 DEFAULT_K1 = 40.0
 DEFAULT_K2 = 50.0
 
-_BASELINE_FAMILIES = ("linear_physical", "linear_cash",
-                      "collar_physical", "collar_cash")
+# families whose strikes default to DEFAULT_K1 and DEFAULT_K2
+_COLLAR_FAMILIES = tuple(f.value for f in Family if f.is_collar)
 
 # model parameters, plus the approval probability swept by `regulatory`
 _SWEEPABLE = tuple(f.name for f in dataclasses.fields(MarketParams)) + ("p",)
@@ -58,7 +58,7 @@ class ExperimentConfig:
         return {
             "params": dataclasses.asdict(self.params),
             "grid": dataclasses.asdict(self.grid),
-            "contracts": [_contract_dict(c) for c in self.contracts],
+            "contracts": [_contract_dict(c, self.params) for c in self.contracts],
             "regulatory": dataclasses.asdict(self.regulatory) if self.regulatory else None,
             "sim": dataclasses.asdict(self.sim),
             "sweep": {"param": self.sweep.param, "values": list(self.sweep.values)}
@@ -69,9 +69,10 @@ class ExperimentConfig:
         return sha256_of(self.canonical_dict())
 
 
-def _contract_dict(c: ContractSpec) -> dict:
+def _contract_dict(c: ContractSpec, params: MarketParams) -> dict:
+    # the target stays in the hash input, so every config hash is unchanged
     return {"family": c.family.value, "K1": c.K1, "K2": c.K2,
-            "liquidation_target": c.liquidation_target}
+            "liquidation_target": c.target(params.N)}
 
 
 def sha256_of(obj) -> str:
@@ -79,32 +80,22 @@ def sha256_of(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _build_contract(entry, params: MarketParams) -> ContractSpec:
+def _build_contract(entry) -> ContractSpec:
+    """A contract from a family name or a {family, K1, K2} mapping."""
     if isinstance(entry, str):
         entry = {"family": entry}
     if not isinstance(entry, dict) or "family" not in entry:
         raise ConfigError(f"contracts: expected family name or mapping, got {entry!r}")
-    try:
-        family = Family(entry["family"])
-    except ValueError:
-        raise ConfigError(f"contracts.family: unknown family {entry['family']!r}") from None
-    k1 = entry.get("K1", DEFAULT_K1 if family.is_collar else None)
-    k2 = entry.get("K2", DEFAULT_K2 if family.is_collar else None)
-    for name, k in (("K1", k1), ("K2", k2)):
-        if k is not None:
-            check_real(f"contracts.{name}", k)
-    return make_contract(family, params, K1=k1, K2=k2)
+    collar = entry["family"] in _COLLAR_FAMILIES
+    return make_contract(entry["family"],
+                         K1=entry.get("K1", DEFAULT_K1 if collar else None),
+                         K2=entry.get("K2", DEFAULT_K2 if collar else None))
 
 
-def baseline_contracts(params: MarketParams) -> tuple[ContractSpec, ...]:
-    """The four contracts of the baseline tables (collars at K1 = 40, K2 = 50)."""
-    return tuple(_build_contract(f, params) for f in _BASELINE_FAMILIES)
-
-
-def twap_contracts(params: MarketParams) -> tuple[ContractSpec, ...]:
-    """The physical and cash-settled TWAP contracts."""
-    return (make_contract(Family.TWAP_PHYSICAL, params),
-            make_contract(Family.TWAP_CASH, params))
+# the four contracts of the baseline tables (collars at K1 = 40, K2 = 50)
+BASELINE_CONTRACTS = tuple(map(_build_contract, ("linear_physical", "linear_cash",
+                                                 "collar_physical", "collar_cash")))
+TWAP_CONTRACTS = (ContractSpec(Family.TWAP_PHYSICAL), ContractSpec(Family.TWAP_CASH))
 
 
 def _section(cls, section, where: str) -> dict:
@@ -139,9 +130,8 @@ def config_from_dict(raw: dict | None) -> ExperimentConfig:
     params = MarketParams(**_section(MarketParams, raw.get("params"), "params"))
     grid = GridSpec(**_section(GridSpec, raw.get("grid"), "grid"))
     sim = SimConfig(**_section(SimConfig, raw.get("sim"), "sim"))
-    contracts = (baseline_contracts(params) if raw.get("contracts") is None
-                 else tuple(_build_contract(e, params)
-                            for e in _listed(raw["contracts"], "contracts")))
+    contracts = (BASELINE_CONTRACTS if raw.get("contracts") is None
+                 else tuple(map(_build_contract, _listed(raw["contracts"], "contracts"))))
     reg = None
     if raw.get("regulatory") is not None:
         reg = RegulatorySpec(**_section(RegulatorySpec, raw["regulatory"], "regulatory"))

@@ -78,32 +78,45 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class ContractSpec:
-    """One contract: payoff family, collar strikes, and terminal inventory target."""
+    """One contract: payoff family and, for collars, the two strikes."""
 
     family: Family
     K1: float | None = None
     K2: float | None = None
-    liquidation_target: float = 0.0
 
     def __post_init__(self):
-        if self.family.is_collar:
-            if self.K1 is None or self.K2 is None:
-                raise ConfigError("contract: collar families need both K1 and K2")
-            if not self.K1 < self.K2:
-                raise ConfigError(
-                    f"contract: K1 < K2 required, got K1={self.K1}, K2={self.K2}")
+        for name, k in (("K1", self.K1), ("K2", self.K2)):
+            if k is None:
+                if self.family.is_collar:
+                    raise ConfigError(f"contracts.{name}: collar families need "
+                                      "both K1 and K2")
+            elif not self.family.is_collar:
+                raise ConfigError(f"contracts.{name}: only collar families take "
+                                  f"strikes, got {k!r} for {self.family.value}")
+            else:
+                check_real(f"contracts.{name}", k)
+        if self.family.is_collar and not self.K1 < self.K2:
+            raise ConfigError(f"contracts.K2: must exceed K1, got K1={self.K1!r}, "
+                              f"K2={self.K2!r}")
+
+    def target(self, N: float) -> float:
+        """Terminal inventory target: N under physical delivery, 0 in cash."""
+        return N if self.family.is_physical else 0.0
 
 
-def make_contract(family: Family | str, params: MarketParams,
+def make_contract(family: Family | str, params: MarketParams | None = None,
                   K1: float | None = None, K2: float | None = None) -> ContractSpec:
-    """Build a ContractSpec with the liquidation target implied by the family."""
-    if isinstance(family, str):
+    """A ContractSpec from a family or its name; the one parser of family names.
+
+    `params` is unused: a contract depends on no market parameter.  It stays
+    only because perfbench/probes.py passes it positionally (ROADMAP item 1).
+    """
+    if not isinstance(family, Family):
         try:
             family = Family(family)
         except ValueError:
-            raise ConfigError(f"contract.family: unknown family {family!r}") from None
-    target = params.N if family.is_physical else 0.0
-    return ContractSpec(family=family, K1=K1, K2=K2, liquidation_target=target)
+            raise ConfigError(f"contracts.family: unknown family {family!r}") from None
+    return ContractSpec(family=family, K1=K1, K2=K2)
 
 
 def check_count(field: str, value, least: int) -> None:
@@ -194,4 +207,4 @@ def payoff_pi(spec: ContractSpec, S, N: float):
 def terminal_fee(spec: ContractSpec, q, S, params: MarketParams):
     """Terminal condition of the fee equation: Pi(S) + L(q)."""
     return payoff_pi(spec, S, params.N) + liquidation_cost(
-        q, spec.liquidation_target, params.alpha)
+        q, spec.target(params.N), params.alpha)

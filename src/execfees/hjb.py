@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .contracts import (ContractSpec, Family, GridSpec, MarketParams, check_real,
-                        liquidation_cost, make_contract, terminal_fee)
+                        liquidation_cost, terminal_fee)
 from .errors import (BlendOverflow, ConfigError, NonFinite, RequiresZeroRate,
                      SingularTridiagonal)
 
@@ -304,7 +304,7 @@ def _terminal_layer(spec: ContractSpec, params: MarketParams,
     elif params.r == 0.0:
         grid = replace(grid, I=2)
     S, q = grid.s_nodes()[:, None], grid.q_nodes()[None, :]
-    P_T = (liquidation_cost(q, spec.liquidation_target, params.alpha)
+    P_T = (liquidation_cost(q, spec.target(params.N), params.alpha)
            if spec.family.is_twap else terminal_fee(spec, q, S, params))
     return grid, P_T + np.zeros((grid.I + 1, grid.J + 1))
 
@@ -316,14 +316,11 @@ def solve_fee_surface(spec: ContractSpec, params: MarketParams,
     TWAP families are solved through the state reduction (requires r = 0):
     the reduced value U(t, S, q) satisfies the fee equation with q replaced
     by q - N*t/T in the risk and impact terms, and terminal condition
-    U(T, q) = L(q).  The fee at t = 0 equals U(0, q, S).  The TWAP target is
-    rebuilt from params so that it follows the same N as the schedule N*t/T.
+    U(T, q) = L(q).  The fee at t = 0 equals U(0, q, S).
     """
     twap = spec.family.is_twap
-    if twap:
-        if params.r != 0.0:
-            raise RequiresZeroRate("the TWAP state reduction is derived for r = 0")
-        spec = make_contract(spec.family, params)
+    if twap and params.r != 0.0:
+        raise RequiresZeroRate("the TWAP state reduction is derived for r = 0")
     grid, P_T = _terminal_layer(spec, params, grid)
     values = _sweep(P_T, grid.n_steps, 0, params, grid, twap)
     return FeeSurface(grid=grid, params=params, values=values, contract=spec,
@@ -350,8 +347,7 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
     specs = [RegulatorySpec(p=p, tau=tau) for p in p_values]
     n_tau = specs[0].snapped_step(params, grid)
     post = []
-    for family in (Family.LINEAR_PHYSICAL, Family.LINEAR_CASH):
-        spec = make_contract(family, params)
+    for spec in (ContractSpec(Family.LINEAR_PHYSICAL), ContractSpec(Family.LINEAR_CASH)):
         solved, P_T = _terminal_layer(spec, params, grid)
         post.append(FeeSurface(grid=solved, params=params, contract=spec, n0=n_tau,
                                values=_sweep(P_T, grid.n_steps, n_tau, params, solved)))

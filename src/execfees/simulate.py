@@ -14,7 +14,7 @@ import numpy as np
 from .contracts import (ContractSpec, GridSpec, MarketParams, check_count,
                         check_real, collar_per_share, liquidation_cost)
 from .errors import ConfigError, OutOfGrid
-from .hjb import ControlSurface, _interpolate, _layer_position
+from .hjb import ControlSurface, _interpolate
 
 # abort when more than this fraction of lookups had to be clamped to the hull
 _CLAMP_BUDGET = 0.01
@@ -72,7 +72,6 @@ class PayoffEstimate:
     stderr: float | None
     ce: float
     ce_stderr: float | None
-    n_paths: int
     arbitrage: bool
 
 
@@ -98,15 +97,6 @@ def common_noise_batch(cfg: SimConfig, params: MarketParams,
         gen.standard_normal(cfg.n_steps, out=out[p])
     out *= np.sqrt(dt)
     return out
-
-
-def interpolate_control(control: ControlSurface, t: float, q, S):
-    """Speed at (t, q, S): bilinear in (S, q), linear in t, clamped to [-C, C].
-
-    Coordinates outside the grid hull are clamped to it.
-    """
-    return np.clip(_interpolate(control, _layer_position(control, t), S, q),
-                   -control.params.C, control.params.C)
 
 
 def _hull_clamps(g: GridSpec, S, q, axis=None):
@@ -177,7 +167,7 @@ def simulate_path(control: ControlSurface, params: MarketParams, cfg: SimConfig,
 def realized_payoff(terminal, spec: ContractSpec, params: MarketParams):
     """Terminal contract payoff Y(T) from the (S, Q, X, A) terminal states."""
     S, Q, X, A = terminal
-    L = liquidation_cost(Q, spec.liquidation_target, params.alpha)
+    L = liquidation_cost(Q, spec.target(params.N), params.alpha)
     fam = spec.family
     if fam.is_twap:
         return X + Q * S + params.N * (A - S) - L
@@ -244,4 +234,4 @@ def _estimate(totals, n: int, x0: float, g: float) -> PayoffEstimate:
         stderr = ce_stderr = None
         arb = False
     return PayoffEstimate(estimate=est, stderr=stderr, ce=ce, ce_stderr=ce_stderr,
-                          n_paths=n, arbitrage=arb)
+                          arbitrage=arb)

@@ -62,7 +62,11 @@ INVALID_CONFIGS = {
     "sweep.values": ["sweep: {param: sigma, values: 5}\n",
                      "sweep: {param: sigma, values: [abc]}\n"],
     "contracts": ["contracts: 5\n"],
-    "contracts.K1": ["contracts: [{family: collar_cash, K1: abc, K2: 50}]\n"],
+    # strikes belong to collars alone, and in the order K1 < K2
+    "contracts.K1": ["contracts: [{family: collar_cash, K1: abc, K2: 50}]\n",
+                     "contracts: [{family: linear_cash, K1: 40.0, K2: 30.0}]\n"],
+    "contracts.K2": ["contracts: [{family: collar_cash, K1: 50.0, K2: 40.0}]\n",
+                     "contracts: [{family: twap_physical, K2: 50.0}]\n"],
     "regulatory": ["regulatory: 5\n"],
     "regulatory.p": ["regulatory: {p: abc, tau: 0.5}\n"],
 }
@@ -166,19 +170,23 @@ def test_twap_command(tmp_path):
     assert [r["family"] for r in rows] == ["twap_physical", "twap_cash"]
 
 
-def test_twap_sweep_over_N_matches_fees_at_that_N(tmp_path):
-    # the TWAP target must follow the swept N, as the schedule N*t/T does
-    twap = FAST_GRID + "contracts: [twap_physical, twap_cash]\n"
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_sweep_over_N_matches_fees_at_each_N(tmp_path):
+    # the liquidation target follows the swept N, as the TWAP schedule N*t/T
+    # does: every row is, bit for bit, the fee of a standalone run at that N
+    body = (FAST_GRID + "contracts: [linear_physical, collar_physical, "
+            "twap_physical, twap_cash]\n")
     sweep_cfg = tmp_path / "sweep.yaml"
-    sweep_cfg.write_text(twap + "sweep:\n  param: N\n  values: [0.5]\n")
-    fees_cfg = tmp_path / "fees.yaml"
-    fees_cfg.write_text(twap + "params:\n  N: 0.5\n")
+    sweep_cfg.write_text(body + "sweep:\n  param: N\n  values: [0.5, 1.0]\n")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
-    assert main(["fees", "--config", str(fees_cfg), "--out", str(out)]) == 0
-    swept = [r["fee"] for r in _read_csv(out / "sweep.csv")[2]]
-    direct = [r["fee"] for r in _read_csv(out / "fees.csv")[2]]
-    assert swept == direct
+    swept = _read_csv(out / "sweep.csv")[2]
+    for N in ("0.5", "1.0"):
+        fees_cfg = tmp_path / "fees.yaml"
+        fees_cfg.write_text(body + f"params:\n  N: {N}\n")
+        assert main(["fees", "--config", str(fees_cfg), "--out", str(out)]) == 0
+        direct = [(r["family"], r["fee"]) for r in _read_csv(out / "fees.csv")[2]]
+        assert [(r["family"], r["fee"]) for r in swept if r["value"] == N] == direct
 
 
 def test_twap_sweep_over_nonzero_r_exits_nonzero(tmp_path, capsys):
@@ -257,6 +265,36 @@ def test_paths_twap_sigma_sweep_enumerates_files(tmp_path):
         for fam in ("twap_physical", "twap_cash"):
             assert (out / f"paths_{fam}_sigma={sig}.csv").exists()
         assert (out / f"paths_comparison_sigma={sig}.csv").exists()
+
+
+def test_paths_sweep_over_N_ends_physical_path_at_each_N(tmp_path):
+    # the zero-noise physical path heads for the swept N, and each swept file
+    # holds the rows of a standalone run at that N
+    body = (FAST_GRID + "contracts: [linear_physical]\n"
+            "sim: {n_paths: 1, n_steps: 400, seed: 5, zero_noise: true}\n")
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(body + "sweep:\n  param: N\n  values: [0.5, 1.0]\n")
+    out = tmp_path / "out"
+    assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 0
+    for N in (0.5, 1.0):
+        rows = _read_csv(out / f"paths_linear_physical_N={N:g}.csv")[2]
+        assert float(rows[-1]["Q"]) == pytest.approx(N, abs=1e-6)
+        cfg.write_text(body + f"params: {{N: {N}}}\n")
+        assert main(["paths", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+        assert _read_csv(tmp_path / "one" / "paths_linear_physical.csv")[2] == rows
+
+
+def test_paths_sweep_values_naming_the_same_files_exit_nonzero(tmp_path, capsys):
+    # 5.0 and 5.0000001 both format as sigma=5: the second would overwrite the first
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(FAST_GRID + "contracts: [linear_cash]\n"
+                   "sim: {n_paths: 1, n_steps: 400, seed: 5}\n"
+                   "sweep: {param: sigma, values: [5.0, 5.0000001]}\n")
+    out = tmp_path / "out"
+    assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error: sweep.values:"), err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")

@@ -23,6 +23,13 @@ def test_empty_config_is_baseline():
     assert (cfg.sim.q0, cfg.sim.s0, cfg.sim.x0) == (0.5, 45.0, 22.5)
 
 
+def test_baseline_config_hash_is_pinned():
+    # the canonical dict still carries each contract's liquidation target,
+    # now derived from params.N, so existing artifact hashes stay valid
+    assert config_from_dict(None).config_hash() == (
+        "85d53e5247e3eb975be3f74752d1f139279385c2c8417e19a3e530092d0067e7")
+
+
 def test_config_overrides_and_hash():
     a = config_from_dict({"params": {"sigma": 6.0}})
     b = config_from_dict({"params": {"sigma": 6.0}})

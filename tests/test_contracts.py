@@ -70,10 +70,13 @@ def test_terminal_fee_examples(params):
 
 
 def test_liquidation_targets_follow_family(params):
-    assert contract("linear_physical", params).liquidation_target == params.N
-    assert contract("twap_physical", params).liquidation_target == params.N
-    assert contract("linear_cash", params).liquidation_target == 0.0
-    assert contract("collar_cash", params).liquidation_target == 0.0
+    for N in (params.N, 0.5):
+        assert contract("linear_physical", params).target(N) == N
+        assert contract("twap_physical", params).target(N) == N
+        assert contract("collar_physical", params).target(N) == N
+        assert contract("linear_cash", params).target(N) == 0.0
+        assert contract("collar_cash", params).target(N) == 0.0
+        assert contract("twap_cash", params).target(N) == 0.0
 
 
 def test_contract_validation(params):

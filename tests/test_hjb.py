@@ -173,10 +173,10 @@ def test_controls_bounded(controls, params):
 
 
 def test_control_matches_closed_form(controls, params):
-    v_pde = ef.interpolate_control(controls["linear_physical"], 0.0, 0.5, 45.0)
+    v_pde = _interpolate(controls["linear_physical"], 0, 45.0, 0.5)
     v_cf = ef.control_closed(0.0, 0.5, ef.Family.LINEAR_PHYSICAL, params)
     assert v_pde == pytest.approx(v_cf, abs=1e-2)
-    v_pde = ef.interpolate_control(controls["linear_cash"], 0.0, 0.5, 45.0)
+    v_pde = _interpolate(controls["linear_cash"], 0, 45.0, 0.5)
     v_cf = ef.control_closed(0.0, 0.5, ef.Family.LINEAR_CASH, params)
     assert v_pde == pytest.approx(v_cf, abs=1e-2)
 
@@ -195,12 +195,12 @@ def test_control_written_over_its_surface_equals_fresh_control(params, fam):
 
 
 def test_control_near_target_and_saturation(controls, params, grid):
-    # at S = 45 and q = 1 = N
-    assert ef.interpolate_control(controls["linear_physical"], params.T, 1.0,
-                                  45.0) == pytest.approx(0.0, abs=1e-6)
+    # at S = 45 and q = 1 = N, on the last layer (t = T)
+    assert _interpolate(controls["linear_physical"], grid.n_steps, 45.0,
+                        1.0) == pytest.approx(0.0, abs=1e-6)
     # cash contract close to maturity with full inventory sells at the bound
-    t95 = int(round(0.95 * grid.n_steps)) * grid.dt(params.T)
-    assert ef.interpolate_control(controls["linear_cash"], t95, 1.0, 45.0) == -params.C
+    k95 = int(round(0.95 * grid.n_steps))
+    assert _interpolate(controls["linear_cash"], k95, 45.0, 1.0) == -params.C
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_affine_families_solve_exactly_on_three_price_nodes(sigma, mu):
     for fam in ("linear_physical", "linear_cash", "twap_physical", "twap_cash"):
         spec = contract(fam, p)
         twap = spec.family.is_twap
-        P_T = (ef.liquidation_cost(q, spec.liquidation_target, p.alpha) if twap
+        P_T = (ef.liquidation_cost(q, spec.target(p.N), p.alpha) if twap
                else ef.terminal_fee(spec, q, S, p)) + zeros
         full = ef.FeeSurface(grid=g, params=p, contract=spec, twap=twap,
                              values=_sweep(P_T, g.n_steps, 0, p, g, twap))

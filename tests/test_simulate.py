@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 import execfees as ef
 from execfees.errors import ConfigError, OutOfGrid
-from execfees.hjb import _bilinear
+from execfees.hjb import _bilinear, _interpolate, _layer_position
 from execfees.simulate import _CHUNK, _MAX_SEED
 
 from conftest import BASELINE_FAMILIES, cash_unwind_inventory, contract
@@ -89,35 +89,40 @@ def test_interpolation_hits_node_values(params, controls, grid):
         t = k * grid.dt(params.T)
         # node coordinates are not exactly representable; 1 ulp of index
         # wobble turns into ~1e-10 of value wobble
-        assert ef.interpolate_control(ctrl, t, q[j], S[i]) == pytest.approx(
-            ctrl.values[k, i, j], abs=1e-9)
+        assert _interpolate(ctrl, _layer_position(ctrl, t), S[i], q[j]) == \
+            pytest.approx(ctrl.values[k, i, j], abs=1e-9)
 
 
 def test_interpolation_constant_and_linear_fields(params, grid):
     ctrl = zero_control(params, grid, n_layers=2)
     ctrl.values[:] = 2.5
-    assert ef.interpolate_control(ctrl, 0.3, 0.137, 41.03) == pytest.approx(2.5)
+    assert _interpolate(ctrl, _layer_position(ctrl, 0.3), 41.03, 0.137) == \
+        pytest.approx(2.5)
     # linear in q: bilinear interpolation reproduces it exactly
     qn = grid.q_nodes()
     ctrl.values[:] = (1.5 * qn - 0.25)[None, None, :]
     for qq in (-0.513, 0.0, 0.721):
-        assert ef.interpolate_control(ctrl, 0.0, qq, 45.0) == pytest.approx(
-            1.5 * qq - 0.25, abs=1e-12)
+        assert _interpolate(ctrl, 0.0, 45.0, qq) == pytest.approx(1.5 * qq - 0.25,
+                                                                  abs=1e-12)
     # FeeSurface.value_at shares the kernel: off-node and between layers it
     # equals the control lookup on the same field
     ctrl.values[1] *= 2.0
     surf = ef.FeeSurface(grid=grid, params=params, values=ctrl.values)
     t = 0.4 * grid.dt(params.T)
     for qq, SS in ((-0.513, 41.03), (0.721, 57.77)):
-        assert surf.value_at(t, SS, qq) == ef.interpolate_control(ctrl, t, qq, SS)
+        assert surf.value_at(t, SS, qq) == _interpolate(ctrl, _layer_position(ctrl, t),
+                                                        SS, qq)
         assert surf.value_at(t, SS, qq) == pytest.approx(1.4 * (1.5 * qq - 0.25),
                                                          abs=1e-12)
 
 
 def test_interpolation_reclamps(params, grid):
     ctrl = zero_control(params, grid, n_layers=2)
-    ctrl.values[:] = 50.0   # out-of-bound field: lookups stay within [-C, C]
-    assert ef.interpolate_control(ctrl, 0.0, 0.0, 45.0) == params.C
+    ctrl.values[:] = 50.0   # out-of-bound field: an Euler step trades at most C
+    cfg = ef.SimConfig(n_paths=1, n_steps=1)
+    path = ef.simulate_path(ctrl, params, cfg, np.zeros((1, 1)))
+    assert path.v[0, 0] == params.C
+    assert path.Q[1, 0] == cfg.q0 + params.C * params.T
 
 
 @pytest.mark.parametrize("n_steps", [400, 200, 800])
@@ -325,5 +330,5 @@ def test_metric_over_all_contracts_equals_one_contract_calls(params):
     assert len(together) == len(ALL_FAMILIES)
     for entry, est in zip(contracts, together):
         [alone] = ef.expected_payoff_metric(params, cfg, [entry])
-        assert (est.estimate, est.stderr, est.ce, est.ce_stderr, est.n_paths) == (
-            alone.estimate, alone.stderr, alone.ce, alone.ce_stderr, alone.n_paths)
+        assert (est.estimate, est.stderr, est.ce, est.ce_stderr, est.arbitrage) == (
+            alone.estimate, alone.stderr, alone.ce, alone.ce_stderr, alone.arbitrage)
