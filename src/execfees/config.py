@@ -80,16 +80,24 @@ def sha256_of(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _build_contract(entry) -> ContractSpec:
-    """A contract from a family name or a {family, K1, K2} mapping."""
+def _build_contract(entry, N: float | None = None) -> ContractSpec:
+    """A contract from a family name or a {family, K1, K2, liquidation_target} mapping."""
     if isinstance(entry, str):
         entry = {"family": entry}
     if not isinstance(entry, dict) or "family" not in entry:
         raise ConfigError(f"contracts: expected family name or mapping, got {entry!r}")
+    bad = set(entry) - {"family", "K1", "K2", "liquidation_target"}
+    if bad:
+        raise ConfigError(f"contracts: unknown field(s) {sorted(map(str, bad))}")
     collar = entry["family"] in _COLLAR_FAMILIES
-    return make_contract(entry["family"],
+    spec = make_contract(entry["family"],
                          K1=entry.get("K1", DEFAULT_K1 if collar else None),
                          K2=entry.get("K2", DEFAULT_K2 if collar else None))
+    target = spec.target(N)
+    if entry.get("liquidation_target", target) != target:
+        raise ConfigError("contracts.liquidation_target: follows from the family "
+                          f"and N, {target!r} here")
+    return spec
 
 
 # the four contracts of the baseline tables (collars at K1 = 40, K2 = 50)
@@ -131,7 +139,8 @@ def config_from_dict(raw: dict | None) -> ExperimentConfig:
     grid = GridSpec(**_section(GridSpec, raw.get("grid"), "grid"))
     sim = SimConfig(**_section(SimConfig, raw.get("sim"), "sim"))
     contracts = (BASELINE_CONTRACTS if raw.get("contracts") is None
-                 else tuple(map(_build_contract, _listed(raw["contracts"], "contracts"))))
+                 else tuple(_build_contract(c, params.N)
+                            for c in _listed(raw["contracts"], "contracts")))
     reg = None
     if raw.get("regulatory") is not None:
         reg = RegulatorySpec(**_section(RegulatorySpec, raw["regulatory"], "regulatory"))

@@ -14,12 +14,15 @@ Time stepping is a semi-implicit operator splitting: the linear part
 (discounting, drift, diffusion in S) is implicit and reduces to one
 tridiagonal solve per inventory slice; the nonlinear part (quadratic risk
 term and the constrained trading Hamiltonian) is explicit at the known time
-layer.  The Hamiltonian is discretized in upwind fashion: the buy and sell
-candidates are evaluated with one-sided inventory differences (second order
-where two neighbors exist) and the better one is kept.  The explicit step
-needs roughly C*dt <= dq/2 (the default grid sits exactly there); a warning
-fires beyond 0.6*dq and another when the explicit increment gets large
-relative to the surface scale.
+layer.  Each sweep allocates its workspace once and calls LAPACK gtsv (the
+routine scipy.linalg.solve_banded runs for a tridiagonal matrix) directly,
+so a time step allocates no array of the grid's size.  The Hamiltonian is
+discretized in upwind fashion: the buy and sell candidates are evaluated
+with one-sided inventory differences (second order where two neighbors
+exist) and the better one is kept.  The explicit step needs roughly
+C*dt <= dq/2 (the default grid sits exactly there); a warning fires beyond
+0.6*dq and another when the explicit increment gets large relative to the
+surface scale.
 
 At the price boundaries d2P/dS2 = 0 is imposed and the remaining first
 derivative is one-sided; at the inventory boundaries the control candidates
@@ -27,11 +30,12 @@ point into the grid.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .contracts import (ContractSpec, Family, GridSpec, MarketParams, check_real,
                         liquidation_cost, terminal_fee)
@@ -174,69 +178,80 @@ def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
     return ab
 
 
-def _price_gradient(P: np.ndarray, ds: float) -> np.ndarray:
-    """Central dP/dS in the interior, one-sided at the price boundaries."""
-    D = np.empty_like(P)
-    D[1:-1, :] = (P[2:, :] - P[:-2, :]) / (2.0 * ds)
-    D[0, :] = (P[1, :] - P[0, :]) / ds
-    D[-1, :] = (P[-1, :] - P[-2, :]) / ds
-    return D
+class _Workspace:
+    """Buffers and per-sweep constants of the backward step.
 
-
-def _upwind_inventory_gradients(P: np.ndarray, dq: float):
-    """One-sided dP/dq pairs (forward, backward) for the monotone Hamiltonian.
-
-    Second-order stencils where two neighbors exist, first-order next to and
-    at the boundary.
+    The buffers are Fortran-ordered (I+1, J+1) arrays, so gtsv solves the
+    right-hand side built in L2 in place; _sweep then swaps L2 and P.
+    q_eff and b*q_eff are fixed unless a TWAP sweep rewrites them.
     """
-    Df = np.empty_like(P)
-    Df[:, :-2] = (-3.0 * P[:, :-2] + 4.0 * P[:, 1:-1] - P[:, 2:]) / (2.0 * dq)
-    Df[:, -2] = (P[:, -1] - P[:, -2]) / dq
-    Df[:, -1] = (P[:, -1] - P[:, -2]) / dq
-    Db = np.empty_like(P)
-    Db[:, 2:] = (3.0 * P[:, 2:] - 4.0 * P[:, 1:-1] + P[:, :-2]) / (2.0 * dq)
-    Db[:, 1] = (P[:, 1] - P[:, 0]) / dq
-    Db[:, 0] = (P[:, 1] - P[:, 0]) / dq
-    return Df, Db
+
+    def __init__(self, params: MarketParams, grid: GridSpec):
+        self.q = grid.q_nodes()[None, :]
+        self.q_eff = self.q.copy()
+        self.bq = params.b * self.q
+        shape = (grid.I + 1, grid.J + 1)
+        (self.DS, self.Df, self.Db, self.vf, self.vb, self.L2,
+         self.P) = (np.empty(shape, order="F") for _ in range(7))
+
+
+def _absmax(a: np.ndarray) -> float:
+    """max |a| without the temporary of np.abs(a)."""
+    return float(max(a.max(), -a.min()))
 
 
 def explicit_nonlinear(P_next: np.ndarray, n: int, params: MarketParams,
-                       grid: GridSpec, twap: bool = False) -> np.ndarray:
+                       grid: GridSpec, twap: bool = False,
+                       work: _Workspace | None = None) -> np.ndarray:
     """Explicit nonlinear increment evaluated on the known layer n+1.
 
     Risk term -(sigma^2*gamma/2)*e^{r(T-t)}*(q - dP/dS)^2 plus the constrained
     Hamiltonian sup_{|v|<=C} {-l*v^2 + (b*q - b*dP/dS - dP/dq)*v}, evaluated
     at the clamped optimizer so the scheme stays correct when the speed bound
     binds.  For the TWAP reduction q is replaced by q - N*t/T in both terms.
+
+    dP/dS is central inside and one-sided at the price edges; the one-sided
+    dP/dq pair is second order where two neighbors exist.  Everything is
+    written into `work`, the result into work.L2; with work=None a fresh
+    workspace is built, so the returned array is the caller's own.
     """
+    w = _Workspace(params, grid) if work is None else work
+    P, DS, Df, Db, vf, vb, L2 = P_next, w.DS, w.Df, w.Db, w.vf, w.vb, w.L2
     dt = grid.dt(params.T)
     t_next = (n + 1) * dt
-    ds, dq = grid.ds, grid.dq
-    q = grid.q_nodes()[None, :]
-    DS = _price_gradient(P_next, ds)
-    sched = params.N * t_next / params.T if twap else 0.0
-    q_eff = q - sched
-    risk = (-0.5 * params.sigma**2 * params.gamma
-            * np.exp(params.r * (params.T - t_next)) * (q_eff - DS) ** 2)
-    drive = params.b * q_eff - params.b * DS
-    Df, Db = _upwind_inventory_gradients(P_next, dq)
-    lin_f = drive - Df
-    lin_b = drive - Db
-    v_f = np.clip(lin_f / (2.0 * params.l), 0.0, params.C)
-    v_b = np.clip(lin_b / (2.0 * params.l), -params.C, 0.0)
-    v_f[:, -1] = 0.0   # no buying at q_max
-    v_b[:, 0] = 0.0    # no selling at q_min
-    ham = np.maximum(-params.l * v_f**2 + lin_f * v_f,
-                     -params.l * v_b**2 + lin_b * v_b)
-    return risk + ham
-
-
-def _source(n: int, params: MarketParams, grid: GridSpec, twap: bool) -> np.ndarray:
-    """(mu - r*S)*q source of the linear operator, on the unknown layer n."""
-    src = (params.mu - params.r * grid.s_nodes())[:, None] * grid.q_nodes()[None, :]
+    ds, dq, l, C = grid.ds, grid.dq, params.l, params.C
     if twap:
-        src = src - params.mu * params.N * (n * grid.dt(params.T)) / params.T
-    return src
+        np.subtract(w.q, params.N * t_next / params.T, out=w.q_eff)
+        np.multiply(w.q_eff, params.b, out=w.bq)
+    np.subtract(P[2:], P[:-2], out=DS[1:-1]); DS[1:-1] /= 2.0 * ds
+    np.subtract(P[1], P[0], out=DS[0]); DS[0] /= ds
+    np.subtract(P[-1], P[-2], out=DS[-1]); DS[-1] /= ds
+    # forward and backward inventory differences share 4*P[:, 1:-1] (in vf)
+    np.multiply(P[:, 1:-1], 4.0, out=vf[:, :-2])
+    np.multiply(P[:, :-2], -3.0, out=Df[:, :-2])
+    Df[:, :-2] += vf[:, :-2]; Df[:, :-2] -= P[:, 2:]; Df[:, :-2] /= 2.0 * dq
+    np.subtract(P[:, -1], P[:, -2], out=Df[:, -2]); Df[:, -2] /= dq
+    Df[:, -1] = Df[:, -2]
+    np.multiply(P[:, 2:], 3.0, out=Db[:, 2:])
+    Db[:, 2:] -= vf[:, :-2]; Db[:, 2:] += P[:, :-2]; Db[:, 2:] /= 2.0 * dq
+    np.subtract(P[:, 1], P[:, 0], out=Db[:, 1]); Db[:, 1] /= dq
+    Db[:, 0] = Db[:, 1]
+    # risk term into L2, then b*q_eff - b*dP/dS into DS
+    np.subtract(w.q_eff, DS, out=L2); np.square(L2, out=L2)
+    L2 *= -0.5 * params.sigma**2 * params.gamma * np.exp(params.r * (params.T - t_next))
+    DS *= params.b; np.subtract(w.bq, DS, out=DS)
+    # the linear coefficients in Df, Db; the clamped speeds in vf, vb
+    np.subtract(DS, Df, out=Df); np.subtract(DS, Db, out=Db)
+    np.divide(Df, 2.0 * l, out=vf); vf.clip(0.0, C, out=vf)
+    np.divide(Db, 2.0 * l, out=vb); vb.clip(-C, 0.0, out=vb)
+    vf[:, -1] = 0.0   # no buying at q_max
+    vb[:, 0] = 0.0    # no selling at q_min
+    # the buy and sell candidates -l*v^2 + lin*v, and the better one
+    Df *= vf; np.square(vf, out=vf); vf *= -l; vf += Df
+    Db *= vb; np.square(vb, out=vb); vb *= -l; vb += Db
+    np.maximum(vf, vb, out=vf)
+    L2 += vf
+    return L2
 
 
 def step_backward(P_next: np.ndarray, n: int, params: MarketParams,
@@ -264,20 +279,31 @@ def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
             "the upwind Hamiltonian step can lose stability; keep "
             "C*dt <= dq/2 (increase n_steps or coarsen the inventory grid)",
             RuntimeWarning)
+    w = _Workspace(params, grid)
+    src = (params.mu - params.r * grid.s_nodes())[:, None] * w.q
+    dt_src = np.asfortranarray(dt * src)
+    gtsv, = get_lapack_funcs(("gtsv",), (ab,))
+    du, d, dl = ab[0, 1:], ab[1, :], ab[2, :-1]
     layers = np.empty((n_hi - n_lo + 1, grid.I + 1, grid.J + 1))
     layers[-1] = P_terminal
-    P = P_terminal
+    P = w.P
+    P[...] = P_terminal
+    top = _absmax(P)   # the surface scale; not finite exactly when P is not
     worst = 0.0
     for n in range(n_hi - 1, n_lo - 1, -1):
-        L2 = explicit_nonlinear(P, n, params, grid, twap)
-        scale = max(1.0, float(np.abs(P).max()))
-        worst = max(worst, dt * float(np.abs(L2).max()) / scale)
-        rhs = -P + dt * L2 + dt * _source(n, params, grid, twap)
-        try:
-            P = solve_banded((1, 1), ab, rhs, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularTridiagonal(str(exc)) from exc
-        if not np.isfinite(P).all():
+        rhs = explicit_nonlinear(P, n, params, grid, twap, w)
+        worst = max(worst, dt * _absmax(rhs) / max(1.0, top))
+        if twap:
+            np.subtract(src, params.mu * params.N * (n * dt) / params.T, out=dt_src)
+            dt_src *= dt
+        # -P + dt*L2 + dt*src: x - y is x + (-y), and a sum of two commutes
+        rhs *= dt; rhs -= P; rhs += dt_src
+        w.L2 = P   # the next increment overwrites the layer just used
+        P, info = gtsv(dl, d, du, rhs, overwrite_b=True)[3:]
+        if info > 0:
+            raise SingularTridiagonal("singular matrix")
+        top = _absmax(P)
+        if not math.isfinite(top):
             raise NonFinite(f"surface became non-finite at time step {n}")
         layers[n - n_lo] = P
     if worst > _EXPLICIT_GUARD:

@@ -61,12 +61,17 @@ INVALID_CONFIGS = {
     "sweep.param": ["sweep: {param: tau, values: [0.3]}\n"],
     "sweep.values": ["sweep: {param: sigma, values: 5}\n",
                      "sweep: {param: sigma, values: [abc]}\n"],
-    "contracts": ["contracts: 5\n"],
+    "contracts": ["contracts: 5\n",
+                  # a misspelt strike is not a default one
+                  "contracts: [{family: collar_cash, k1: 30.0}]\n"],
     # strikes belong to collars alone, and in the order K1 < K2
     "contracts.K1": ["contracts: [{family: collar_cash, K1: abc, K2: 50}]\n",
                      "contracts: [{family: linear_cash, K1: 40.0, K2: 30.0}]\n"],
     "contracts.K2": ["contracts: [{family: collar_cash, K1: 50.0, K2: 40.0}]\n",
                      "contracts: [{family: twap_physical, K2: 50.0}]\n"],
+    # the target canonical_dict writes may be repeated, not changed
+    "contracts.liquidation_target": [
+        "contracts: [{family: linear_physical, liquidation_target: 0.5}]\n"],
     "regulatory": ["regulatory: 5\n"],
     "regulatory.p": ["regulatory: {p: abc, tau: 0.5}\n"],
 }

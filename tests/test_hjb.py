@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import execfees as ef
 from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
-from execfees.hjb import _interpolate, _sweep, build_banded
+from execfees.hjb import _interpolate, _sweep, _terminal_layer, build_banded
 
 from conftest import contract, twap_reduced_ode_value
 
@@ -110,6 +113,87 @@ def test_explicit_guard_warns_on_coarse_time():
     g = ef.GridSpec(I=20, J=20, n_steps=5)
     with pytest.warns(RuntimeWarning, match="explicit increment"):
         ef.solve_fee_surface(contract("linear_physical", p), p, g)
+
+
+def test_cfl_warning_fires_beyond_its_bound(params):
+    P = np.zeros((11, 101))
+    g = ef.GridSpec(I=10, n_steps=800)                 # C*dt = 0.625*dq
+    with pytest.warns(RuntimeWarning, match=r"exceeds 0\.6\*dq"):
+        _sweep(P, 2, 0, params, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _sweep(P, 2, 0, params, ef.GridSpec(I=10))      # C*dt = 0.5*dq
+
+
+def test_explicit_calls_return_arrays_they_own(params, grid):
+    spec = contract("linear_cash", params)
+    P_T = ef.terminal_fee(spec, grid.q_nodes()[None, :], grid.s_nodes()[:, None], params)
+    P_T = P_T + np.zeros((grid.I + 1, grid.J + 1))
+    P_prev = ef.step_backward(P_T, grid.n_steps - 1, params, grid)
+    first = ef.explicit_nonlinear(P_T, grid.n_steps - 1, params, grid)
+    kept = first.copy()
+    second = ef.explicit_nonlinear(P_prev, grid.n_steps - 2, params, grid)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+
+
+def _reference_sweep(P_T, n_hi, n_lo, p, g, twap):
+    """The backward step written plainly: fresh arrays and scipy's solve_banded."""
+    ab = build_banded(p, g)
+    dt, ds, dq = g.dt(p.T), g.ds, g.dq
+    S, q = g.s_nodes()[:, None], g.q_nodes()[None, :]
+    layers, P = [P_T], P_T
+    for n in range(n_hi - 1, n_lo - 1, -1):
+        t_next = (n + 1) * dt
+        DS = np.empty_like(P)
+        DS[1:-1] = (P[2:] - P[:-2]) / (2.0 * ds)
+        DS[0] = (P[1] - P[0]) / ds
+        DS[-1] = (P[-1] - P[-2]) / ds
+        Df, Db = np.empty_like(P), np.empty_like(P)
+        Df[:, :-2] = (-3.0 * P[:, :-2] + 4.0 * P[:, 1:-1] - P[:, 2:]) / (2.0 * dq)
+        Df[:, -2] = Df[:, -1] = (P[:, -1] - P[:, -2]) / dq
+        Db[:, 2:] = (3.0 * P[:, 2:] - 4.0 * P[:, 1:-1] + P[:, :-2]) / (2.0 * dq)
+        Db[:, 1] = Db[:, 0] = (P[:, 1] - P[:, 0]) / dq
+        q_eff = q - (p.N * t_next / p.T if twap else 0.0)
+        risk = (-0.5 * p.sigma**2 * p.gamma * np.exp(p.r * (p.T - t_next))
+                * (q_eff - DS) ** 2)
+        lin_f = p.b * q_eff - p.b * DS - Df
+        lin_b = p.b * q_eff - p.b * DS - Db
+        v_f = np.clip(lin_f / (2.0 * p.l), 0.0, p.C)
+        v_b = np.clip(lin_b / (2.0 * p.l), -p.C, 0.0)
+        v_f[:, -1] = 0.0
+        v_b[:, 0] = 0.0
+        L2 = risk + np.maximum(-p.l * v_f**2 + lin_f * v_f, -p.l * v_b**2 + lin_b * v_b)
+        src = (p.mu - p.r * S) * q
+        if twap:
+            src = src - p.mu * p.N * (n * dt) / p.T
+        P = solve_banded((1, 1), ab, -P + dt * L2 + dt * src)
+        layers.append(P)
+    return np.array(layers[::-1])
+
+
+# family, params, the sweep's layers (n_hi, n_lo) on the baseline time grid
+REFERENCE_SWEEPS = {
+    "collar_cash": ("collar_cash", {}, (50, 0)),                 # 101x101 grid
+    "linear_cash": ("linear_cash", {}, (50, 0)),                 # 3 price nodes
+    "twap_cash": ("twap_cash", {"mu": 0.05}, (50, 0)),
+    "linear_physical_r": ("linear_physical", {"r": 0.01}, (50, 0)),
+    # a regulatory branch: from T down to tau, so n_lo > 0
+    "branch_to_tau": ("linear_physical", {"mu": 0.05}, (1000, 950)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+@pytest.mark.parametrize("case", list(REFERENCE_SWEEPS))
+def test_sweep_equals_reference_step_bitwise(case):
+    family, kw, (n_hi, n_lo) = REFERENCE_SWEEPS[case]
+    p = ef.MarketParams(**kw)
+    g, P_T = _terminal_layer(contract(family, p), p, ef.GridSpec())
+    twap = ef.Family(family).is_twap
+    got = _sweep(P_T, n_hi, n_lo, p, g, twap)
+    assert got.shape == (n_hi - n_lo + 1, g.I + 1, g.J + 1)
+    assert np.array_equal(got, _reference_sweep(P_T, n_hi, n_lo, p, g, twap))
 
 
 # ---------------------------------------------------------------------------
