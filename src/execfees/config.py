@@ -138,9 +138,16 @@ def config_from_dict(raw: dict | None) -> ExperimentConfig:
     params = MarketParams(**_section(MarketParams, raw.get("params"), "params"))
     grid = GridSpec(**_section(GridSpec, raw.get("grid"), "grid"))
     sim = SimConfig(**_section(SimConfig, raw.get("sim"), "sim"))
+    # the surface lookup clamps to the grid hull, so a start outside it is wrong
+    for name, lo, hi in (("s0", grid.s_min, grid.s_max), ("q0", grid.q_min, grid.q_max)):
+        if not lo <= getattr(sim, name) <= hi:
+            raise ConfigError(f"sim.{name}: must lie in the grid hull [{lo}, {hi}], "
+                              f"got {getattr(sim, name)!r}")
     contracts = (BASELINE_CONTRACTS if raw.get("contracts") is None
                  else tuple(_build_contract(c, params.N)
                             for c in _listed(raw["contracts"], "contracts")))
+    if not contracts:
+        raise ConfigError("contracts: must be non-empty")
     reg = None
     if raw.get("regulatory") is not None:
         reg = RegulatorySpec(**_section(RegulatorySpec, raw["regulatory"], "regulatory"))

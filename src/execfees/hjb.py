@@ -7,8 +7,9 @@ solves, backward from P(T) = Pi(S) + L(q),
         - (sigma^2*gamma/2)*e^{r(T-t)}*(q - dP/dS)^2
         + sup_{|v|<=C} { -l*v^2 + (b*q - b*dP/dS - dP/dq)*v } = 0.
 
-solve_fee_surface is the single entry point for all six families; the TWAP
-families go through a state reduction (r = 0 only) described there.
+solve_fee_surface is the single entry point for all six families.  Only
+_terminal_layer tells TWAP apart: it hands the kernels a schedule (N for the
+TWAP state reduction, 0 otherwise) and they always use q - schedule*t/T.
 
 Time stepping is a semi-implicit operator splitting: the linear part
 (discounting, drift, diffusion in S) is implicit and reduces to one
@@ -78,8 +79,8 @@ class FeeSurface:
 
     ``values[k, i, j]`` approximates the fee at time layer ``n0 + k``, price
     node i, inventory node j of ``grid``, the grid it was solved on (see
-    _terminal_layer).  For TWAP contracts the surface holds the reduced value
-    U; the fee at time t is N*(t/T)*(S - A) + U, which at t = 0 is U itself.
+    _terminal_layer).  At schedule N (TWAP) it holds the reduced value U; the
+    fee at time t is N*(t/T)*(S - A) + U, which at t = 0 is U itself.
     """
 
     grid: GridSpec
@@ -87,7 +88,7 @@ class FeeSurface:
     values: np.ndarray
     contract: ContractSpec | None = None
     n0: int = 0
-    twap: bool = False
+    schedule: float = 0.0
     kind: str = "fee"
 
     @property
@@ -183,13 +184,12 @@ class _Workspace:
 
     The buffers are Fortran-ordered (I+1, J+1) arrays, so gtsv solves the
     right-hand side built in L2 in place; _sweep then swaps L2 and P.
-    q_eff and b*q_eff are fixed unless a TWAP sweep rewrites them.
+    Each step rewrites the rows q_eff = q - schedule*t/T and b*q_eff.
     """
 
-    def __init__(self, params: MarketParams, grid: GridSpec):
+    def __init__(self, grid: GridSpec):
         self.q = grid.q_nodes()[None, :]
-        self.q_eff = self.q.copy()
-        self.bq = params.b * self.q
+        self.q_eff, self.bq = np.empty_like(self.q), np.empty_like(self.q)
         shape = (grid.I + 1, grid.J + 1)
         (self.DS, self.Df, self.Db, self.vf, self.vb, self.L2,
          self.P) = (np.empty(shape, order="F") for _ in range(7))
@@ -201,28 +201,27 @@ def _absmax(a: np.ndarray) -> float:
 
 
 def explicit_nonlinear(P_next: np.ndarray, n: int, params: MarketParams,
-                       grid: GridSpec, twap: bool = False,
+                       grid: GridSpec, schedule: float = 0.0,
                        work: _Workspace | None = None) -> np.ndarray:
     """Explicit nonlinear increment evaluated on the known layer n+1.
 
     Risk term -(sigma^2*gamma/2)*e^{r(T-t)}*(q - dP/dS)^2 plus the constrained
     Hamiltonian sup_{|v|<=C} {-l*v^2 + (b*q - b*dP/dS - dP/dq)*v}, evaluated
     at the clamped optimizer so the scheme stays correct when the speed bound
-    binds.  For the TWAP reduction q is replaced by q - N*t/T in both terms.
+    binds.  q enters both terms as q - schedule*t/T (see _terminal_layer).
 
     dP/dS is central inside and one-sided at the price edges; the one-sided
     dP/dq pair is second order where two neighbors exist.  Everything is
     written into `work`, the result into work.L2; with work=None a fresh
     workspace is built, so the returned array is the caller's own.
     """
-    w = _Workspace(params, grid) if work is None else work
+    w = _Workspace(grid) if work is None else work
     P, DS, Df, Db, vf, vb, L2 = P_next, w.DS, w.Df, w.Db, w.vf, w.vb, w.L2
     dt = grid.dt(params.T)
     t_next = (n + 1) * dt
     ds, dq, l, C = grid.ds, grid.dq, params.l, params.C
-    if twap:
-        np.subtract(w.q, params.N * t_next / params.T, out=w.q_eff)
-        np.multiply(w.q_eff, params.b, out=w.bq)
+    np.subtract(w.q, schedule * t_next / params.T, out=w.q_eff)
+    np.multiply(w.q_eff, params.b, out=w.bq)
     np.subtract(P[2:], P[:-2], out=DS[1:-1]); DS[1:-1] /= 2.0 * ds
     np.subtract(P[1], P[0], out=DS[0]); DS[0] /= ds
     np.subtract(P[-1], P[-2], out=DS[-1]); DS[-1] /= ds
@@ -255,19 +254,19 @@ def explicit_nonlinear(P_next: np.ndarray, n: int, params: MarketParams,
 
 
 def step_backward(P_next: np.ndarray, n: int, params: MarketParams,
-                  grid: GridSpec, twap: bool = False,
+                  grid: GridSpec, schedule: float = 0.0,
                   ab: np.ndarray | None = None) -> np.ndarray:
     """One backward step: layer n from layer n+1 (a one-step _sweep).
 
     Solves, for each inventory slice, the tridiagonal system assembled by
     build_banded (passed in as ab, or built here) against the right-hand side
-    -P^{n+1} + dt*explicit_nonlinear + dt*(mu - r*S)*q.
+    -P^{n+1} + dt*explicit_nonlinear + dt*(mu - r*S)*q - dt*mu*schedule*t/T.
     """
-    return _sweep(P_next, n + 1, n, params, grid, twap, ab)[0]
+    return _sweep(P_next, n + 1, n, params, grid, schedule, ab)[0]
 
 
 def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
-           grid: GridSpec, twap: bool = False,
+           grid: GridSpec, schedule: float = 0.0,
            ab: np.ndarray | None = None) -> np.ndarray:
     """Backward sweep from layer n_hi down to n_lo; returns all layers."""
     if ab is None:
@@ -279,9 +278,10 @@ def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
             "the upwind Hamiltonian step can lose stability; keep "
             "C*dt <= dq/2 (increase n_steps or coarsen the inventory grid)",
             RuntimeWarning)
-    w = _Workspace(params, grid)
+    w = _Workspace(grid)
     src = (params.mu - params.r * grid.s_nodes())[:, None] * w.q
     dt_src = np.asfortranarray(dt * src)
+    moving = params.mu * schedule != 0.0   # dt_src is rebuilt per step only then
     gtsv, = get_lapack_funcs(("gtsv",), (ab,))
     du, d, dl = ab[0, 1:], ab[1, :], ab[2, :-1]
     layers = np.empty((n_hi - n_lo + 1, grid.I + 1, grid.J + 1))
@@ -291,10 +291,10 @@ def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
     top = _absmax(P)   # the surface scale; not finite exactly when P is not
     worst = 0.0
     for n in range(n_hi - 1, n_lo - 1, -1):
-        rhs = explicit_nonlinear(P, n, params, grid, twap, w)
+        rhs = explicit_nonlinear(P, n, params, grid, schedule, w)
         worst = max(worst, dt * _absmax(rhs) / max(1.0, top))
-        if twap:
-            np.subtract(src, params.mu * params.N * (n * dt) / params.T, out=dt_src)
+        if moving:
+            np.subtract(src, params.mu * schedule * (n * dt) / params.T, out=dt_src)
             dt_src *= dt
         # -P + dt*L2 + dt*src: x - y is x + (-y), and a sum of two commutes
         rhs *= dt; rhs -= P; rhs += dt_src
@@ -314,13 +314,21 @@ def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
 
 
 def _terminal_layer(spec: ContractSpec, params: MarketParams,
-                    grid: GridSpec) -> tuple[GridSpec, np.ndarray]:
-    """The grid a solve runs on, and its terminal layer P(T).
+                    grid: GridSpec) -> tuple[GridSpec, np.ndarray, float]:
+    """The grid a solve runs on, its terminal layer P(T) and its schedule.
+
+    TWAP families are solved through a state reduction (r = 0 only): the
+    reduced value U(t, S, q) satisfies the fee equation with q replaced by
+    q - N*t/T in the risk, impact and source terms, and U(T, q) = L(q); the
+    fee at t = 0 is U(0, S, q).  Their schedule is N, every other family's 0.
 
     At r = 0 every non-collar fee is affine in S (a(t, q) + N*S, or the TWAP
     reduction's price-free U); the scheme and bilinear lookup are exact on an
     affine field, so those solves take a 3-node price axis on the same hull.
     """
+    twap = spec.family.is_twap
+    if twap and params.r != 0.0:
+        raise RequiresZeroRate("the TWAP state reduction is derived for r = 0")
     if spec.family.is_collar:
         for name, k in (("K1", spec.K1), ("K2", spec.K2)):
             off = (k - grid.s_min) / grid.ds
@@ -331,26 +339,17 @@ def _terminal_layer(spec: ContractSpec, params: MarketParams,
         grid = replace(grid, I=2)
     S, q = grid.s_nodes()[:, None], grid.q_nodes()[None, :]
     P_T = (liquidation_cost(q, spec.target(params.N), params.alpha)
-           if spec.family.is_twap else terminal_fee(spec, q, S, params))
-    return grid, P_T + np.zeros((grid.I + 1, grid.J + 1))
+           if twap else terminal_fee(spec, q, S, params))
+    return grid, P_T + np.zeros((grid.I + 1, grid.J + 1)), params.N if twap else 0.0
 
 
 def solve_fee_surface(spec: ContractSpec, params: MarketParams,
                       grid: GridSpec) -> FeeSurface:
-    """Full backward solve of the fee equation for any contract family.
-
-    TWAP families are solved through the state reduction (requires r = 0):
-    the reduced value U(t, S, q) satisfies the fee equation with q replaced
-    by q - N*t/T in the risk and impact terms, and terminal condition
-    U(T, q) = L(q).  The fee at t = 0 equals U(0, q, S).
-    """
-    twap = spec.family.is_twap
-    if twap and params.r != 0.0:
-        raise RequiresZeroRate("the TWAP state reduction is derived for r = 0")
-    grid, P_T = _terminal_layer(spec, params, grid)
-    values = _sweep(P_T, grid.n_steps, 0, params, grid, twap)
+    """Full backward solve of the fee equation for any contract family."""
+    grid, P_T, schedule = _terminal_layer(spec, params, grid)
+    values = _sweep(P_T, grid.n_steps, 0, params, grid, schedule)
     return FeeSurface(grid=grid, params=params, values=values, contract=spec,
-                      twap=twap, kind="twap_value" if twap else "fee")
+                      schedule=schedule)
 
 
 def solve_regulatory(tau: float, p_values, params: MarketParams,
@@ -374,7 +373,7 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
     n_tau = specs[0].snapped_step(params, grid)
     post = []
     for spec in (ContractSpec(Family.LINEAR_PHYSICAL), ContractSpec(Family.LINEAR_CASH)):
-        solved, P_T = _terminal_layer(spec, params, grid)
+        solved, P_T, _ = _terminal_layer(spec, params, grid)
         post.append(FeeSurface(grid=solved, params=params, contract=spec, n0=n_tau,
                                values=_sweep(P_T, grid.n_steps, n_tau, params, solved)))
     tau = n_tau * solved.dt(params.T)   # the grid time tau snaps to
@@ -396,14 +395,14 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
 
 def extract_control(surface: FeeSurface, params: MarketParams,
                     out: np.ndarray | None = None) -> ControlSurface:
-    """Clamped optimal speed v* = clip((b*q - b*dP/dS - dP/dq)/(2l), [-C, C]).
+    """Clamped optimal speed v* = clip((b*y - b*dP/dS - dP/dq)/(2l), [-C, C]).
 
     Central differences in the interior, second-order one-sided at the edges;
     at the inventory boundaries the speed is additionally restricted to point
     into the grid, matching the solver's boundary Hamiltonian.  The control
     is written to `out` (freshly allocated when None), which may be
     `surface.values` itself: each layer is read in full before its control
-    overwrites it, and no other layer is read.
+    overwrites it, and no other layer is read.  y = q - schedule*t/T.
     """
     g = surface.grid
     ds, dq = g.ds, g.dq
@@ -421,8 +420,8 @@ def extract_control(surface: FeeSurface, params: MarketParams,
         Dq[:, 0] = (-3.0 * P[:, 0] + 4.0 * P[:, 1] - P[:, 2]) / (2.0 * dq)
         Dq[:, -1] = (3.0 * P[:, -1] - 4.0 * P[:, -2] + P[:, -3]) / (2.0 * dq)
         t = (surface.n0 + k) * g.dt(params.T)
-        sched = (params.N * t / params.T) if surface.twap else 0.0
-        v = (params.b * (q - sched) - params.b * DS - Dq) / (2.0 * params.l)
+        y = q - surface.schedule * t / params.T
+        v = (params.b * y - params.b * DS - Dq) / (2.0 * params.l)
         np.clip(v, -params.C, params.C, out=v)
         v[:, 0] = np.maximum(v[:, 0], 0.0)
         v[:, -1] = np.minimum(v[:, -1], 0.0)

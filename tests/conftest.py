@@ -21,9 +21,10 @@ def contract(family, params, **kw):
     return ef.make_contract(family, params, **kw)
 
 
-def twap_reduced_ode_value(params, target, q0):
-    """Independent oracle: quadratic ansatz in y = q - N*t/T reduces the
-    transformed equation to three coefficient ODEs, integrated back from T."""
+def twap_ode_coefficients(params, target, t=0.0):
+    """Independent oracle: quadratic ansatz U = c0 + c1*y + c2*y^2 in
+    y = q - N*t/T reduces the transformed equation to three coefficient ODEs,
+    integrated back from T; returns (c0, c1, c2) at time t."""
     s2g = params.sigma**2 * params.gamma
 
     def rhs(t, c):
@@ -36,8 +37,13 @@ def twap_reduced_ode_value(params, target, q0):
 
     off = params.N - target
     c_T = [params.alpha * off**2, 2 * params.alpha * off, params.alpha]
-    sol = solve_ivp(rhs, [params.T, 0.0], c_T, rtol=1e-10, atol=1e-13)
-    c0, c1, c2 = sol.y[:, -1]
+    sol = solve_ivp(rhs, [params.T, t], c_T, rtol=1e-10, atol=1e-13)
+    return sol.y[:, -1]
+
+
+def twap_reduced_ode_value(params, target, q0):
+    """The oracle's reduced value U(0, q0); at t = 0, y = q0."""
+    c0, c1, c2 = twap_ode_coefficients(params, target)
     return c0 + c1 * q0 + c2 * q0**2
 
 

@@ -53,7 +53,9 @@ INVALID_CONFIGS = {
     "sim.n_steps": ["sim: {n_steps: 2.5}\n", f"sim: {{n_steps: {10**400}}}\n"],
     "sim.seed": ["sim: {seed: abc}\n", f"sim: {{seed: {2**64 - 1}}}\n",
                  f"sim: {{seed: {2**64}}}\n"],
-    "sim.s0": ["sim: {s0: abc}\n"],
+    # the fee lookup would clamp a start outside the grid hull to its edge
+    "sim.s0": ["sim: {s0: abc}\n", "sim: {s0: 100.0}\n"],
+    "sim.q0": ["sim: {q0: 3.0}\n"],
     "grid.I": ["grid: {I: 10.5}\n",
                f"grid: {{I: {10**400}}}\ncontracts: [collar_cash]\n"],
     "grid.J": ["grid: {J: 20.0}\n"],
@@ -61,7 +63,7 @@ INVALID_CONFIGS = {
     "sweep.param": ["sweep: {param: tau, values: [0.3]}\n"],
     "sweep.values": ["sweep: {param: sigma, values: 5}\n",
                      "sweep: {param: sigma, values: [abc]}\n"],
-    "contracts": ["contracts: 5\n",
+    "contracts": ["contracts: 5\n", "contracts: []\n",
                   # a misspelt strike is not a default one
                   "contracts: [{family: collar_cash, k1: 30.0}]\n"],
     # strikes belong to collars alone, and in the order K1 < K2
@@ -393,9 +395,9 @@ def test_reproduce_all_solves_each_distinct_sweep_once(tmp_path, monkeypatch):
     keys = []
     sweep = hjb._sweep
 
-    def counting_sweep(P_terminal, n_hi, n_lo, params, grid, twap=False, ab=None):
-        keys.append((P_terminal.tobytes(), params, grid, n_hi, n_lo, twap))
-        return sweep(P_terminal, n_hi, n_lo, params, grid, twap, ab)
+    def counting_sweep(P_terminal, n_hi, n_lo, params, grid, schedule=0.0, ab=None):
+        keys.append((P_terminal.tobytes(), params, grid, n_hi, n_lo, schedule))
+        return sweep(P_terminal, n_hi, n_lo, params, grid, schedule, ab)
 
     monkeypatch.setattr(hjb, "_sweep", counting_sweep)
     cfg = tmp_path / "exp.yaml"

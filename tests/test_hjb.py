@@ -9,7 +9,7 @@ from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
 from execfees.hjb import _interpolate, _sweep, _terminal_layer, build_banded
 
-from conftest import contract, twap_reduced_ode_value
+from conftest import contract, twap_ode_coefficients, twap_reduced_ode_value
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_explicit_calls_return_arrays_they_own(params, grid):
     assert not np.array_equal(first, second)
 
 
-def _reference_sweep(P_T, n_hi, n_lo, p, g, twap):
+def _reference_sweep(P_T, n_hi, n_lo, p, g, schedule):
     """The backward step written plainly: fresh arrays and scipy's solve_banded."""
     ab = build_banded(p, g)
     dt, ds, dq = g.dt(p.T), g.ds, g.dq
@@ -155,7 +155,7 @@ def _reference_sweep(P_T, n_hi, n_lo, p, g, twap):
         Df[:, -2] = Df[:, -1] = (P[:, -1] - P[:, -2]) / dq
         Db[:, 2:] = (3.0 * P[:, 2:] - 4.0 * P[:, 1:-1] + P[:, :-2]) / (2.0 * dq)
         Db[:, 1] = Db[:, 0] = (P[:, 1] - P[:, 0]) / dq
-        q_eff = q - (p.N * t_next / p.T if twap else 0.0)
+        q_eff = q - schedule * t_next / p.T
         risk = (-0.5 * p.sigma**2 * p.gamma * np.exp(p.r * (p.T - t_next))
                 * (q_eff - DS) ** 2)
         lin_f = p.b * q_eff - p.b * DS - Df
@@ -165,9 +165,7 @@ def _reference_sweep(P_T, n_hi, n_lo, p, g, twap):
         v_f[:, -1] = 0.0
         v_b[:, 0] = 0.0
         L2 = risk + np.maximum(-p.l * v_f**2 + lin_f * v_f, -p.l * v_b**2 + lin_b * v_b)
-        src = (p.mu - p.r * S) * q
-        if twap:
-            src = src - p.mu * p.N * (n * dt) / p.T
+        src = (p.mu - p.r * S) * q - p.mu * schedule * (n * dt) / p.T
         P = solve_banded((1, 1), ab, -P + dt * L2 + dt * src)
         layers.append(P)
     return np.array(layers[::-1])
@@ -178,6 +176,7 @@ REFERENCE_SWEEPS = {
     "collar_cash": ("collar_cash", {}, (50, 0)),                 # 101x101 grid
     "linear_cash": ("linear_cash", {}, (50, 0)),                 # 3 price nodes
     "twap_cash": ("twap_cash", {"mu": 0.05}, (50, 0)),
+    "twap_physical_mu0": ("twap_physical", {}, (50, 0)),     # source fixed in t
     "linear_physical_r": ("linear_physical", {"r": 0.01}, (50, 0)),
     # a regulatory branch: from T down to tau, so n_lo > 0
     "branch_to_tau": ("linear_physical", {"mu": 0.05}, (1000, 950)),
@@ -189,11 +188,11 @@ REFERENCE_SWEEPS = {
 def test_sweep_equals_reference_step_bitwise(case):
     family, kw, (n_hi, n_lo) = REFERENCE_SWEEPS[case]
     p = ef.MarketParams(**kw)
-    g, P_T = _terminal_layer(contract(family, p), p, ef.GridSpec())
-    twap = ef.Family(family).is_twap
-    got = _sweep(P_T, n_hi, n_lo, p, g, twap)
+    g, P_T, schedule = _terminal_layer(contract(family, p), p, ef.GridSpec())
+    assert schedule == (p.N if ef.Family(family).is_twap else 0.0)
+    got = _sweep(P_T, n_hi, n_lo, p, g, schedule)
     assert got.shape == (n_hi - n_lo + 1, g.I + 1, g.J + 1)
-    assert np.array_equal(got, _reference_sweep(P_T, n_hi, n_lo, p, g, twap))
+    assert np.array_equal(got, _reference_sweep(P_T, n_hi, n_lo, p, g, schedule))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +348,20 @@ def test_twap_matches_reduced_ode_oracle(params, twap_surfaces):
         assert u0 == pytest.approx(oracle, abs=5e-4)
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5])
+def test_twap_control_matches_reduced_ode_oracle(params, grid, twap_surfaces, t):
+    # dU/dS = 0 and dU/dq = c1 + 2*c2*y, so v* = clip((b*y - c1 - 2*c2*y)/(2l), C)
+    q = np.linspace(-0.5, 0.9, 15)
+    y = q - params.N * t / params.T
+    for side, target in (("physical", params.N), ("cash", 0.0)):
+        _, c1, c2 = twap_ode_coefficients(params, target, t)
+        oracle = np.clip((params.b * y - c1 - 2 * c2 * y) / (2 * params.l),
+                         -params.C, params.C)
+        ctrl = ef.extract_control(twap_surfaces[side], params)
+        got = _interpolate(ctrl, t / grid.dt(params.T), 45.0, q)
+        assert np.abs(got - oracle).max() < 1e-2, side
+
+
 def _deterministic_dp_value(params, target, q0, J=500, n_steps=250, n_v=501):
     """Brute-force dynamic program over trading speeds on a (t, q) grid."""
     qg = np.linspace(-1.0, 1.0, J + 1)
@@ -402,11 +415,11 @@ def test_affine_families_solve_exactly_on_three_price_nodes(sigma, mu):
     zeros = np.zeros((g.I + 1, g.J + 1))
     for fam in ("linear_physical", "linear_cash", "twap_physical", "twap_cash"):
         spec = contract(fam, p)
-        twap = spec.family.is_twap
-        P_T = (ef.liquidation_cost(q, spec.target(p.N), p.alpha) if twap
-               else ef.terminal_fee(spec, q, S, p)) + zeros
-        full = ef.FeeSurface(grid=g, params=p, contract=spec, twap=twap,
-                             values=_sweep(P_T, g.n_steps, 0, p, g, twap))
+        schedule = p.N if spec.family.is_twap else 0.0
+        P_T = (ef.liquidation_cost(q, spec.target(p.N), p.alpha)
+               if spec.family.is_twap else ef.terminal_fee(spec, q, S, p)) + zeros
+        full = ef.FeeSurface(grid=g, params=p, contract=spec, schedule=schedule,
+                             values=_sweep(P_T, g.n_steps, 0, p, g, schedule))
         _assert_matches_full_axis(ef.solve_fee_surface(spec, p, g), full, p)
     # regulatory mixture at p = 1/2, mixed independently of solve_regulatory
     res = ef.solve_regulatory(0.5, [0.5], p, g)
