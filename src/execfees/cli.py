@@ -167,7 +167,6 @@ def run_paths(config: ExperimentConfig, out_dir: str):
         if tag in tags[:k]:
             raise ConfigError(f"sweep.values: {swept[tags.index(tag)][0]!r} and "
                               f"{swept[k][0]!r} both name the files tagged {tag!r}")
-    written = []
     for (_, params), tag in zip(swept, tags):
         if cfg.zero_noise:
             increments = np.zeros((cfg.n_paths, cfg.n_steps))
@@ -185,16 +184,11 @@ def run_paths(config: ExperimentConfig, out_dir: str):
             _write_lines(os.path.join(out_dir, name),
                          ["path", "t", "S", "Q", "X", "v", "A"],
                          _path_lines(path, times), cfg_hash)
-            written.append(name)
-        if shared:
-            fams = sorted(shared)
-            header = ["t"] + [f"{c}_{f}" for f in fams for c in ("S", "Q", "v")]
-            columns = [times] + [col for f in fams for col in shared[f]]
-            name = f"paths_comparison{tag}.csv"
-            _write_lines(os.path.join(out_dir, name), header,
-                         (",".join(cells) for cells in zip(*columns)), cfg_hash)
-            written.append(name)
-    return written
+        fams = sorted(shared)
+        header = ["t"] + [f"{c}_{f}" for f in fams for c in ("S", "Q", "v")]
+        columns = [times] + [col for f in fams for col in shared[f]]
+        _write_lines(os.path.join(out_dir, f"paths_comparison{tag}.csv"), header,
+                     (",".join(cells) for cells in zip(*columns)), cfg_hash)
 
 
 def _text(values: np.ndarray, *tail: float) -> list[str]:

@@ -6,8 +6,8 @@ solves a Riccati ODE with an explicit solution; for the cash-settled contract
 the linear coefficient solves a first-order linear ODE (integrating factor)
 and the constant term is an integral evaluated by quadrature.
 
-These formulas are the validation oracle for the PDE solver and a fast path
-for linear-contract fees.
+These formulas are the validation oracle for the PDE solver; no command
+calls them.
 """
 from __future__ import annotations
 

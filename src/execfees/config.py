@@ -1,14 +1,15 @@
 """Experiment configuration: YAML loading, validation, canonical hashing.
 
-An empty config reproduces the baseline experiment set exactly; every field
-has the baseline default.  Collar strikes default to K1 = 40, K2 = 50.
+ExperimentConfig() is the baseline experiment set, and every field has its
+baseline default; the loader only maps YAML onto the dataclasses, which
+check every rule themselves.  Collar strikes default to K1 = 40, K2 = 50.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -38,21 +39,46 @@ class SweepSpec:
             raise ConfigError(
                 f"sweep.param: {self.param!r} is not a model parameter or p "
                 f"(one of {', '.join(_SWEEPABLE)})")
+        if not isinstance(self.values, (list, tuple)):
+            raise ConfigError(f"sweep.values: expected a list, got {self.values!r}")
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) == 0:
             raise ConfigError("sweep.values: must be non-empty")
         for v in self.values:
             check_real("sweep.values", v)
 
 
+# the four contracts of the baseline tables (collars at K1 = 40, K2 = 50)
+BASELINE_CONTRACTS = (ContractSpec(Family.LINEAR_PHYSICAL),
+                      ContractSpec(Family.LINEAR_CASH),
+                      ContractSpec(Family.COLLAR_PHYSICAL, DEFAULT_K1, DEFAULT_K2),
+                      ContractSpec(Family.COLLAR_CASH, DEFAULT_K1, DEFAULT_K2))
+TWAP_CONTRACTS = (ContractSpec(Family.TWAP_PHYSICAL), ContractSpec(Family.TWAP_CASH))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; the defaults are the baseline, and every instance is valid."""
+
     params: MarketParams = MarketParams()
     grid: GridSpec = GridSpec()
-    contracts: tuple[ContractSpec, ...] = ()
+    contracts: tuple[ContractSpec, ...] = BASELINE_CONTRACTS
     regulatory: RegulatorySpec | None = None
     sim: SimConfig = SimConfig()
     sweep: SweepSpec | None = None
     output_dir: str = "out"
+
+    def __post_init__(self):
+        g = self.grid
+        # the surface lookup clamps to the grid hull, so a start outside it is wrong
+        for name, lo, hi in (("s0", g.s_min, g.s_max), ("q0", g.q_min, g.q_max)):
+            if not lo <= getattr(self.sim, name) <= hi:
+                raise ConfigError(f"sim.{name}: must lie in the grid hull "
+                                  f"[{lo}, {hi}], got {getattr(self.sim, name)!r}")
+        if not self.contracts:
+            raise ConfigError("contracts: must be non-empty")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir: expected a path, got {self.output_dir!r}")
 
     def canonical_dict(self) -> dict:
         return {
@@ -80,35 +106,8 @@ def sha256_of(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _build_contract(entry, N: float | None = None) -> ContractSpec:
-    """A contract from a family name or a {family, K1, K2, liquidation_target} mapping."""
-    if isinstance(entry, str):
-        entry = {"family": entry}
-    if not isinstance(entry, dict) or "family" not in entry:
-        raise ConfigError(f"contracts: expected family name or mapping, got {entry!r}")
-    bad = set(entry) - {"family", "K1", "K2", "liquidation_target"}
-    if bad:
-        raise ConfigError(f"contracts: unknown field(s) {sorted(map(str, bad))}")
-    collar = entry["family"] in _COLLAR_FAMILIES
-    spec = make_contract(entry["family"],
-                         K1=entry.get("K1", DEFAULT_K1 if collar else None),
-                         K2=entry.get("K2", DEFAULT_K2 if collar else None))
-    target = spec.target(N)
-    if entry.get("liquidation_target", target) != target:
-        raise ConfigError("contracts.liquidation_target: follows from the family "
-                          f"and N, {target!r} here")
-    return spec
-
-
-# the four contracts of the baseline tables (collars at K1 = 40, K2 = 50)
-BASELINE_CONTRACTS = tuple(map(_build_contract, ("linear_physical", "linear_cash",
-                                                 "collar_physical", "collar_cash")))
-TWAP_CONTRACTS = (ContractSpec(Family.TWAP_PHYSICAL), ContractSpec(Family.TWAP_CASH))
-
-
 def _section(cls, section, where: str) -> dict:
-    """Keyword arguments of `cls` from one config section; None means all defaults."""
-    section = {} if section is None else section
+    """Keyword arguments of `cls` from one config mapping, checked against its fields."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping, got {section!r}")
     fields = dataclasses.fields(cls)
@@ -122,47 +121,47 @@ def _section(cls, section, where: str) -> dict:
     return section
 
 
-def _listed(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list, got {value!r}")
-    return value
+def _build_contract(entry, N: float) -> ContractSpec:
+    """A contract from a family name or a {family, K1, K2} mapping.
+
+    The mapping may repeat the liquidation target that canonical_dict writes,
+    at the value that follows from the family and N.
+    """
+    if isinstance(entry, str):
+        entry = {"family": entry}
+    if isinstance(entry, dict) and "liquidation_target" in entry:
+        spec = _build_contract({k: v for k, v in entry.items()
+                                if k != "liquidation_target"}, N)
+        if entry["liquidation_target"] != spec.target(N):
+            raise ConfigError("contracts.liquidation_target: follows from the family "
+                              f"and N, {spec.target(N)!r} here")
+        return spec
+    kw = _section(ContractSpec, entry, "contracts")
+    if kw["family"] in _COLLAR_FAMILIES:
+        kw = {"K1": DEFAULT_K1, "K2": DEFAULT_K2, **kw}
+    return make_contract(**kw)
+
+
+# config section -> the dataclass its mapping builds
+_SECTION_TYPES = {"params": MarketParams, "grid": GridSpec, "sim": SimConfig,
+                  "regulatory": RegulatorySpec, "sweep": SweepSpec}
 
 
 def config_from_dict(raw: dict | None) -> ExperimentConfig:
-    """Build a validated config; omitted sections fall back to baseline defaults."""
-    raw = dict(raw or {})
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    bad = set(raw) - known
+    """Map a config dict onto ExperimentConfig; a null section counts as omitted."""
+    kw = {k: v for k, v in (raw or {}).items() if v is not None}
+    bad = set(kw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if bad:
         raise ConfigError(f"config: unknown section(s) {sorted(map(str, bad))}")
-    params = MarketParams(**_section(MarketParams, raw.get("params"), "params"))
-    grid = GridSpec(**_section(GridSpec, raw.get("grid"), "grid"))
-    sim = SimConfig(**_section(SimConfig, raw.get("sim"), "sim"))
-    # the surface lookup clamps to the grid hull, so a start outside it is wrong
-    for name, lo, hi in (("s0", grid.s_min, grid.s_max), ("q0", grid.q_min, grid.q_max)):
-        if not lo <= getattr(sim, name) <= hi:
-            raise ConfigError(f"sim.{name}: must lie in the grid hull [{lo}, {hi}], "
-                              f"got {getattr(sim, name)!r}")
-    contracts = (BASELINE_CONTRACTS if raw.get("contracts") is None
-                 else tuple(_build_contract(c, params.N)
-                            for c in _listed(raw["contracts"], "contracts")))
-    if not contracts:
-        raise ConfigError("contracts: must be non-empty")
-    reg = None
-    if raw.get("regulatory") is not None:
-        reg = RegulatorySpec(**_section(RegulatorySpec, raw["regulatory"], "regulatory"))
-    sweep = None
-    if raw.get("sweep") is not None:
-        s = raw["sweep"]
-        if not isinstance(s, dict) or "param" not in s or "values" not in s:
-            raise ConfigError("sweep: expected mapping with param and values")
-        sweep = SweepSpec(param=s["param"],
-                          values=tuple(_listed(s["values"], "sweep.values")))
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a path, got {output_dir!r}")
-    return ExperimentConfig(params=params, grid=grid, contracts=contracts,
-                            regulatory=reg, sim=sim, sweep=sweep, output_dir=output_dir)
+    for name, cls in _SECTION_TYPES.items():
+        if name in kw:
+            kw[name] = cls(**_section(cls, kw[name], name))
+    if "contracts" in kw:
+        if not isinstance(kw["contracts"], list):
+            raise ConfigError(f"contracts: expected a list, got {kw['contracts']!r}")
+        N = kw.get("params", MarketParams()).N
+        kw["contracts"] = tuple(_build_contract(c, N) for c in kw["contracts"])
+    return ExperimentConfig(**kw)
 
 
 def load_config(path: str | None) -> ExperimentConfig:

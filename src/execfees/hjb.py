@@ -167,12 +167,14 @@ def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
     """
     dt = grid.dt(params.T)
     ds = grid.ds
-    diff = params.sigma**2 * dt / (2.0 * ds**2)
+    # numpy squares: one that overflows is inf, for the sweep to report
+    sigma2, ds2 = np.float64(params.sigma)**2, np.float64(ds)**2
+    diff = sigma2 * dt / (2.0 * ds2)
     conv = params.mu * dt / (2.0 * ds)
     c = params.mu * dt / ds
     ab = np.zeros((3, grid.I + 1))
     ab[0, 2:] = diff + conv                                       # super, rows 1..I-1
-    ab[1, 1:-1] = -(params.sigma**2 * dt / ds**2 + 1.0 + params.r * dt)
+    ab[1, 1:-1] = -(sigma2 * dt / ds2 + 1.0 + params.r * dt)
     ab[2, :-2] = diff - conv                                      # sub, rows 1..I-1
     ab[1, 0], ab[0, 1] = -(1.0 + params.r * dt + c), c            # row at S_min
     ab[2, -2], ab[1, -1] = -c, -(1.0 + params.r * dt - c)         # row at S_max
@@ -237,7 +239,8 @@ def explicit_nonlinear(P_next: np.ndarray, n: int, params: MarketParams,
     Db[:, 0] = Db[:, 1]
     # risk term into L2, then b*q_eff - b*dP/dS into DS
     np.subtract(w.q_eff, DS, out=L2); np.square(L2, out=L2)
-    L2 *= -0.5 * params.sigma**2 * params.gamma * np.exp(params.r * (params.T - t_next))
+    L2 *= (-0.5 * np.float64(params.sigma)**2 * params.gamma
+           * np.exp(params.r * (params.T - t_next)))
     DS *= params.b; np.subtract(w.bq, DS, out=DS)
     # the linear coefficients in Df, Db; the clamped speeds in vf, vb
     np.subtract(DS, Df, out=Df); np.subtract(DS, Db, out=Db)

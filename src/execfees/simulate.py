@@ -13,7 +13,7 @@ import numpy as np
 
 from .contracts import (ContractSpec, GridSpec, MarketParams, check_count,
                         check_real, collar_per_share, liquidation_cost)
-from .errors import ConfigError, OutOfGrid
+from .errors import ConfigError, NonFinite, OutOfGrid
 from .hjb import ControlSurface, _interpolate
 
 # abort when more than this fraction of lookups had to be clamped to the hull
@@ -106,17 +106,18 @@ def _hull_clamps(g: GridSpec, S, q, axis=None):
                             | (q < g.q_min - eps) | (q > g.q_max + eps), axis=axis)
 
 
-def _euler_batch(control: ControlSurface, params: MarketParams, cfg: SimConfig,
+def _euler_batch(control: ControlSurface, params: MarketParams, start: tuple,
                  increments: np.ndarray, record: bool = False):
     """Shared Euler kernel; returns (terminal states, trajectories if record).
 
-    The hull-clamp budget holds per call, and in record mode per row: each
-    recorded trajectory is checked on its own.
+    Every path starts at `start` = (s0, q0, x0).  The hull-clamp budget
+    holds per call, and in record mode per row: each recorded trajectory is
+    checked on its own.
     """
     g = control.grid
     n, n_steps = increments.shape
     dt = params.T / n_steps
-    S = np.full(n, cfg.s0); Q = np.full(n, cfg.q0); X = np.full(n, cfg.x0)
+    S, Q, X = (np.full(n, x) for x in start)
     A_int = np.zeros(n)
     clamped = 0
     if record:
@@ -159,7 +160,8 @@ def simulate_path(control: ControlSurface, params: MarketParams, cfg: SimConfig,
     that its row alone gives.
     """
     n_steps = increments.shape[1]
-    _, traj = _euler_batch(control, params, cfg, increments, record=True)
+    _, traj = _euler_batch(control, params, (cfg.s0, cfg.q0, cfg.x0), increments,
+                           record=True)
     times = np.arange(n_steps + 1) * (params.T / n_steps)
     return SimPath(times=times, **traj)
 
@@ -194,9 +196,6 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     chunk in a fixed order, so the estimates do not depend on scheduling.
     """
     contracts = list(contracts)
-    starts = [SimConfig(n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed,
-                        x0=cfg.x0 - cfg.q0 * cfg.s0 + fee, q0=cfg.q0, s0=cfg.s0)
-              for _, _, fee in contracts]
     g = params.gamma
     n = cfg.n_paths
     # per contract: sum Y, sum Y^2, sum w, sum w^2
@@ -205,8 +204,9 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     while done < n:
         m = min(_CHUNK, n - done)
         dW = common_noise_batch(cfg, params, start=done, count=m)
-        for (spec, control, _), start_cfg, acc in zip(contracts, starts, totals):
-            terminal = _euler_batch(control, params, start_cfg, dW)[0]
+        for (spec, control, fee), acc in zip(contracts, totals):
+            start = (cfg.s0, cfg.q0, cfg.x0 - cfg.q0 * cfg.s0 + fee)
+            terminal = _euler_batch(control, params, start, dW)[0]
             Y = realized_payoff(terminal, spec, params)
             w = np.exp(-g * (Y - cfg.x0))
             acc[0] += float(Y.sum())
@@ -214,6 +214,10 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
             acc[2] += float(w.sum())
             acc[3] += float((w * w).sum())
         done += m
+    for (spec, _, _), acc in zip(contracts, totals):
+        if not np.isfinite(acc).all():
+            raise NonFinite(f"{spec.family.value}: the Monte-Carlo path sums are "
+                            "not finite")
     return [_estimate(acc, n, cfg.x0, g) for acc in totals]
 
 

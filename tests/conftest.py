@@ -1,8 +1,10 @@
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize_scalar
 
 import execfees as ef
 
@@ -45,6 +47,37 @@ def twap_reduced_ode_value(params, target, q0):
     """The oracle's reduced value U(0, q0); at t = 0, y = q0."""
     c0, c1, c2 = twap_ode_coefficients(params, target)
     return c0 + c1 * q0 + c2 * q0**2
+
+
+def deterministic_fee(spec, params, grid, S, q):
+    """Independent oracle for sigma = mu = r = 0 at t = 0: the fee equation is
+    then a deterministic control problem whose optimal speed is constant, so
+    the fee is a 1-D minimisation over the terminal inventory q_T,
+
+        Pi(S + b(q_T - q)) + alpha(q_T - target)^2 - b(q_T^2 - q^2)/2
+            + l(q_T - q)^2/T,
+
+    over q_T in [max(q_min, q - C*T), min(q_max, q + C*T)], q_min and q_max
+    being the grid's inventory bounds: a fine scan, then a bounded
+    minimize_scalar around the best scan point."""
+    fam = spec.family
+    target = params.N if fam.is_physical else 0.0
+    b, T = params.b, params.T
+
+    def cost(qT):
+        price = S + b * (qT - q)
+        if fam.is_collar:
+            price = np.clip(price, spec.K1, spec.K2)
+        return (params.N * price + params.alpha * (qT - target) ** 2
+                - b * (qT**2 - q**2) / 2 + params.l * (qT - q) ** 2 / T)
+
+    scan = np.linspace(max(grid.q_min, q - params.C * T),
+                       min(grid.q_max, q + params.C * T), 4001)
+    k = int(np.argmin(cost(scan)))
+    lo, hi = scan[max(k - 1, 0)], scan[min(k + 1, scan.size - 1)]
+    best = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
+                           options={"xatol": 1e-12})
+    return min(float(best.fun), float(cost(scan[k])))
 
 
 def cash_unwind_inventory(params, q0):

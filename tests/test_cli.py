@@ -60,6 +60,8 @@ INVALID_CONFIGS = {
                f"grid: {{I: {10**400}}}\ncontracts: [collar_cash]\n"],
     "grid.J": ["grid: {J: 20.0}\n"],
     "grid.n_steps": ["grid: {n_steps: 0}\n"],
+    # a misspelt key is rejected in the sweep section as in every other
+    "sweep": ["sweep: {param: sigma, values: [5.0], valus: [6.0]}\n"],
     "sweep.param": ["sweep: {param: tau, values: [0.3]}\n"],
     "sweep.values": ["sweep: {param: sigma, values: 5}\n",
                      "sweep: {param: sigma, values: [abc]}\n"],
@@ -88,6 +90,35 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys, field):
         err = capsys.readouterr().err
         assert err.startswith(f"execfees: error: {field}:"), (text, err)
         assert "Traceback" not in err
+
+
+COARSE_GRID = "grid: {I: 20, J: 20, n_steps: 200}\n"
+
+# inputs whose numbers overflow: each exits cleanly, never with a traceback
+OVERFLOWS = {
+    "sigma": ("fees", COARSE_GRID + "params: {sigma: 1.0e+200}\n"),
+    "s_max": ("fees", "grid: {s_min: 0.0, s_max: 1.0e+308, I: 20, J: 20, "
+                      "n_steps: 200}\n"),
+    "sigma_sweep": ("sweep", COARSE_GRID
+                    + "sweep: {param: sigma, values: [5.0, 1.0e+200]}\n"),
+    # every path sum is inf: no estimate, and no row of inf with stderr 0.0
+    "x0": ("statarb", COARSE_GRID + "contracts: [linear_cash]\n"
+                      "sim: {n_paths: 4, n_steps: 200, x0: 1.0e+308}\n"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_overflow_exits_with_error_not_traceback(tmp_path, capsys, case):
+    command, text = OVERFLOWS[case]
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error:") and "finite" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # command -> a sweep it does not accept: p belongs to regulatory alone

@@ -1,11 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import execfees as ef
-from execfees.config import config_from_dict, sha256_of
+from execfees.config import ExperimentConfig, SweepSpec, config_from_dict, sha256_of
 from execfees.errors import ConfigError
 
 
@@ -28,6 +30,36 @@ def test_baseline_config_hash_is_pinned():
     # now derived from params.N, so existing artifact hashes stay valid
     assert config_from_dict(None).config_hash() == (
         "85d53e5247e3eb975be3f74752d1f139279385c2c8417e19a3e530092d0067e7")
+
+
+def test_default_config_is_the_loaded_baseline():
+    cfg = ExperimentConfig()
+    assert cfg == config_from_dict(None)
+    assert cfg.config_hash() == (
+        "85d53e5247e3eb975be3f74752d1f139279385c2c8417e19a3e530092d0067e7")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: dataclasses.replace(ExperimentConfig(), sim=ef.SimConfig(s0=100.0)),
+     "sim.s0:"),
+    (lambda: dataclasses.replace(ExperimentConfig(), sim=ef.SimConfig(q0=3.0)),
+     "sim.q0:"),
+    (lambda: ExperimentConfig(contracts=()), "contracts:"),
+    (lambda: ExperimentConfig(output_dir=5), "output_dir:"),
+    (lambda: SweepSpec("sigma", 5.0), "sweep.values:"),
+], ids=["s0", "q0", "contracts", "output_dir", "sweep_values"])
+def test_configs_built_in_code_obey_the_loader_rules(build, field):
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert str(exc.value).startswith(field)
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(yaml.safe_load(example))
+    assert cfg.sweep == SweepSpec("alpha", (0.002, 0.02, 0.2))
+    assert [c.family.value for c in cfg.contracts] == ["linear_physical", "collar_cash"]
 
 
 def test_config_overrides_and_hash():

@@ -9,7 +9,8 @@ from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
 from execfees.hjb import _interpolate, _sweep, _terminal_layer, build_banded
 
-from conftest import contract, twap_ode_coefficients, twap_reduced_ode_value
+from conftest import (BASELINE_FAMILIES, contract, deterministic_fee,
+                      twap_ode_coefficients, twap_reduced_ode_value)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +385,30 @@ def test_twap_deterministic_limit(grid):
     assert u0 == pytest.approx(exact, abs=5e-5)
     dp = _deterministic_dp_value(p0, p0.N, 0.5)
     assert u0 == pytest.approx(dp, abs=1e-4)
+
+
+# b -> tolerance. At b = 0.5 the q_T objective is concave (b > 2(alpha + l/T),
+# about 0.40), so the minimum sits on the inventory bound of the grid.
+# Measured worst errors: 2.6e-5 (physical) and 1.4e-6 (cash) at b = 1e-3,
+# 2.1e-4 for every family at b = 0.5.
+DETERMINISTIC_TOL = {1e-3: 1e-4, 0.5: 5e-4}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("b", list(DETERMINISTIC_TOL))
+@pytest.mark.parametrize("fam", BASELINE_FAMILIES)
+def test_deterministic_limit_matches_oracle(grid, fam, b):
+    # sigma = 0: the fee at t = 0 is a minimisation over q_T. Every point is
+    # at least two price nodes (1.2) from the strikes 40 and 50, even after
+    # the largest impact shift b*(q_T - q) of 0.75, so no kink is sampled.
+    params = ef.MarketParams(sigma=0.0, b=b)
+    spec = contract(fam, params)
+    surf = ef.solve_fee_surface(spec, params, grid)
+    for S in (30.0, 45.0, 60.0):
+        for q in (-0.5, 0.0, 0.5):
+            oracle = deterministic_fee(spec, params, grid, S, q)
+            assert surf.value_at(0.0, S, q) == pytest.approx(
+                oracle, abs=DETERMINISTIC_TOL[b]), (S, q)
 
 
 # ---------------------------------------------------------------------------
