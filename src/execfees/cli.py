@@ -114,7 +114,7 @@ def run_regulatory(config: ExperimentConfig):
         raise ConfigError("sweep.param: the regulatory command sweeps only p, "
                           f"got {config.sweep.param!r}")
     s0, q0 = config.sim.s0, config.sim.q0
-    pre = solve_regulatory(tau, p_values, config.params, config.grid).pre
+    pre = solve_regulatory(tau, p_values, config.params, config.grid)
     return [{"sigma": config.params.sigma, "tau": tau, "p": p,
              "fee": surface.value_at(0.0, s0, q0)}
             for p, surface in zip(p_values, pre)]
@@ -153,7 +153,8 @@ def run_paths(config: ExperimentConfig, out_dir: str):
     Emits one file per contract (and per sweep value when a sweep is
     configured); all files for one sweep value share the same Brownian
     increments so trajectory differences isolate the contract effect.  Each
-    contract is stepped once over all paths; the comparison file reads path 0.
+    contract's control is written over its own fee surface and stepped once
+    over all paths; the comparison file reads path 0.
     """
     cfg = config.sim
     if cfg.n_paths * cfg.n_steps > 2_000_000:
@@ -174,8 +175,8 @@ def run_paths(config: ExperimentConfig, out_dir: str):
             increments = common_noise_batch(cfg, params, 0, cfg.n_paths)
         shared = {}   # family -> text columns S, Q, v of path 0
         for contract in config.contracts:
-            control = extract_control(
-                solve_fee_surface(contract, params, config.grid), params)
+            surface = solve_fee_surface(contract, params, config.grid)
+            control = extract_control(surface, params, out=surface.values)
             path = simulate_path(control, params, cfg, increments)
             times = _text(path.times)
             shared[contract.family.value] = [_text(path.S[:, 0]), _text(path.Q[:, 0]),
@@ -312,30 +313,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(
-                config, sim=dataclasses.replace(config.sim, seed=args.seed))
-        out_dir = args.out or os.environ.get(OUT_ENV_VAR) or config.output_dir
-        cfg_hash = config.config_hash()
-        if args.command in TABLES:
-            name, header = TABLES[args.command]
-            # looked up per call, so a rebound module global (a tracing
-            # wrapper, a test double) is the runner that runs
-            rows = globals()[f"run_{args.command}"](config)
-            _write_csv(os.path.join(out_dir, name), header, rows, cfg_hash)
-            if args.command == "statarb":
-                _write_json(os.path.join(out_dir, "statarb_summary.json"),
-                            {"rows": rows, "n_paths": config.sim.n_paths,
-                             "seed": config.sim.seed}, cfg_hash)
-        elif args.command == "paths":
-            run_paths(config, out_dir)
-        else:
-            _reproduce_all(config, out_dir)
-    except (ExecFeesError, OSError) as exc:
-        print(f"execfees: error: {exc}", file=sys.stderr)
-        return 1
+    # numpy's floating-point warnings stay off: the NonFinite and
+    # BlendOverflow checks report such a fault, as the first line of stderr
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            config = load_config(args.config)
+            if args.seed is not None:
+                config = dataclasses.replace(
+                    config, sim=dataclasses.replace(config.sim, seed=args.seed))
+            out_dir = args.out or os.environ.get(OUT_ENV_VAR) or config.output_dir
+            cfg_hash = config.config_hash()
+            if args.command in TABLES:
+                name, header = TABLES[args.command]
+                # looked up per call, so a rebound module global (a tracing
+                # wrapper, a test double) is the runner that runs
+                rows = globals()[f"run_{args.command}"](config)
+                _write_csv(os.path.join(out_dir, name), header, rows, cfg_hash)
+                if args.command == "statarb":
+                    _write_json(os.path.join(out_dir, "statarb_summary.json"),
+                                {"rows": rows, "n_paths": config.sim.n_paths,
+                                 "seed": config.sim.seed}, cfg_hash)
+            elif args.command == "paths":
+                run_paths(config, out_dir)
+            else:
+                _reproduce_all(config, out_dir)
+        except (ExecFeesError, OSError) as exc:
+            print(f"execfees: error: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

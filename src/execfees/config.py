@@ -79,6 +79,11 @@ class ExperimentConfig:
             raise ConfigError("contracts: must be non-empty")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir: expected a path, got {self.output_dir!r}")
+        if self.regulatory is not None:
+            self.regulatory.snapped_step(self.params, self.grid)
+            if self.sweep is not None and self.sweep.param == "p":
+                for p in self.sweep.values:
+                    dataclasses.replace(self.regulatory, p=p)   # checks p in [0, 1]
 
     def canonical_dict(self) -> dict:
         return {

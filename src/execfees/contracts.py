@@ -10,6 +10,7 @@ benchmarked to the running time average of the price.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
@@ -157,6 +158,14 @@ class GridSpec:
             raise ConfigError("grid: q_min < q_max required")
         for name, least in (("I", 2), ("J", 2), ("n_steps", 1)):
             check_count(f"grid.{name}", getattr(self, name), least)
+        # the solver divides by ds**2 and dq: a spacing that overflows or
+        # underflows there would surface only as a non-finite sweep
+        if not 0.0 < self.ds * self.ds < math.inf:
+            raise ConfigError(f"grid.ds: the price spacing (s_max - s_min)/I = "
+                              f"{self.ds!r} must have a finite, positive square")
+        if not math.isfinite(self.dq):
+            raise ConfigError(f"grid.dq: the inventory spacing (q_max - q_min)/J = "
+                              f"{self.dq!r} must be finite")
 
     @property
     def ds(self) -> float:

@@ -110,16 +110,6 @@ class ControlSurface:
     n0: int = 0
 
 
-@dataclass
-class RegulatoryResult:
-    """Pre-decision surfaces on [0, tau], one per p, and the two post-decision branches."""
-
-    pre: list[FeeSurface]
-    post_physical: FeeSurface
-    post_cash: FeeSurface
-    n_tau: int
-
-
 def _bilinear(V: np.ndarray, g: GridSpec, S, q):
     """Bilinear interpolation of one (price, inventory) layer, clamped to the hull."""
     si = np.clip((np.asarray(S) - g.s_min) / g.ds, 0.0, g.I - 1e-12)
@@ -356,8 +346,8 @@ def solve_fee_surface(spec: ContractSpec, params: MarketParams,
 
 
 def solve_regulatory(tau: float, p_values, params: MarketParams,
-                     grid: GridSpec) -> RegulatoryResult:
-    """Two-stage solve for the physical-or-cash regulatory switch at tau.
+                     grid: GridSpec) -> list[FeeSurface]:
+    """Pre-decision fees at t = 0 for the physical-or-cash switch at tau.
 
     On [tau, T] the physical (approved, R=1) and cash (rejected, R=0)
     surfaces P1, P0 are solved once; they do not depend on p.  At tau the
@@ -371,17 +361,20 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
     which is then propagated to t = 0 with the standard backward stepping,
     once per approval probability in p_values.  The exponentials are rescaled
     by their nodewise maximum before the log.
+
+    Returns one FeeSurface per p, in p_values order, each holding the single
+    t = 0 layer of its pre-decision sweep.  Of each branch only its layer at
+    tau is kept, and only until the mixtures are formed.
     """
     specs = [RegulatorySpec(p=p, tau=tau) for p in p_values]
     n_tau = specs[0].snapped_step(params, grid)
-    post = []
+    branches = []
     for spec in (ContractSpec(Family.LINEAR_PHYSICAL), ContractSpec(Family.LINEAR_CASH)):
         solved, P_T, _ = _terminal_layer(spec, params, grid)
-        post.append(FeeSurface(grid=solved, params=params, contract=spec, n0=n_tau,
-                               values=_sweep(P_T, grid.n_steps, n_tau, params, solved)))
+        branches.append(_sweep(P_T, grid.n_steps, n_tau, params, solved)[0].copy())
     tau = n_tau * solved.dt(params.T)   # the grid time tau snaps to
     g = params.gamma * np.exp(params.r * (params.T - tau))
-    P1, P0 = post[0].values[0], post[1].values[0]
+    P1, P0 = branches
     M = np.maximum(P1, P0)
     E1, E0 = np.exp(g * (P1 - M)), np.exp(g * (P0 - M))
     pre = []
@@ -389,11 +382,10 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
         mix = spec.p * E1 + (1.0 - spec.p) * E0
         if not np.isfinite(mix).all() or np.any(mix <= 0.0):
             raise BlendOverflow("regulatory mixture left the representable range")
-        pre.append(FeeSurface(grid=solved, params=params, kind="regulatory_pre",
-                              values=_sweep(M + np.log(mix) / g, n_tau, 0, params,
-                                            solved)))
-    return RegulatoryResult(pre=pre, post_physical=post[0], post_cash=post[1],
-                            n_tau=n_tau)
+        values = _sweep(M + np.log(mix) / g, n_tau, 0, params, solved)[:1].copy()
+        pre.append(FeeSurface(grid=solved, params=params, values=values,
+                              kind="regulatory_pre"))
+    return pre
 
 
 def extract_control(surface: FeeSurface, params: MarketParams,

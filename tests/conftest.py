@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,6 +87,24 @@ def cash_unwind_inventory(params, q0):
     def ode(t, y):
         return [float(ef.control_closed(t, y[0], ef.Family.LINEAR_CASH, params))]
     return solve_ivp(ode, [0.0, params.T], [q0], rtol=1e-10, atol=1e-12).y[0, -1]
+
+
+# grid of the memory tests, and the bytes of one full-layer surface on it
+MEMORY_GRID = ef.GridSpec(I=40, J=40, n_steps=400)
+ONE_SURFACE = 8 * (MEMORY_GRID.n_steps + 1) * (MEMORY_GRID.I + 1) * (MEMORY_GRID.J + 1)
+
+
+def traced_memory(fn):
+    """fn(), and the bytes it left allocated and allocated at its peak,
+    counted by tracemalloc (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - start, peak - start
 
 
 @pytest.fixture(scope="session")

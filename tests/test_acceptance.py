@@ -84,8 +84,8 @@ def test_criterion_3_regulatory_table(params, grid):
     monotone = True
     for sigma, refs in TABLE_REGULATORY.items():
         pars = params.replace(sigma=sigma)
-        res = ef.solve_regulatory(0.5, P_LIST, pars, grid)
-        fees = [pre.value_at(0.0, S0, Q0) for pre in res.pre]
+        pre = ef.solve_regulatory(0.5, P_LIST, pars, grid)
+        fees = [surface.value_at(0.0, S0, Q0) for surface in pre]
         worst = max(worst, max(abs(f - r) for f, r in zip(fees, refs)))
         monotone &= all(fees[k] > fees[k + 1] for k in range(len(fees) - 1))
     ok = worst <= 2e-3 and monotone

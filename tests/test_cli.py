@@ -1,12 +1,19 @@
 import collections
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from execfees import cli, hjb
 from execfees.cli import main
-from execfees.config import load_config
-from execfees.simulate import common_noise_batch, simulate_path
+from execfees.config import ExperimentConfig, load_config
+from execfees.contracts import ContractSpec, Family
+from execfees.simulate import SimConfig, common_noise_batch, simulate_path
+
+from conftest import MEMORY_GRID, ONE_SURFACE, traced_memory
 
 # coarse but node-aligned grid: ds=1.5 and dq=0.05 keep (45, 0.5) on nodes
 FAST_GRID = "grid:\n  I: 40\n  J: 40\n  n_steps: 400\n"
@@ -121,6 +128,21 @@ def test_overflow_exits_with_error_not_traceback(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param", ["sigma", "gamma"])
+def test_error_line_is_the_first_line_of_stderr(tmp_path, param):
+    # in a subprocess: pytest would capture numpy's RuntimeWarnings
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + f"params: {{{param}: 1.0e+200}}\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "execfees.cli", "fees", "--config",
+                           str(cfg), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("execfees: error:"), done.stderr
+
+
 # command -> a sweep it does not accept: p belongs to regulatory alone
 WRONG_SWEEPS = {
     "paths": "sim: {n_paths: 1, n_steps: 400}\nsweep: {param: p, values: [0.5]}\n",
@@ -140,8 +162,8 @@ def test_sweep_of_wrong_kind_exits_nonzero(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-# regulatory inputs rejected only when the command runs: a swept p outside
-# [0, 1] and a tau off the time grid
+# regulatory inputs rejected when the config loads, whatever the command: a
+# swept p outside [0, 1] and a tau off the time grid
 BAD_REGULATORY = {
     "regulatory.p": "regulatory: {p: 0.5, tau: 0.5}\n"
                     "sweep: {param: p, values: [0.5, 1.5]}\n",
@@ -153,10 +175,11 @@ BAD_REGULATORY = {
 def test_bad_regulatory_input_exits_nonzero(tmp_path, capsys, field):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(FAST_GRID + BAD_REGULATORY[field])
-    assert main(["regulatory", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"execfees: error: {field}:"), err
-    assert "Traceback" not in err
+    for command in ("regulatory", "fees"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"execfees: error: {field}:"), (command, err)
+        assert "Traceback" not in err
 
 
 def test_missing_config_file_exits_nonzero(tmp_path, capsys):
@@ -376,6 +399,15 @@ def test_paths_rows_equal_one_path_runs(tmp_path, sim):
                     for col in ("S", "Q", "v"):
                         assert [float(r[f"{col}_{fam}"]) for r in compared] \
                             == expected[col], (fam, col)
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_paths_writes_the_control_over_its_fee_surface(tmp_path):
+    config = ExperimentConfig(
+        grid=MEMORY_GRID, sim=SimConfig(n_paths=2, n_steps=400),
+        contracts=(ContractSpec(Family.COLLAR_CASH, 40.0, 50.0),))
+    _, _, peak = traced_memory(lambda: cli.run_paths(config, str(tmp_path)))
+    assert peak < 1.5 * ONE_SURFACE, peak / ONE_SURFACE
 
 
 def test_paths_guardrail_on_huge_dumps(tmp_path):

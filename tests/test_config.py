@@ -121,6 +121,13 @@ def test_hash_is_stable_under_key_order():
     ({"contracts": [{"family": "collar_cash", "K2": float("inf")}]}, "contracts.K2:"),
     ({"params": {"sigma": 10**400}}, "params.sigma:"),   # beyond the float range
     ({"paramz": {}, 1: {}}, "config: unknown section(s) ['1', 'paramz']"),
+    # the solver divides by ds**2 and dq
+    ({"grid": {"s_min": 0.0, "s_max": 1.0e+308, "I": 20}}, "grid.ds:"),
+    ({"grid": {"s_min": 0.0, "s_max": 1.0e-200}}, "grid.ds:"),
+    ({"grid": {"q_min": -1.0e+308, "q_max": 1.0e+308}}, "grid.dq:"),
+    ({"regulatory": {"p": 0.5, "tau": 0.5004}}, "regulatory.tau:"),
+    ({"regulatory": {"p": 0.5, "tau": 0.5}, "sweep": {"param": "p", "values": [1.5]}},
+     "regulatory.p:"),
 ])
 def test_config_rejects_malformed_values(raw, field):
     with pytest.raises(ConfigError) as exc:

@@ -9,8 +9,9 @@ from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
 from execfees.hjb import _interpolate, _sweep, _terminal_layer, build_banded
 
-from conftest import (BASELINE_FAMILIES, contract, deterministic_fee,
-                      twap_ode_coefficients, twap_reduced_ode_value)
+from conftest import (BASELINE_FAMILIES, MEMORY_GRID, ONE_SURFACE, contract,
+                      deterministic_fee, traced_memory, twap_ode_coefficients,
+                      twap_reduced_ode_value)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +293,7 @@ def test_control_near_target_and_saturation(controls, params, grid):
 
 def test_regulatory_endpoints_recover_single_contract(params, grid, surfaces):
     res = ef.solve_regulatory(0.5, [1.0, 0.0], params, grid)
-    for pre, fam in zip(res.pre, ("linear_physical", "linear_cash")):
+    for pre, fam in zip(res, ("linear_physical", "linear_cash")):
         assert pre.value_at(0.0, 45.0, 0.5) == pytest.approx(
             surfaces[fam].value_at(0.0, 45.0, 0.5), abs=1e-9)
 
@@ -304,10 +305,20 @@ def test_regulatory_branches_serve_every_p_exactly():
     for p in (ef.MarketParams(), ef.MarketParams(r=0.01)):
         p_values = [0.0, 0.2, 0.5, 0.8, 1.0]
         together = ef.solve_regulatory(0.5, p_values, p, g)
-        assert len(together.pre) == len(p_values)
-        for p_val, pre in zip(p_values, together.pre):
-            alone = ef.solve_regulatory(0.5, [p_val], p, g).pre[0]
+        assert len(together) == len(p_values)
+        for p_val, pre in zip(p_values, together):
+            alone = ef.solve_regulatory(0.5, [p_val], p, g)[0]
             assert np.array_equal(pre.values, alone.values), p_val
+
+
+def test_regulatory_keeps_one_layer_per_p():
+    # r != 0 keeps the configured price axis; the two branches and five
+    # pre-decision sweeps are each dropped down to the layer the caller reads
+    pre, held, peak = traced_memory(lambda: ef.solve_regulatory(
+        0.5, [0.0, 0.2, 0.5, 0.8, 1.0], ef.MarketParams(r=0.01), MEMORY_GRID))
+    assert held <= 0.05 * ONE_SURFACE, held / ONE_SURFACE
+    assert peak < ONE_SURFACE, peak / ONE_SURFACE
+    assert [surface.n_layers for surface in pre] == [1] * 5
 
 
 def test_regulatory_tau_validation(params, grid):
@@ -446,15 +457,27 @@ def test_affine_families_solve_exactly_on_three_price_nodes(sigma, mu):
         full = ef.FeeSurface(grid=g, params=p, contract=spec, schedule=schedule,
                              values=_sweep(P_T, g.n_steps, 0, p, g, schedule))
         _assert_matches_full_axis(ef.solve_fee_surface(spec, p, g), full, p)
-    # regulatory mixture at p = 1/2, mixed independently of solve_regulatory
-    res = ef.solve_regulatory(0.5, [0.5], p, g)
-    n_tau = res.n_tau
+    # regulatory mixture at p = 1/2, mixed independently of solve_regulatory on
+    # both axes; solve_regulatory keeps only t = 0, so its fee is held to the full
+    # axis and the every-layer check runs on the test's own 3-node sweep
+    pre = ef.solve_regulatory(0.5, [0.5], p, g)[0]
+    full = _mixture_at_half(p, g)
+    _assert_matches_full_axis(_mixture_at_half(p, pre.grid), full, p)
+    assert pre.n_layers == 1
+    assert pre.value_at(0.0, 45.0, 0.5) == pytest.approx(full.values[0, 20, 30],
+                                                         abs=1e-9)
+
+
+def _mixture_at_half(p, g):
+    """Pre-decision surface at p = 1/2, tau = 0.5, swept on grid g."""
+    n_tau = ef.RegulatorySpec(p=0.5, tau=0.5).snapped_step(p, g)
+    S = g.s_nodes()[:, None]; q = g.q_nodes()[None, :]
+    zeros = np.zeros((g.I + 1, g.J + 1))
     P1, P0 = (_sweep(ef.terminal_fee(contract(fam, p), q, S, p) + zeros,
                      g.n_steps, n_tau, p, g)[0]
               for fam in ("linear_physical", "linear_cash"))
     P_tau = (np.logaddexp(p.gamma * P1, p.gamma * P0) + np.log(0.5)) / p.gamma
-    full = ef.FeeSurface(grid=g, params=p, values=_sweep(P_tau, n_tau, 0, p, g))
-    _assert_matches_full_axis(res.pre[0], full, p)
+    return ef.FeeSurface(grid=g, params=p, values=_sweep(P_tau, n_tau, 0, p, g))
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")
@@ -466,5 +489,4 @@ def test_collars_and_nonzero_rate_keep_the_configured_grid():
         assert ef.solve_fee_surface(contract(fam, p), p, g).grid == g
     for fam in ("linear_physical", "linear_cash"):
         assert ef.solve_fee_surface(contract(fam, p_r), p_r, g).grid == g
-    res = ef.solve_regulatory(0.5, [0.5], p_r, g)
-    assert res.pre[0].grid == res.post_physical.grid == res.post_cash.grid == g
+    assert ef.solve_regulatory(0.5, [0.5], p_r, g)[0].grid == g
