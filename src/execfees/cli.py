@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -246,54 +247,52 @@ def _write_json(path: str, obj: dict, cfg_hash: str) -> None:
 # ---------------------------------------------------------------------------
 # reproduce-all
 
-def _reproduce_all(config: ExperimentConfig, out_dir: str):
-    """Chain every table reproduction into one manifest.
+def _reproduce_all(config: ExperimentConfig, out_dir: str) -> None:
+    """Every table as one plan, written with one manifest once all are computed.
 
-    One fee memo serves the whole run, so each distinct (contract, params,
-    grid) is solved once.  The statarb solves run first and fill it; the
-    artifacts are still written in table order.
+    Building the plan builds, and so checks, every table's sub-config before
+    the first solve.  One fee memo serves the whole run, so each distinct
+    (contract, params, grid) is solved once; the statarb solves run first.
     """
-    cfg_hash = config.config_hash()
-    artifacts = []
     memo = {}
-
-    def emit(name, command, rows):
-        _write_csv(os.path.join(out_dir, name), TABLES[command][1], rows, cfg_hash)
-        artifacts.append(name)
-
     base = dataclasses.replace(config, contracts=BASELINE_CONTRACTS)
-    statarb = run_statarb(dataclasses.replace(
-        base, contracts=BASELINE_CONTRACTS + TWAP_CONTRACTS), memo)
 
-    emit("fees_baseline.csv", "fees", run_fees(base, memo))
+    def sweep(param, values, contracts=BASELINE_CONTRACTS):
+        return "sweep", partial(run_sweep, dataclasses.replace(
+            base, contracts=contracts, sweep=SweepSpec(param, values)), memo)
 
-    for pname, values, contracts, fname in (
-            ("r", (0.0, 0.01), base.contracts, "sweep_r.csv"),
-            ("sigma", (5.0, 6.0, 7.0), base.contracts, "sweep_sigma.csv"),
-            ("alpha", (0.002, 0.02, 0.2),
-             (ContractSpec(Family.LINEAR_CASH),), "sweep_alpha_linear_cash.csv")):
-        sub = dataclasses.replace(base, contracts=contracts,
-                                  sweep=SweepSpec(pname, values))
-        emit(fname, "sweep", run_sweep(sub, memo))
-
-    for sig in (1.0, 5.0):
-        sub = dataclasses.replace(
-            base, params=base.params.replace(sigma=sig),
+    def regulatory(sigma):
+        return "regulatory", partial(run_regulatory, dataclasses.replace(
+            base, params=base.params.replace(sigma=sigma),
             regulatory=RegulatorySpec(p=0.5, tau=0.5),
-            sweep=SweepSpec("p", (0.0, 0.2, 0.5, 0.8, 1.0)))
-        emit(f"regulatory_sigma{sig:g}.csv", "regulatory", run_regulatory(sub))
+            sweep=SweepSpec("p", (0.0, 0.2, 0.5, 0.8, 1.0))))
 
-    emit("twap_fees.csv", "twap", run_twap(base, memo))
-    emit("statarb.csv", "statarb", statarb)
+    # artifact -> (table command, runner) in manifest order; runners are looked up now
+    plan = {
+        "fees_baseline.csv": ("fees", partial(run_fees, base, memo)),
+        "sweep_r.csv": sweep("r", (0.0, 0.01)),
+        "sweep_sigma.csv": sweep("sigma", (5.0, 6.0, 7.0)),
+        "sweep_alpha_linear_cash.csv": sweep("alpha", (0.002, 0.02, 0.2),
+                                             (ContractSpec(Family.LINEAR_CASH),)),
+        **{f"regulatory_sigma{sig:g}.csv": regulatory(sig) for sig in (1.0, 5.0)},
+        "twap_fees.csv": ("twap", partial(run_twap, base, memo)),
+        "statarb.csv": ("statarb", partial(run_statarb, dataclasses.replace(
+            base, contracts=BASELINE_CONTRACTS + TWAP_CONTRACTS), memo)),
+    }
+    statarb = plan["statarb.csv"][1]()   # its solves fill the memo
+    rows = {name: statarb if command == "statarb" else run()
+            for name, (command, run) in plan.items()}
 
+    cfg_hash = config.config_hash()
     digests = []
-    for name in artifacts:
-        with open(os.path.join(out_dir, name), "rb") as fh:
+    for name, (command, _) in plan.items():
+        path = os.path.join(out_dir, name)
+        _write_csv(path, TABLES[command][1], rows[name], cfg_hash)
+        with open(path, "rb") as fh:
             digests.append({"name": name,
                             "sha256": hashlib.sha256(fh.read()).hexdigest()})
     _write_json(os.path.join(out_dir, "manifest.json"),
                 {"artifacts": digests, "seed": config.sim.seed}, cfg_hash)
-    return artifacts + ["manifest.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +336,7 @@ def main(argv=None) -> int:
                 run_paths(config, out_dir)
             else:
                 _reproduce_all(config, out_dir)
-        except (ExecFeesError, OSError) as exc:
+        except (ExecFeesError, OSError, MemoryError) as exc:
             print(f"execfees: error: {exc}", file=sys.stderr)
             return 1
     return 0

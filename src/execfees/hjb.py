@@ -66,10 +66,13 @@ class RegulatorySpec:
             raise ConfigError(f"regulatory.tau: must lie in (0, T), got {self.tau!r}")
         dt = grid.dt(params.T)
         n_tau = int(round(self.tau / dt))
+        time_grid = f"the time grid (grid.n_steps = {grid.n_steps}, T = {params.T!r})"
         if n_tau <= 0 or n_tau >= grid.n_steps:
-            raise ConfigError("regulatory.tau: snaps to an endpoint of the time grid")
+            raise ConfigError(f"regulatory.tau: {self.tau!r} snaps to an endpoint "
+                              f"of {time_grid}")
         if abs(n_tau * dt - self.tau) > 1e-9 * dt:
-            raise ConfigError("regulatory.tau: does not fall on a grid time step")
+            raise ConfigError(f"regulatory.tau: {self.tau!r} is not a time step of "
+                              f"{time_grid}; tau * n_steps / T must be an integer")
         return n_tau
 
 

@@ -61,7 +61,7 @@ class SimPath:
     Q: np.ndarray
     X: np.ndarray
     v: np.ndarray
-    A: np.ndarray | None
+    A: np.ndarray
 
 
 @dataclass

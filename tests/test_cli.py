@@ -11,6 +11,7 @@ from execfees import cli, hjb
 from execfees.cli import main
 from execfees.config import ExperimentConfig, load_config
 from execfees.contracts import ContractSpec, Family
+from execfees.errors import NonFinite
 from execfees.simulate import SimConfig, common_noise_batch, simulate_path
 
 from conftest import MEMORY_GRID, ONE_SURFACE, traced_memory
@@ -124,6 +125,20 @@ def test_overflow_exits_with_error_not_traceback(tmp_path, capsys, case):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("execfees: error:") and "finite" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_out_of_memory_exits_with_error_not_traceback(tmp_path, capsys):
+    # the 728 TiB price-inventory layer exceeds the address space, so the
+    # request fails at once; the node arrays before it take about 400 MB
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("grid: {I: 10000000, J: 10000000}\ncontracts: [collar_cash]\n")
+    out = tmp_path / "o"
+    assert main(["fees", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error:") and "allocate" in err, err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -472,6 +487,37 @@ def test_reproduce_all_solves_each_distinct_sweep_once(tmp_path, monkeypatch):
     # the post-decision branches end at tau (n_lo > 0): two per sigma, not 2 per p
     branches = collections.Counter(k[1].sigma for k in keys if k[4] > 0)
     assert branches == {1.0: 2, 5.0: 2}
+
+
+def test_reproduce_all_checks_every_table_before_the_first_solve(tmp_path, capsys,
+                                                                 monkeypatch):
+    # tau = 0.5 of the regulatory tables is not a time of a 201-step grid
+    sweeps = []
+    monkeypatch.setattr(hjb, "_sweep", lambda *args, **kw: sweeps.append(args))
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("grid: {I: 20, J: 20, n_steps: 201}\n"
+                   "sim: {n_paths: 100, n_steps: 50}\n")
+    out = tmp_path / "o"
+    assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error: regulatory.tau: 0.5 ") and (
+        "grid.n_steps = 201" in err), err
+    assert sweeps == []
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_failed_reproduce_all_writes_nothing(tmp_path, capsys, monkeypatch):
+    def failing_run_twap(config, memo=None):
+        raise NonFinite("twap: surface became non-finite")
+
+    monkeypatch.setattr(cli, "run_twap", failing_run_twap)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
+    out = tmp_path / "o"
+    assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("execfees: error: twap:")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -311,6 +312,38 @@ def test_metric_single_path_has_no_stderr(params, surfaces, controls):
                                       [(spec, controls["linear_physical"], fee)])
     assert est.stderr is None and est.ce_stderr is None
     assert est.arbitrage is False
+
+
+# At mu = r = 0 the linear and TWAP controls do not read the price, so every
+# path trades as the zero-noise path does, and its payoff differs from that
+# path's by the hedge integral sigma * sum_k (Q_{k+1} - N*w_{k+1}) dW_k, with
+# w = 1 for linear contracts and w = t/T for TWAP ones.
+@pytest.mark.parametrize("fam", ["linear_physical", "linear_cash",
+                                 "twap_physical", "twap_cash"])
+def test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral(params, fam):
+    assert params.mu == params.r == 0.0
+    grid = ef.GridSpec(I=40, J=40, n_steps=400)
+    cfg = ef.SimConfig(n_paths=2000, n_steps=400, seed=7)
+    spec = contract(fam, params)
+    surface = ef.solve_fee_surface(spec, params, grid)
+    fee = surface.value_at(0.0, cfg.s0, cfg.q0)
+    control = ef.extract_control(surface, params, out=surface.values)
+    start = dataclasses.replace(cfg, x0=cfg.x0 - cfg.q0 * cfg.s0 + fee)
+
+    def gains(dW):
+        """Y - x0 on each path of the increments dW, and the paths."""
+        path = ef.simulate_path(control, params, start, dW)
+        terminal = (path.S[-1], path.Q[-1], path.X[-1], path.A[-1])
+        return ef.realized_payoff(terminal, spec, params) - cfg.x0, path
+
+    dW = ef.common_noise_batch(cfg, params)
+    noisy, path = gains(dW)
+    [quiet], _ = gains(np.zeros((1, cfg.n_steps)))
+    w = path.times[1:, None] / params.T if spec.family.is_twap else 1.0
+    hedge = params.sigma * ((path.Q[1:] - params.N * w) * dW.T).sum(axis=0)
+    assert np.abs(noisy - hedge - quiet).max() <= 1e-10
+    [est] = ef.expected_payoff_metric(params, cfg, [(spec, control, fee)])
+    assert abs(est.estimate - noisy.mean()) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")
