@@ -18,7 +18,7 @@ def main(argv):
     family = argv[0] if argv else "linear_physical"
     levels = int(argv[1]) if len(argv) > 1 else 3
     params = ef.MarketParams()
-    spec = ef.config_from_dict({"contracts": [family]}).contracts[0]
+    spec = ef.make_contract(family)
     grid = ef.GridSpec()
     prev = None
     for lvl in range(levels):

@@ -2,7 +2,8 @@
 
 ExperimentConfig() is the baseline experiment set, and every field has its
 baseline default; the loader only maps YAML onto the dataclasses, which
-check every rule themselves.  Collar strikes default to K1 = 40, K2 = 50.
+check every rule themselves.  Collar strikes default in ContractSpec, and
+make_contract is the one reader of family names.
 """
 from __future__ import annotations
 
@@ -18,12 +19,6 @@ from .contracts import (ContractSpec, Family, GridSpec, MarketParams, check_real
 from .errors import ConfigError
 from .hjb import RegulatorySpec
 from .simulate import SimConfig
-
-DEFAULT_K1 = 40.0
-DEFAULT_K2 = 50.0
-
-# families whose strikes default to DEFAULT_K1 and DEFAULT_K2
-_COLLAR_FAMILIES = tuple(f.value for f in Family if f.is_collar)
 
 # model parameters, plus the approval probability swept by `regulatory`
 _SWEEPABLE = tuple(f.name for f in dataclasses.fields(MarketParams)) + ("p",)
@@ -51,8 +46,8 @@ class SweepSpec:
 # the four contracts of the baseline tables (collars at K1 = 40, K2 = 50)
 BASELINE_CONTRACTS = (ContractSpec(Family.LINEAR_PHYSICAL),
                       ContractSpec(Family.LINEAR_CASH),
-                      ContractSpec(Family.COLLAR_PHYSICAL, DEFAULT_K1, DEFAULT_K2),
-                      ContractSpec(Family.COLLAR_CASH, DEFAULT_K1, DEFAULT_K2))
+                      ContractSpec(Family.COLLAR_PHYSICAL),
+                      ContractSpec(Family.COLLAR_CASH))
 TWAP_CONTRACTS = (ContractSpec(Family.TWAP_PHYSICAL), ContractSpec(Family.TWAP_CASH))
 
 
@@ -141,10 +136,7 @@ def _build_contract(entry, N: float) -> ContractSpec:
             raise ConfigError("contracts.liquidation_target: follows from the family "
                               f"and N, {spec.target(N)!r} here")
         return spec
-    kw = _section(ContractSpec, entry, "contracts")
-    if kw["family"] in _COLLAR_FAMILIES:
-        kw = {"K1": DEFAULT_K1, "K2": DEFAULT_K2, **kw}
-    return make_contract(**kw)
+    return make_contract(**_section(ContractSpec, entry, "contracts"))
 
 
 # config section -> the dataclass its mapping builds
@@ -180,5 +172,5 @@ def load_config(path: str | None) -> ExperimentConfig:
             # ValueError: an integer past Python's digit limit for int()
             raise ConfigError(f"config: not a valid YAML document: {exc}") from None
     if raw is not None and not isinstance(raw, dict):
-        raise ConfigError("config file must contain a mapping at top level")
+        raise ConfigError(f"config: expected a mapping at top level, got {raw!r}")
     return config_from_dict(raw)

@@ -5,7 +5,8 @@ The market model is arithmetic Brownian motion with linear permanent impact
 (l per unit speed) on wealth.  Contracts settle either physically (the broker
 delivers N shares, terminal inventory target N) or in cash (full unwind,
 target 0); the per-share payoff is linear, collared between two strikes, or
-benchmarked to the running time average of the price.
+benchmarked to the running time average of the price.  ContractSpec owns
+the collar strikes' default, K1 = 40 and K2 = 50.
 """
 from __future__ import annotations
 
@@ -79,21 +80,24 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class ContractSpec:
-    """One contract: payoff family and, for collars, the two strikes."""
+    """One contract: payoff family and, for collars, the two strikes.
+
+    A collar's strikes default to K1 = 40, K2 = 50, the baseline tables' own.
+    """
 
     family: Family
     K1: float | None = None
     K2: float | None = None
 
     def __post_init__(self):
-        for name, k in (("K1", self.K1), ("K2", self.K2)):
-            if k is None:
-                if self.family.is_collar:
-                    raise ConfigError(f"contracts.{name}: collar families need "
-                                      "both K1 and K2")
-            elif not self.family.is_collar:
-                raise ConfigError(f"contracts.{name}: only collar families take "
-                                  f"strikes, got {k!r} for {self.family.value}")
+        for name, default in (("K1", 40.0), ("K2", 50.0)):
+            k = getattr(self, name)
+            if not self.family.is_collar:
+                if k is not None:
+                    raise ConfigError(f"contracts.{name}: only collar families take "
+                                      f"strikes, got {k!r} for {self.family.value}")
+            elif k is None:
+                object.__setattr__(self, name, default)
             else:
                 check_real(f"contracts.{name}", k)
         if self.family.is_collar and not self.K1 < self.K2:

@@ -386,8 +386,7 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
         if not np.isfinite(mix).all() or np.any(mix <= 0.0):
             raise BlendOverflow("regulatory mixture left the representable range")
         values = _sweep(M + np.log(mix) / g, n_tau, 0, params, solved)[:1].copy()
-        pre.append(FeeSurface(grid=solved, params=params, values=values,
-                              kind="regulatory_pre"))
+        pre.append(FeeSurface(grid=solved, params=params, values=values))
     return pre
 
 

@@ -17,13 +17,6 @@ BASELINE_FAMILIES = ("linear_physical", "linear_cash",
                      "collar_physical", "collar_cash")
 
 
-def contract(family, params, **kw):
-    if ef.Family(family).is_collar:
-        kw.setdefault("K1", 40.0)
-        kw.setdefault("K2", 50.0)
-    return ef.make_contract(family, params, **kw)
-
-
 def twap_ode_coefficients(params, target, t=0.0):
     """Independent oracle: quadratic ansatz U = c0 + c1*y + c2*y^2 in
     y = q - N*t/T reduces the transformed equation to three coefficient ODEs,
@@ -50,35 +43,37 @@ def twap_reduced_ode_value(params, target, q0):
     return c0 + c1 * q0 + c2 * q0**2
 
 
-def deterministic_fee(spec, params, grid, S, q):
-    """Independent oracle for sigma = mu = r = 0 at t = 0: the fee equation is
-    then a deterministic control problem whose optimal speed is constant, so
-    the fee is a 1-D minimisation over the terminal inventory q_T,
+def deterministic_optimum(spec, params, grid, S, q, t=0.0):
+    """Independent oracle for sigma = mu = r = 0: the fee equation is then a
+    deterministic control problem whose optimal speed is constant, so the fee
+    at (t, S, q) is a 1-D minimisation over the terminal inventory q_T,
 
         Pi(S + b(q_T - q)) + alpha(q_T - target)^2 - b(q_T^2 - q^2)/2
-            + l(q_T - q)^2/T,
+            + l(q_T - q)^2/(T - t),
 
-    over q_T in [max(q_min, q - C*T), min(q_max, q + C*T)], q_min and q_max
-    being the grid's inventory bounds: a fine scan, then a bounded
-    minimize_scalar around the best scan point."""
+    over q_T in [max(q_min, q - C(T - t)), min(q_max, q + C(T - t))], q_min
+    and q_max being the grid's inventory bounds: a fine scan, then a bounded
+    minimize_scalar around the best scan point.  Returns the fee and its
+    minimiser q_T*, which the optimal speed (q_T* - q)/(T - t) reaches."""
     fam = spec.family
     target = params.N if fam.is_physical else 0.0
-    b, T = params.b, params.T
+    b, horizon = params.b, params.T - t
 
     def cost(qT):
         price = S + b * (qT - q)
         if fam.is_collar:
             price = np.clip(price, spec.K1, spec.K2)
         return (params.N * price + params.alpha * (qT - target) ** 2
-                - b * (qT**2 - q**2) / 2 + params.l * (qT - q) ** 2 / T)
+                - b * (qT**2 - q**2) / 2 + params.l * (qT - q) ** 2 / horizon)
 
-    scan = np.linspace(max(grid.q_min, q - params.C * T),
-                       min(grid.q_max, q + params.C * T), 4001)
+    scan = np.linspace(max(grid.q_min, q - params.C * horizon),
+                       min(grid.q_max, q + params.C * horizon), 4001)
     k = int(np.argmin(cost(scan)))
     lo, hi = scan[max(k - 1, 0)], scan[min(k + 1, scan.size - 1)]
     best = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
                            options={"xatol": 1e-12})
-    return min(float(best.fun), float(cost(scan[k])))
+    q_T = min(best.x, scan[k], key=cost)
+    return float(cost(q_T)), float(q_T)
 
 
 def cash_unwind_inventory(params, q0):
@@ -130,7 +125,7 @@ def surfaces(params, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for fam in BASELINE_FAMILIES:
-            out[fam] = ef.solve_fee_surface(contract(fam, params), params, grid)
+            out[fam] = ef.solve_fee_surface(ef.make_contract(fam), params, grid)
     return out
 
 
@@ -154,6 +149,6 @@ def refined_fees(params, grid):
     surface holds 2001 layers of 201x201 nodes, 650 MB.
     """
     fine = grid.refine(2)
-    return {fam: ef.solve_fee_surface(contract(fam, params), params, fine)
+    return {fam: ef.solve_fee_surface(ef.make_contract(fam), params, fine)
             .value_at(0.0, 45.0, 0.5)
             for fam in BASELINE_FAMILIES + ("twap_physical", "twap_cash")}

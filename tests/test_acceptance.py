@@ -27,7 +27,7 @@ import numpy as np
 
 import execfees as ef
 
-from conftest import cash_unwind_inventory, contract, twap_reduced_ode_value
+from conftest import cash_unwind_inventory, twap_reduced_ode_value
 
 Q0, S0 = 0.5, 45.0
 
@@ -59,10 +59,10 @@ def _report(cid, ok, detail):
 
 def test_criterion_1_closed_form_oracle(params, grid):
     t0 = time.time()
-    phys = ef.solve_fee_surface(contract("linear_physical", params), params, grid)
+    phys = ef.solve_fee_surface(ef.make_contract("linear_physical"), params, grid)
     t_phys = time.time() - t0
     t0 = time.time()
-    cash = ef.solve_fee_surface(contract("linear_cash", params), params, grid)
+    cash = ef.solve_fee_surface(ef.make_contract("linear_cash"), params, grid)
     t_cash = time.time() - t0
     d_phys = abs(phys.value_at(0.0, S0, Q0) - ef.fee_physical_closed(0.0, Q0, S0, params))
     d_cash = abs(cash.value_at(0.0, S0, Q0) - ef.fee_trs_closed(0.0, Q0, S0, params))
@@ -106,15 +106,15 @@ def test_criterion_5_sensitivity_rows(params, grid):
     diffs = {}
     pars_r = params.replace(r=0.01)
     for fam, ref in TABLE_R001.items():
-        s = ef.solve_fee_surface(contract(fam, pars_r), pars_r, grid)
+        s = ef.solve_fee_surface(ef.make_contract(fam), pars_r, grid)
         diffs[f"r=0.01 {fam}"] = abs(s.value_at(0.0, S0, Q0) - ref)
     pars_s = params.replace(sigma=7.0)
     for fam, ref in TABLE_SIGMA7.items():
-        s = ef.solve_fee_surface(contract(fam, pars_s), pars_s, grid)
+        s = ef.solve_fee_surface(ef.make_contract(fam), pars_s, grid)
         diffs[f"sigma=7 {fam}"] = abs(s.value_at(0.0, S0, Q0) - ref)
     for alpha, ref in TABLE_ALPHA_CASH.items():
         pars_a = params.replace(alpha=alpha)
-        s = ef.solve_fee_surface(contract("linear_cash", pars_a), pars_a, grid)
+        s = ef.solve_fee_surface(ef.make_contract("linear_cash"), pars_a, grid)
         diffs[f"alpha={alpha} cash"] = abs(s.value_at(0.0, S0, Q0) - ref)
     worst = max(diffs.values())
     ok = worst <= 5e-3
@@ -128,7 +128,7 @@ def test_criterion_6_expected_payoff_tables(params, grid):
     t0 = time.time()
     contracts = []
     for fam in refs:
-        spec = contract(fam, params)
+        spec = ef.make_contract(fam)
         surface = ef.solve_fee_surface(spec, params, grid)
         fee = surface.value_at(0.0, cfg.s0, cfg.q0)
         contracts.append((spec, ef.extract_control(surface, params, out=surface.values),
@@ -149,7 +149,7 @@ def test_criterion_6_expected_payoff_tables(params, grid):
 
 def test_criterion_7a_terminal_exactness(params, surfaces):
     ok = all(np.array_equal(surf.values[-1],
-                            ef.terminal_fee(contract(fam, params),
+                            ef.terminal_fee(ef.make_contract(fam),
                                             surf.grid.q_nodes()[None, :],
                                             surf.grid.s_nodes()[:, None], params)
                             + np.zeros_like(surf.values[-1]))

@@ -53,8 +53,10 @@ def test_fees_rerun_is_byte_identical(tmp_path):
 # field named in the error message -> config texts that are invalid in it;
 # every one is rejected when the config loads, before any command runs
 INVALID_CONFIGS = {
-    # not YAML, and an integer past Python's 4300-digit int() limit
-    "config": ["grid: {I: [\n", f"sim: {{n_steps: {'1' * 5000}}}\n"],
+    # not YAML, an integer past Python's 4300-digit int() limit, and YAML
+    # that is not a mapping
+    "config": ["grid: {I: [\n", f"sim: {{n_steps: {'1' * 5000}}}\n",
+               "- 1\n- 2\n", "5\n"],
     "params.sigma": ["params:\n  sigma: -3\n", "params: {sigma: abc}\n"],
     "params": ["params: 5\n"],
     "sim.n_paths": ["sim: {n_paths: 0}\n"],
@@ -178,23 +180,40 @@ def test_sweep_of_wrong_kind_exits_nonzero(tmp_path, capsys, command):
 
 
 # regulatory inputs rejected when the config loads, whatever the command: a
-# swept p outside [0, 1] and a tau off the time grid
+# swept p outside [0, 1], a tau off the time grid, and a tau that snaps to
+# its first or last node
 BAD_REGULATORY = {
-    "regulatory.p": "regulatory: {p: 0.5, tau: 0.5}\n"
-                    "sweep: {param: p, values: [0.5, 1.5]}\n",
-    "regulatory.tau": "regulatory: {p: 0.5, tau: 0.5004}\n",
+    "regulatory.p": ["regulatory: {p: 0.5, tau: 0.5}\n"
+                     "sweep: {param: p, values: [0.5, 1.5]}\n"],
+    "regulatory.tau": ["regulatory: {p: 0.5, tau: 0.5004}\n",
+                       "regulatory: {p: 0.5, tau: 1.0e-13}\n",
+                       "regulatory: {p: 0.5, tau: 0.9999999999999}\n"],
 }
 
 
 @pytest.mark.parametrize("field", list(BAD_REGULATORY))
 def test_bad_regulatory_input_exits_nonzero(tmp_path, capsys, field):
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text(FAST_GRID + BAD_REGULATORY[field])
-    for command in ("regulatory", "fees"):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"execfees: error: {field}:"), (command, err)
-        assert "Traceback" not in err
+    for text in BAD_REGULATORY[field]:
+        cfg.write_text(FAST_GRID + text)
+        for command in ("regulatory", "fees"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"execfees: error: {field}:"), (text, command, err)
+            assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "regulatory"])
+def test_command_without_its_section_exits_nonzero(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(FAST_GRID + "contracts: [linear_cash]\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"execfees: error: {command}:"), err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_nonzero(tmp_path, capsys):

@@ -25,6 +25,16 @@ def test_empty_config_is_baseline():
     assert (cfg.sim.q0, cfg.sim.s0, cfg.sim.x0) == (0.5, 45.0, 22.5)
 
 
+def test_collar_strikes_default_in_contract_spec():
+    # one default, whether the contract is built in code, by name or from YAML
+    assert (ef.ContractSpec(ef.Family.COLLAR_CASH)
+            == ef.ContractSpec(ef.Family.COLLAR_CASH, 40.0, 50.0))
+    collar = ef.make_contract("collar_physical")
+    assert (collar.K1, collar.K2) == (40.0, 50.0)
+    cfg = config_from_dict({"contracts": [{"family": "collar_cash", "K1": None}]})
+    assert (cfg.contracts[0].K1, cfg.contracts[0].K2) == (40.0, 50.0)
+
+
 def test_baseline_config_hash_is_pinned():
     # the canonical dict still carries each contract's liquidation target,
     # now derived from params.N, so existing artifact hashes stay valid

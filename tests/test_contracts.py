@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 import execfees as ef
 from execfees.errors import ConfigError
 
-from conftest import contract
 
 prices = st.floats(min_value=-200.0, max_value=200.0,
                    allow_nan=False, allow_infinity=False)
 
 
-def all_contracts(params):
-    return [contract(f, params) for f in
-            ("linear_physical", "linear_cash", "collar_physical",
-             "collar_cash", "twap_physical", "twap_cash")]
+ALL_CONTRACTS = tuple(ef.make_contract(f) for f in ef.Family)
 
 
 def test_liquidation_cost_examples():
@@ -35,9 +31,9 @@ def test_liquidation_cost_properties(q, target, alpha):
 
 
 def test_payoff_pi_examples(params):
-    lin = contract("linear_physical", params)
+    lin = ef.make_contract("linear_physical")
     assert ef.payoff_pi(lin, 45.0, 1.0) == 45.0
-    col = contract("collar_cash", params)
+    col = ef.make_contract("collar_cash")
     assert ef.payoff_pi(col, 45.0, 1.0) == 45.0   # inside the band: Z = S
     assert ef.payoff_pi(col, 55.0, 1.0) == 50.0   # capped at K2
     assert ef.payoff_pi(col, 35.0, 1.0) == 40.0   # floored at K1
@@ -46,7 +42,7 @@ def test_payoff_pi_examples(params):
 @given(s1=prices, s2=prices)
 def test_payoff_lipschitz_in_price(s1, s2):
     params = ef.MarketParams()
-    for spec in all_contracts(params):
+    for spec in ALL_CONTRACTS:
         d = abs(ef.payoff_pi(spec, s1, params.N) - ef.payoff_pi(spec, s2, params.N))
         assert d <= params.N * abs(s1 - s2) + 1e-12
 
@@ -61,29 +57,29 @@ def test_collar_monotone_and_flat_outside_band(s1, s2):
 
 
 def test_terminal_fee_examples(params):
-    phys = contract("linear_physical", params)
+    phys = ef.make_contract("linear_physical")
     assert ef.terminal_fee(phys, 1.0, 45.0, params) == 45.0
-    cash = contract("linear_cash", params)
+    cash = ef.make_contract("linear_cash")
     assert ef.terminal_fee(cash, 0.5, 45.0, params) == pytest.approx(45.05)
-    colp = contract("collar_physical", params)
+    colp = ef.make_contract("collar_physical")
     assert ef.terminal_fee(colp, 1.0, 55.0, params) == pytest.approx(50.0)
 
 
 def test_liquidation_targets_follow_family(params):
     for N in (params.N, 0.5):
-        assert contract("linear_physical", params).target(N) == N
-        assert contract("twap_physical", params).target(N) == N
-        assert contract("collar_physical", params).target(N) == N
-        assert contract("linear_cash", params).target(N) == 0.0
-        assert contract("collar_cash", params).target(N) == 0.0
-        assert contract("twap_cash", params).target(N) == 0.0
+        assert ef.make_contract("linear_physical").target(N) == N
+        assert ef.make_contract("twap_physical").target(N) == N
+        assert ef.make_contract("collar_physical").target(N) == N
+        assert ef.make_contract("linear_cash").target(N) == 0.0
+        assert ef.make_contract("collar_cash").target(N) == 0.0
+        assert ef.make_contract("twap_cash").target(N) == 0.0
 
 
 def test_contract_validation(params):
     with pytest.raises(ConfigError):
         ef.make_contract("collar_cash", params, K1=50.0, K2=40.0)
     with pytest.raises(ConfigError):
-        ef.make_contract("collar_cash", params, K1=40.0, K2=None)
+        ef.make_contract("collar_cash", params, K1=55.0, K2=None)   # K2 = 50 < K1
     with pytest.raises(ConfigError):
         ef.make_contract("no_such_family", params)
 

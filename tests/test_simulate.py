@@ -10,7 +10,7 @@ from execfees.errors import ConfigError, OutOfGrid
 from execfees.hjb import _bilinear, _interpolate, _layer_position
 from execfees.simulate import _CHUNK, _MAX_SEED
 
-from conftest import BASELINE_FAMILIES, cash_unwind_inventory, contract
+from conftest import BASELINE_FAMILIES, cash_unwind_inventory
 
 ALL_FAMILIES = BASELINE_FAMILIES + ("twap_physical", "twap_cash")
 
@@ -248,14 +248,14 @@ def test_clamp_budget_is_per_path(params):
 
 def test_realized_payoff_formulas(params):
     S, Q, X, A = 45.0, 1.0, 3.0, 46.0
-    phys = contract("linear_physical", params)
+    phys = ef.make_contract("linear_physical")
     assert ef.realized_payoff((S, Q, X, A), phys, params) == pytest.approx(3.0)
-    cash = contract("linear_cash", params)
+    cash = ef.make_contract("linear_cash")
     # Q(T)=0: Y = X - N*S
     assert ef.realized_payoff((S, 0.0, X, A), cash, params) == pytest.approx(3.0 - 45.0)
-    colc = contract("collar_cash", params)
+    colc = ef.make_contract("collar_cash")
     assert ef.realized_payoff((S, 0.0, X, A), colc, params) == pytest.approx(3.0 - 45.0)
-    twp = contract("twap_physical", params)
+    twp = ef.make_contract("twap_physical")
     #  X + Q*S + N*(A - S) - 0
     assert ef.realized_payoff((S, Q, X, A), twp, params) == pytest.approx(
         3.0 + 45.0 + 1.0)
@@ -285,7 +285,7 @@ def _semi_analytic_metric(params, fam):
 @pytest.mark.parametrize("fam", ["linear_physical", "linear_cash"])
 def test_metric_matches_semi_analytic_value(params, surfaces, controls, fam):
     cfg = ef.SimConfig(n_paths=20_000, seed=31)
-    spec = contract(fam, params)
+    spec = ef.make_contract(fam)
     fee = surfaces[fam].value_at(0.0, 45.0, 0.5)
     [est] = ef.expected_payoff_metric(params, cfg, [(spec, controls[fam], fee)])
     truth = _semi_analytic_metric(params, fam)
@@ -295,7 +295,7 @@ def test_metric_matches_semi_analytic_value(params, surfaces, controls, fam):
 
 def test_metric_deterministic_for_fixed_seed(params, surfaces, controls):
     cfg = ef.SimConfig(n_paths=3000, seed=77)
-    spec = contract("linear_physical", params)
+    spec = ef.make_contract("linear_physical")
     fee = surfaces["linear_physical"].value_at(0.0, 45.0, 0.5)
     contracts = [(spec, controls["linear_physical"], fee)]
     [a] = ef.expected_payoff_metric(params, cfg, contracts)
@@ -306,7 +306,7 @@ def test_metric_deterministic_for_fixed_seed(params, surfaces, controls):
 
 def test_metric_single_path_has_no_stderr(params, surfaces, controls):
     cfg = ef.SimConfig(n_paths=1, seed=2)
-    spec = contract("linear_physical", params)
+    spec = ef.make_contract("linear_physical")
     fee = surfaces["linear_physical"].value_at(0.0, 45.0, 0.5)
     [est] = ef.expected_payoff_metric(params, cfg,
                                       [(spec, controls["linear_physical"], fee)])
@@ -324,7 +324,7 @@ def test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral(params, fam):
     assert params.mu == params.r == 0.0
     grid = ef.GridSpec(I=40, J=40, n_steps=400)
     cfg = ef.SimConfig(n_paths=2000, n_steps=400, seed=7)
-    spec = contract(fam, params)
+    spec = ef.make_contract(fam)
     surface = ef.solve_fee_surface(spec, params, grid)
     fee = surface.value_at(0.0, cfg.s0, cfg.q0)
     control = ef.extract_control(surface, params, out=surface.values)
@@ -355,7 +355,7 @@ def test_metric_over_all_contracts_equals_one_contract_calls(params):
     cfg = ef.SimConfig(n_paths=9000, n_steps=100, seed=13)
     contracts = []
     for fam in ALL_FAMILIES:
-        spec = contract(fam, params)
+        spec = ef.make_contract(fam)
         surface = ef.solve_fee_surface(spec, params, g)
         fee = surface.value_at(0.0, cfg.s0, cfg.q0)
         contracts.append((spec, ef.extract_control(surface, params), fee))
