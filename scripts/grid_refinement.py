@@ -3,8 +3,10 @@
 
 Solves one contract on the baseline grid and on dyadic refinements of it,
 printing the fee at (t=0, q0=0.5, S0=45) per level and the grid the solve
-ran on (price-affine contracts at r = 0 keep a 3-node price axis). Useful
-to size the discretization error against the table tolerances.
+ran on (price-affine contracts at r = 0 keep a 3-node price axis). Each
+solve keeps its t = 0 layer alone, so the 4x level (401x401, 4000 steps)
+needs megabytes, not the 5 GB of its full surface. Useful to size the
+discretization error against the table tolerances.
 
 Usage: python scripts/grid_refinement.py [family] [levels]
 """
@@ -12,6 +14,7 @@ import sys
 import time
 
 import execfees as ef
+from execfees.hjb import solve_fee_surfaces
 
 
 def main(argv):
@@ -23,7 +26,7 @@ def main(argv):
     prev = None
     for lvl in range(levels):
         t0 = time.time()
-        surface = ef.solve_fee_surface(spec, params, grid)
+        surface, = solve_fee_surfaces([spec], params, grid)
         fee = surface.value_at(0.0, 45.0, 0.5)
         delta = "" if prev is None else f"  delta={fee - prev:+.2e}"
         g = surface.grid   # the grid the solve ran on, not the requested one

@@ -22,7 +22,7 @@ from .config import (BASELINE_CONTRACTS, TWAP_CONTRACTS, ExperimentConfig,
 from .contracts import ContractSpec, Family
 from .errors import ConfigError, ExecFeesError
 from .hjb import (RegulatorySpec, extract_control, solve_fee_surface,
-                  solve_regulatory)
+                  solve_fee_surfaces, solve_regulatory)
 from .simulate import (SimPath, common_noise_batch, expected_payoff_metric,
                        simulate_path)
 
@@ -41,31 +41,35 @@ TABLES = {
 # ---------------------------------------------------------------------------
 # pipeline operations (importable; the CLI is a thin shell around these)
 
-def _solve_fee(spec: ContractSpec, config: ExperimentConfig, params=None,
-               memo=None):
-    """Fee at (t=0, s0, q0) and its surface; the fee is recorded in memo."""
-    params = params or config.params
-    surface = solve_fee_surface(spec, params, config.grid)
-    fee = surface.value_at(0.0, config.sim.s0, config.sim.q0)
-    if memo is not None:
-        memo[_fee_key(spec, config, params)] = fee
-    return fee, surface
-
-
 def _fee_key(spec: ContractSpec, config: ExperimentConfig, params) -> tuple:
     """Every input of a fee: contract, params, grid and (s0, q0)."""
     return (spec, params, config.grid, config.sim.s0, config.sim.q0)
 
 
-def _fee(spec: ContractSpec, config: ExperimentConfig, memo: dict, params=None):
-    """The fee alone, solved unless memo holds the fee of the same inputs.
+def _solve_fees(contracts, config: ExperimentConfig, params, memo: dict,
+                every_layer=False):
+    """Surfaces of the contracts at one params, one stacked sweep per grid.
+
+    The fee at (t=0, s0, q0) of each is recorded in memo.
+    """
+    surfaces = solve_fee_surfaces(contracts, params, config.grid, every_layer)
+    for spec, surface in zip(contracts, surfaces):
+        memo[_fee_key(spec, config, params)] = surface.value_at(
+            0.0, config.sim.s0, config.sim.q0)
+    return surfaces
+
+
+def _fees(contracts, config: ExperimentConfig, memo: dict, params=None) -> list:
+    """The fees alone, solving in one call those whose inputs memo lacks.
 
     A memo belongs to one run and holds fee scalars, never surfaces.
     """
-    key = _fee_key(spec, config, params or config.params)
-    if key not in memo:
-        _solve_fee(spec, config, params, memo)
-    return memo[key]
+    params = params or config.params
+    missing = [spec for spec in dict.fromkeys(contracts)
+               if _fee_key(spec, config, params) not in memo]
+    if missing:
+        _solve_fees(missing, config, params, memo)
+    return [memo[_fee_key(spec, config, params)] for spec in contracts]
 
 
 def _swept(config: ExperimentConfig):
@@ -83,9 +87,9 @@ def run_fees(config: ExperimentConfig, memo=None):
     memo = {} if memo is None else memo
     grid_hash = sha256_of(dataclasses.asdict(config.grid))[:12]
     params_hash = sha256_of(dataclasses.asdict(config.params))[:12]
-    return [{"family": c.family.value, "fee": _fee(c, config, memo),
+    return [{"family": c.family.value, "fee": fee,
              "grid_hash": grid_hash, "params_hash": params_hash}
-            for c in config.contracts]
+            for c, fee in zip(config.contracts, _fees(config.contracts, config, memo))]
 
 
 def run_sweep(config: ExperimentConfig, memo=None):
@@ -95,10 +99,10 @@ def run_sweep(config: ExperimentConfig, memo=None):
     memo = {} if memo is None else memo
     rows = []
     for value, params in _swept(config):
-        for contract in config.contracts:
-            rows.append({"param": config.sweep.param, "value": value,
-                         "family": contract.family.value,
-                         "fee": _fee(contract, config, memo, params=params)})
+        fees = _fees(config.contracts, config, memo, params)
+        rows += [{"param": config.sweep.param, "value": value,
+                  "family": contract.family.value, "fee": fee}
+                 for contract, fee in zip(config.contracts, fees)]
     return rows
 
 
@@ -124,22 +128,24 @@ def run_regulatory(config: ExperimentConfig):
 def run_twap(config: ExperimentConfig, memo=None):
     """Fees of the two TWAP contracts via the transformed equation."""
     memo = {} if memo is None else memo
-    return [{"family": c.family.value, "fee": _fee(c, config, memo)}
-            for c in TWAP_CONTRACTS]
+    return [{"family": c.family.value, "fee": fee}
+            for c, fee in zip(TWAP_CONTRACTS, _fees(TWAP_CONTRACTS, config, memo))]
 
 
 def run_statarb(config: ExperimentConfig, memo=None):
     """Expected-payoff estimates for every configured contract; fees go to memo.
 
-    Every contract is solved first and its control written over its own fee
-    surface, so no surface outlives its solve; one Monte-Carlo pass then
-    steps all controls on each path's noise, drawn once.
+    Every contract is solved first, one stacked sweep per grid, and its
+    control written over its own fee surface, so no surface outlives its
+    solve; one Monte-Carlo pass then steps all controls on each path's
+    noise, drawn once.
     """
-    solved = []
-    for contract in config.contracts:
-        fee, surface = _solve_fee(contract, config, memo=memo)
-        control = extract_control(surface, config.params, out=surface.values)
-        solved.append((contract, control, fee))
+    memo = {} if memo is None else memo
+    surfaces = _solve_fees(config.contracts, config, config.params, memo,
+                           every_layer=True)
+    solved = [(contract, extract_control(surface, config.params, out=surface.values),
+               memo[_fee_key(contract, config, config.params)])
+              for contract, surface in zip(config.contracts, surfaces)]
     estimates = expected_payoff_metric(config.params, config.sim, solved)
     return [{"family": contract.family.value, "fee": fee,
              "estimate": est.estimate,

@@ -7,9 +7,10 @@ solves, backward from P(T) = Pi(S) + L(q),
         - (sigma^2*gamma/2)*e^{r(T-t)}*(q - dP/dS)^2
         + sup_{|v|<=C} { -l*v^2 + (b*q - b*dP/dS - dP/dq)*v } = 0.
 
-solve_fee_surface is the single entry point for all six families.  Only
-_terminal_layer tells TWAP apart: it hands the kernels a schedule (N for the
-TWAP state reduction, 0 otherwise) and they always use q - schedule*t/T.
+solve_fee_surfaces (solve_fee_surface for one contract) is the single entry
+point for all six families.  Only _terminal_layer tells TWAP apart: it hands
+the kernels a schedule (N for the TWAP state reduction, 0 otherwise) and they
+always use q - schedule*t/T.
 
 Time stepping is a semi-implicit operator splitting: the linear part
 (discounting, drift, diffusion in S) is implicit and reduces to one
@@ -17,13 +18,22 @@ tridiagonal solve per inventory slice; the nonlinear part (quadratic risk
 term and the constrained trading Hamiltonian) is explicit at the known time
 layer.  Each sweep allocates its workspace once and calls LAPACK gtsv (the
 routine scipy.linalg.solve_banded runs for a tridiagonal matrix) directly,
-so a time step allocates no array of the grid's size.  The Hamiltonian is
-discretized in upwind fashion: the buy and sell candidates are evaluated
-with one-sided inventory differences (second order where two neighbors
-exist) and the better one is kept.  The explicit step needs roughly
-C*dt <= dq/2 (the default grid sits exactly there); a warning fires beyond
-0.6*dq and another when the explicit increment gets large relative to the
-surface scale.
+so a time step allocates no array of the grid's size.
+
+A sweep advances a stack of K terminal layers that share params and grid:
+the kernels work on a Fortran-ordered (I+1, J+1, K) array, each member with
+its own schedule, and one gtsv call per step solves the columns of every
+member; a single solve is a stack of one.  Each member's arithmetic is that
+of a sweep of its own, bit for bit.  A sweep stores every layer only for a
+caller that simulates (every_layer); every other caller gets its lowest
+layer alone, t = 0 for a fee or tau for a regulatory branch.
+
+The Hamiltonian is discretized in upwind fashion: the buy and sell
+candidates are evaluated with one-sided inventory differences (second order
+where two neighbors exist) and the better one is kept.  The explicit step
+needs roughly C*dt <= dq/2 (the default grid sits exactly there); a warning
+fires beyond 0.6*dq and another when the explicit increment gets large
+relative to the surface scale.
 
 At the price boundaries d2P/dS2 = 0 is imposed and the remaining first
 derivative is one-sided; at the inventory boundaries the control candidates
@@ -99,8 +109,18 @@ class FeeSurface:
         return self.values.shape[0]
 
     def value_at(self, t: float, S: float, q: float) -> float:
-        """Trilinear interpolation; exact at grid nodes."""
-        return float(_interpolate(self, _layer_position(self, t), S, q))
+        """Trilinear interpolation; exact at grid nodes.
+
+        t must lie among the stored layers, up to 1e-9*dt of rounding: a
+        surface that holds t = 0 alone has no fee at any later time.
+        """
+        k = _layer_position(self, t)
+        if not -1e-9 <= k <= self.n_layers - 1 + 1e-9:
+            dt = self.grid.dt(self.params.T)
+            first, last = self.n0 * dt, (self.n0 + self.n_layers - 1) * dt
+            raise ValueError(f"t = {t!r} lies outside the stored layers "
+                             f"[{first!r}, {last!r}]")
+        return float(_interpolate(self, k, S, q))
 
 
 @dataclass
@@ -175,28 +195,26 @@ def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers and per-sweep constants of the backward step.
+    """Buffers and per-sweep constants of the backward step on a K-member stack.
 
-    The buffers are Fortran-ordered (I+1, J+1) arrays, so gtsv solves the
-    right-hand side built in L2 in place; _sweep then swaps L2 and P.
-    Each step rewrites the rows q_eff = q - schedule*t/T and b*q_eff.
+    The buffers are Fortran-ordered (I+1, J+1, K) arrays, member k being the
+    contiguous block [..., k]; gtsv solves the right-hand side built in L2 in
+    place, through its (I+1, (J+1)*K) view, and _sweep then swaps L2 and P.
+    q holds the inventory nodes on every price row, so that each step's
+    q_eff = q - schedule*t/T (one shift per member) is one contiguous pass.
     """
 
-    def __init__(self, grid: GridSpec):
-        self.q = grid.q_nodes()[None, :]
-        self.q_eff, self.bq = np.empty_like(self.q), np.empty_like(self.q)
-        shape = (grid.I + 1, grid.J + 1)
+    def __init__(self, grid: GridSpec, members: int = 1):
+        shape = (grid.I + 1, grid.J + 1, members)
+        self.q = np.empty(shape[:2] + (1,), order="F")
+        self.q[...] = grid.q_nodes()[None, :, None]
+        self.shift = np.empty(members)
         (self.DS, self.Df, self.Db, self.vf, self.vb, self.L2,
          self.P) = (np.empty(shape, order="F") for _ in range(7))
 
 
-def _absmax(a: np.ndarray) -> float:
-    """max |a| without the temporary of np.abs(a)."""
-    return float(max(a.max(), -a.min()))
-
-
 def explicit_nonlinear(P_next: np.ndarray, n: int, params: MarketParams,
-                       grid: GridSpec, schedule: float = 0.0,
+                       grid: GridSpec, schedule: float | np.ndarray = 0.0,
                        work: _Workspace | None = None) -> np.ndarray:
     """Explicit nonlinear increment evaluated on the known layer n+1.
 
@@ -205,36 +223,53 @@ def explicit_nonlinear(P_next: np.ndarray, n: int, params: MarketParams,
     at the clamped optimizer so the scheme stays correct when the speed bound
     binds.  q enters both terms as q - schedule*t/T (see _terminal_layer).
 
-    dP/dS is central inside and one-sided at the price edges; the one-sided
-    dP/dq pair is second order where two neighbors exist.  Everything is
-    written into `work`, the result into work.L2; with work=None a fresh
-    workspace is built, so the returned array is the caller's own.
+    P_next is one (I+1, J+1) layer, or a Fortran-ordered (I+1, J+1, K) stack
+    whose members have the K schedules in `schedule`; the result has its
+    shape.  dP/dS is central inside and one-sided at the price edges; the
+    one-sided dP/dq pair is second order where two neighbors exist.
+    Everything is written into `work`, the result into work.L2; with
+    work=None a fresh workspace is built, so the returned array is the
+    caller's own.
     """
-    w = _Workspace(grid) if work is None else work
+    if P_next.ndim == 2:
+        return explicit_nonlinear(P_next[..., None], n, params, grid, schedule,
+                                  work)[..., 0]
+    w = _Workspace(grid, P_next.shape[2]) if work is None else work
     P, DS, Df, Db, vf, vb, L2 = P_next, w.DS, w.Df, w.Db, w.vf, w.vb, w.L2
     dt = grid.dt(params.T)
     t_next = (n + 1) * dt
     ds, dq, l, C = grid.ds, grid.dq, params.l, params.C
-    np.subtract(w.q, schedule * t_next / params.T, out=w.q_eff)
-    np.multiply(w.q_eff, params.b, out=w.bq)
-    np.subtract(P[2:], P[:-2], out=DS[1:-1]); DS[1:-1] /= 2.0 * ds
-    np.subtract(P[1], P[0], out=DS[0]); DS[0] /= ds
-    np.subtract(P[-1], P[-2], out=DS[-1]); DS[-1] /= ds
-    # forward and backward inventory differences share 4*P[:, 1:-1] (in vf)
-    np.multiply(P[:, 1:-1], 4.0, out=vf[:, :-2])
-    np.multiply(P[:, :-2], -3.0, out=Df[:, :-2])
-    Df[:, :-2] += vf[:, :-2]; Df[:, :-2] -= P[:, 2:]; Df[:, :-2] /= 2.0 * dq
+    np.multiply(schedule, t_next, out=w.shift); w.shift /= params.T
+    # The stencils run on the flattened stack, where price row i of inventory
+    # column j of member k sits at i + R*(j + (J+1)*k): one contiguous
+    # difference serves every column of every member, and the entries it
+    # computes across a column's (or a member's) edge are rewritten one-sided
+    # right after.
+    R = P.shape[0]
+    Pf, DSf, Dff, Dbf, vff = (a.ravel("F") for a in (P, DS, Df, Db, vf))
+    DS_in = DSf[1:-1]
+    np.subtract(Pf[2:], Pf[:-2], out=DS_in); DS_in /= 2.0 * ds
+    np.subtract(Pf[1::R], Pf[::R], out=DSf[::R]); DSf[::R] /= ds
+    np.subtract(Pf[R - 1::R], Pf[R - 2::R], out=DSf[R - 1::R]); DSf[R - 1::R] /= ds
+    # forward and backward inventory differences share 4*P[:, 1:-1] (in vf);
+    # the slices hold inventory columns 0..J-2, 1..J-1 and 2..J
+    P_lo, P_mid, P_hi = Pf[:-2 * R], Pf[R:-R], Pf[2 * R:]
+    vf_lo, Df_lo, Db_hi = vff[:-2 * R], Dff[:-2 * R], Dbf[2 * R:]
+    np.multiply(P_mid, 4.0, out=vf_lo)
+    np.multiply(P_lo, -3.0, out=Df_lo)
+    Df_lo += vf_lo; Df_lo -= P_hi; Df_lo /= 2.0 * dq
     np.subtract(P[:, -1], P[:, -2], out=Df[:, -2]); Df[:, -2] /= dq
     Df[:, -1] = Df[:, -2]
-    np.multiply(P[:, 2:], 3.0, out=Db[:, 2:])
-    Db[:, 2:] -= vf[:, :-2]; Db[:, 2:] += P[:, :-2]; Db[:, 2:] /= 2.0 * dq
+    np.multiply(P_hi, 3.0, out=Db_hi)
+    Db_hi -= vf_lo; Db_hi += P_lo; Db_hi /= 2.0 * dq
     np.subtract(P[:, 1], P[:, 0], out=Db[:, 1]); Db[:, 1] /= dq
     Db[:, 0] = Db[:, 1]
-    # risk term into L2, then b*q_eff - b*dP/dS into DS
-    np.subtract(w.q_eff, DS, out=L2); np.square(L2, out=L2)
+    # q_eff into vb; the risk term into L2, then b*q_eff - b*dP/dS into DS
+    np.subtract(w.q, w.shift, out=vb)
+    np.subtract(vb, DS, out=L2); np.square(L2, out=L2)
     L2 *= (-0.5 * np.float64(params.sigma)**2 * params.gamma
            * np.exp(params.r * (params.T - t_next)))
-    DS *= params.b; np.subtract(w.bq, DS, out=DS)
+    vb *= params.b; DS *= params.b; np.subtract(vb, DS, out=DS)
     # the linear coefficients in Df, Db; the clamped speeds in vf, vb
     np.subtract(DS, Df, out=Df); np.subtract(DS, Db, out=Db)
     np.divide(Df, 2.0 * l, out=vf); vf.clip(0.0, C, out=vf)
@@ -258,13 +293,25 @@ def step_backward(P_next: np.ndarray, n: int, params: MarketParams,
     build_banded (passed in as ab, or built here) against the right-hand side
     -P^{n+1} + dt*explicit_nonlinear + dt*(mu - r*S)*q - dt*mu*schedule*t/T.
     """
-    return _sweep(P_next, n + 1, n, params, grid, schedule, ab)[0]
+    return _sweep([P_next], n + 1, n, params, grid, [schedule], ab)[0][0]
 
 
-def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
-           grid: GridSpec, schedule: float = 0.0,
-           ab: np.ndarray | None = None) -> np.ndarray:
-    """Backward sweep from layer n_hi down to n_lo; returns all layers."""
+def _sweep(P_terminals, n_hi: int, n_lo: int, params: MarketParams,
+           grid: GridSpec, schedules=None, ab: np.ndarray | None = None,
+           every_layer: bool = False) -> list[np.ndarray]:
+    """Backward sweep of a stack of terminal layers from layer n_hi down to n_lo.
+
+    Member k starts from the (I+1, J+1) layer P_terminals[k] and has the
+    schedule schedules[k] (0 for every member when None); all members share
+    params and grid, so one gtsv call per step solves every member's columns.
+    Returns one C-ordered array per member: its layers n_lo..n_hi when
+    every_layer, else its layer n_lo alone, of shape (1, I+1, J+1).  The
+    non-finite and explicit-increment checks look at each member on its own
+    scale.
+    """
+    members = len(P_terminals)
+    schedules = (np.zeros(members) if schedules is None
+                 else np.array(schedules, dtype=float))
     if ab is None:
         ab = build_banded(params, grid)
     dt = grid.dt(params.T)
@@ -274,53 +321,87 @@ def _sweep(P_terminal: np.ndarray, n_hi: int, n_lo: int, params: MarketParams,
             "the upwind Hamiltonian step can lose stability; keep "
             "C*dt <= dq/2 (increase n_steps or coarsen the inventory grid)",
             RuntimeWarning)
-    w = _Workspace(grid)
-    src = (params.mu - params.r * grid.s_nodes())[:, None] * w.q
-    dt_src = np.asfortranarray(dt * src)
-    moving = params.mu * schedule != 0.0   # dt_src is rebuilt per step only then
+    w = _Workspace(grid, members)
+    shape = w.P.shape
+    src = (params.mu - params.r * grid.s_nodes())[:, None] * grid.q_nodes()[None, :]
+    dt_src = np.empty(shape, order="F")
+    dt_src[...] = (dt * src)[..., None]
+    # the members whose source moves in t; their dt_src is rebuilt per step
+    moving = [k for k in range(members) if params.mu * schedules[k] != 0.0]
     gtsv, = get_lapack_funcs(("gtsv",), (ab,))
     du, d, dl = ab[0, 1:], ab[1, :], ab[2, :-1]
-    layers = np.empty((n_hi - n_lo + 1, grid.I + 1, grid.J + 1))
-    layers[-1] = P_terminal
     P = w.P
-    P[...] = P_terminal
-    top = _absmax(P)   # the surface scale; not finite exactly when P is not
-    worst = 0.0
+    for k, P_T in enumerate(P_terminals):
+        P[..., k] = P_T
+    if every_layer:
+        layers = [np.empty((n_hi - n_lo + 1, grid.I + 1, grid.J + 1))
+                  for _ in range(members)]
+        for out, P_T in zip(layers, P_terminals):
+            out[-1] = P_T
+    # max |a| of each member, |a| going through vb (free between steps)
+    abs_a, abs_by_member = w.vb, w.vb.reshape(-1, members, order="F")
+
+    def absmax(a, out):
+        np.abs(a, out=abs_a)
+        return np.maximum.reduce(abs_by_member, axis=0, out=out)
+
+    # each member's scale max(1, max|P|); max|P| is not finite exactly when P is not
+    scale = np.empty(members)
+    np.maximum(absmax(P, scale), 1.0, out=scale)
+    # per step and member: max|dt*L2| over the member's scale before the step
+    ratios = np.zeros((n_hi - n_lo, members))
     for n in range(n_hi - 1, n_lo - 1, -1):
-        rhs = explicit_nonlinear(P, n, params, grid, schedule, w)
-        worst = max(worst, dt * _absmax(rhs) / max(1.0, top))
-        if moving:
-            np.subtract(src, params.mu * schedule * (n * dt) / params.T, out=dt_src)
-            dt_src *= dt
+        rhs = explicit_nonlinear(P, n, params, grid, schedules, w)
+        rhs *= dt   # max|dt*L2| is dt*max|L2| exactly: rounding is monotone
+        ratio = ratios[n - n_lo]
+        np.divide(absmax(rhs, ratio), scale, out=ratio)
+        for k in moving:
+            np.subtract(src, params.mu * schedules[k] * (n * dt) / params.T,
+                        out=dt_src[..., k])
+            dt_src[..., k] *= dt
         # -P + dt*L2 + dt*src: x - y is x + (-y), and a sum of two commutes
-        rhs *= dt; rhs -= P; rhs += dt_src
+        rhs -= P; rhs += dt_src
         w.L2 = P   # the next increment overwrites the layer just used
-        P, info = gtsv(dl, d, du, rhs, overwrite_b=True)[3:]
+        x, info = gtsv(dl, d, du, rhs.reshape(shape[0], -1, order="F"),
+                       overwrite_b=True)[3:]
         if info > 0:
             raise SingularTridiagonal("singular matrix")
-        top = _absmax(P)
-        if not math.isfinite(top):
+        P = x.reshape(shape, order="F")
+        if not math.isfinite(absmax(P, scale).max()):
             raise NonFinite(f"surface became non-finite at time step {n}")
-        layers[n - n_lo] = P
+        np.maximum(scale, 1.0, out=scale)
+        if every_layer:
+            for k, out in enumerate(layers):
+                out[n - n_lo] = P[..., k]
+    worst = ratios.max(initial=0.0)
     if worst > _EXPLICIT_GUARD:
         warnings.warn(
             f"explicit increment reached {worst:.2f} of the surface scale; "
             "the time step is too coarse for these parameters", RuntimeWarning)
-    return layers
+    if every_layer:
+        return layers
+    return [np.ascontiguousarray(P[..., k])[None] for k in range(members)]
+
+
+def _solve_grid(spec: ContractSpec, params: MarketParams, grid: GridSpec) -> GridSpec:
+    """The grid a solve of spec runs on.
+
+    At r = 0 every non-collar fee is affine in S (a(t, q) + N*S, or the TWAP
+    reduction's price-free U); the scheme and bilinear lookup are exact on an
+    affine field, so those solves take a 3-node price axis on the same hull.
+    """
+    return grid if spec.family.is_collar or params.r != 0.0 else replace(grid, I=2)
 
 
 def _terminal_layer(spec: ContractSpec, params: MarketParams,
                     grid: GridSpec) -> tuple[GridSpec, np.ndarray, float]:
-    """The grid a solve runs on, its terminal layer P(T) and its schedule.
+    """The grid a solve runs on (see _solve_grid), its terminal layer P(T)
+    and its schedule.
 
     TWAP families are solved through a state reduction (r = 0 only): the
     reduced value U(t, S, q) satisfies the fee equation with q replaced by
     q - N*t/T in the risk, impact and source terms, and U(T, q) = L(q); the
     fee at t = 0 is U(0, S, q).  Their schedule is N, every other family's 0.
-
-    At r = 0 every non-collar fee is affine in S (a(t, q) + N*S, or the TWAP
-    reduction's price-free U); the scheme and bilinear lookup are exact on an
-    affine field, so those solves take a 3-node price axis on the same hull.
     """
     twap = spec.family.is_twap
     if twap and params.r != 0.0:
@@ -331,21 +412,41 @@ def _terminal_layer(spec: ContractSpec, params: MarketParams,
             if abs(off - round(off)) > 1e-9:
                 warnings.warn(f"collar strike {name}={k} does not lie on a price "
                               "node; terminal kink lands between nodes", RuntimeWarning)
-    elif params.r == 0.0:
-        grid = replace(grid, I=2)
+    grid = _solve_grid(spec, params, grid)
     S, q = grid.s_nodes()[:, None], grid.q_nodes()[None, :]
     P_T = (liquidation_cost(q, spec.target(params.N), params.alpha)
            if twap else terminal_fee(spec, q, S, params))
     return grid, P_T + np.zeros((grid.I + 1, grid.J + 1)), params.N if twap else 0.0
 
 
+def solve_fee_surfaces(specs, params: MarketParams, grid: GridSpec,
+                       every_layer: bool = False) -> list[FeeSurface]:
+    """Fee surfaces of several contracts at one params, in specs order.
+
+    The contracts that run on the same grid are solved as one stacked sweep,
+    the grids in the order their first contract comes; a group's terminal
+    layers are built just before its sweep.  A surface holds every layer
+    when every_layer, for a caller that simulates, and its t = 0 layer alone
+    otherwise.
+    """
+    grids = [_solve_grid(spec, params, grid) for spec in specs]
+    surfaces = [None] * len(specs)
+    for solved in dict.fromkeys(grids):
+        stack = [k for k, g in enumerate(grids) if g == solved]
+        terminals = [_terminal_layer(specs[k], params, grid)[1:] for k in stack]
+        values = _sweep([P_T for P_T, _ in terminals], solved.n_steps, 0, params,
+                        solved, [schedule for _, schedule in terminals],
+                        every_layer=every_layer)
+        for k, (_, schedule), v in zip(stack, terminals, values):
+            surfaces[k] = FeeSurface(grid=solved, params=params, values=v,
+                                     contract=specs[k], schedule=schedule)
+    return surfaces
+
+
 def solve_fee_surface(spec: ContractSpec, params: MarketParams,
                       grid: GridSpec) -> FeeSurface:
     """Full backward solve of the fee equation for any contract family."""
-    grid, P_T, schedule = _terminal_layer(spec, params, grid)
-    values = _sweep(P_T, grid.n_steps, 0, params, grid, schedule)
-    return FeeSurface(grid=grid, params=params, values=values, contract=spec,
-                      schedule=schedule)
+    return solve_fee_surfaces([spec], params, grid, every_layer=True)[0]
 
 
 def solve_regulatory(tau: float, p_values, params: MarketParams,
@@ -365,29 +466,30 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
     once per approval probability in p_values.  The exponentials are rescaled
     by their nodewise maximum before the log.
 
-    Returns one FeeSurface per p, in p_values order, each holding the single
-    t = 0 layer of its pre-decision sweep.  Of each branch only its layer at
-    tau is kept, and only until the mixtures are formed.
+    The two branches are one stacked sweep from T down to tau, and the
+    mixtures of every p another from tau down to 0.  Returns one FeeSurface
+    per p, in p_values order, each holding the single t = 0 layer of its
+    pre-decision sweep; of each branch only its layer at tau is kept.
     """
     specs = [RegulatorySpec(p=p, tau=tau) for p in p_values]
     n_tau = specs[0].snapped_step(params, grid)
-    branches = []
-    for spec in (ContractSpec(Family.LINEAR_PHYSICAL), ContractSpec(Family.LINEAR_CASH)):
-        solved, P_T, _ = _terminal_layer(spec, params, grid)
-        branches.append(_sweep(P_T, grid.n_steps, n_tau, params, solved)[0].copy())
+    (solved, P1_T, _), (_, P0_T, _) = (
+        _terminal_layer(ContractSpec(family), params, grid)
+        for family in (Family.LINEAR_PHYSICAL, Family.LINEAR_CASH))
+    P1, P0 = (layer[0] for layer in _sweep([P1_T, P0_T], grid.n_steps, n_tau,
+                                            params, solved))
     tau = n_tau * solved.dt(params.T)   # the grid time tau snaps to
     g = params.gamma * np.exp(params.r * (params.T - tau))
-    P1, P0 = branches
     M = np.maximum(P1, P0)
     E1, E0 = np.exp(g * (P1 - M)), np.exp(g * (P0 - M))
-    pre = []
+    mixtures = []
     for spec in specs:
         mix = spec.p * E1 + (1.0 - spec.p) * E0
         if not np.isfinite(mix).all() or np.any(mix <= 0.0):
             raise BlendOverflow("regulatory mixture left the representable range")
-        values = _sweep(M + np.log(mix) / g, n_tau, 0, params, solved)[:1].copy()
-        pre.append(FeeSurface(grid=solved, params=params, values=values))
-    return pre
+        mixtures.append(M + np.log(mix) / g)
+    return [FeeSurface(grid=solved, params=params, values=values)
+            for values in _sweep(mixtures, n_tau, 0, params, solved)]
 
 
 def extract_control(surface: FeeSurface, params: MarketParams,

@@ -489,12 +489,15 @@ def _lines(path):
 
 @pytest.mark.filterwarnings("ignore:collar strike")
 def test_reproduce_all_solves_each_distinct_sweep_once(tmp_path, monkeypatch):
-    keys = []
+    keys, calls = [], []
     sweep = hjb._sweep
 
-    def counting_sweep(P_terminal, n_hi, n_lo, params, grid, schedule=0.0, ab=None):
-        keys.append((P_terminal.tobytes(), params, grid, n_hi, n_lo, schedule))
-        return sweep(P_terminal, n_hi, n_lo, params, grid, schedule, ab)
+    def counting_sweep(P_terminals, n_hi, n_lo, params, grid, schedules=None,
+                       ab=None, every_layer=False):
+        calls.append(len(P_terminals))
+        for P_T, schedule in zip(P_terminals, schedules or [0.0] * len(P_terminals)):
+            keys.append((P_T.tobytes(), params, grid, n_hi, n_lo, schedule))
+        return sweep(P_terminals, n_hi, n_lo, params, grid, schedules, ab, every_layer)
 
     monkeypatch.setattr(hjb, "_sweep", counting_sweep)
     cfg = tmp_path / "exp.yaml"
@@ -503,6 +506,8 @@ def test_reproduce_all_solves_each_distinct_sweep_once(tmp_path, monkeypatch):
     repeated = [k[1:] for k, n in collections.Counter(keys).items() if n > 1]
     assert not repeated
     assert len(keys) == 34
+    # the members that share params and grid are one stacked sweep
+    assert len(calls) == 13
     # the post-decision branches end at tau (n_lo > 0): two per sigma, not 2 per p
     branches = collections.Counter(k[1].sigma for k in keys if k[4] > 0)
     assert branches == {1.0: 2, 5.0: 2}

@@ -108,7 +108,19 @@ def test_sweep_raises_on_nonfinite(params):
     P = np.zeros((9, 9))
     P[4, 4] = np.inf
     with pytest.raises(NonFinite):
-        _sweep(P, 2, 0, params, g)
+        _sweep([P], 2, 0, params, g)
+
+
+def test_stacked_sweep_raises_when_one_member_overflows(params):
+    # the first member alone sweeps cleanly; the second overflows in the risk
+    # term's square, and the stack stops on it
+    g = ef.GridSpec(I=8, J=8, n_steps=2)
+    P_T = ef.terminal_fee(ef.make_contract("linear_physical"), g.q_nodes()[None, :],
+                          g.s_nodes()[:, None], params) + np.zeros((9, 9))
+    assert np.isfinite(_sweep([P_T], 2, 0, params, g)[0]).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite):
+            _sweep([P_T, 1e200 * P_T], 2, 0, params, g)
 
 
 def test_explicit_guard_warns_on_coarse_time():
@@ -122,10 +134,10 @@ def test_cfl_warning_fires_beyond_its_bound(params):
     P = np.zeros((11, 101))
     g = ef.GridSpec(I=10, n_steps=800)                 # C*dt = 0.625*dq
     with pytest.warns(RuntimeWarning, match=r"exceeds 0\.6\*dq"):
-        _sweep(P, 2, 0, params, g)
+        _sweep([P], 2, 0, params, g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _sweep(P, 2, 0, params, ef.GridSpec(I=10))      # C*dt = 0.5*dq
+        _sweep([P], 2, 0, params, ef.GridSpec(I=10))    # C*dt = 0.5*dq
 
 
 def test_explicit_calls_return_arrays_they_own(params, grid):
@@ -174,28 +186,43 @@ def _reference_sweep(P_T, n_hi, n_lo, p, g, schedule):
     return np.array(layers[::-1])
 
 
-# family, params, the sweep's layers (n_hi, n_lo) on the baseline time grid
+# the stacked families, params, the sweep's layers (n_hi, n_lo) on the
+# baseline time grid
 REFERENCE_SWEEPS = {
-    "collar_cash": ("collar_cash", {}, (50, 0)),                 # 101x101 grid
-    "linear_cash": ("linear_cash", {}, (50, 0)),                 # 3 price nodes
-    "twap_cash": ("twap_cash", {"mu": 0.05}, (50, 0)),
-    "twap_physical_mu0": ("twap_physical", {}, (50, 0)),     # source fixed in t
-    "linear_physical_r": ("linear_physical", {"r": 0.01}, (50, 0)),
+    "collar_cash": (("collar_cash",), {}, (50, 0)),              # 101x101 grid
+    "linear_cash": (("linear_cash",), {}, (50, 0)),              # 3 price nodes
+    "twap_cash": (("twap_cash",), {"mu": 0.05}, (50, 0)),
+    "twap_physical_mu0": (("twap_physical",), {}, (50, 0)),  # source fixed in t
+    "linear_physical_r": (("linear_physical",), {"r": 0.01}, (50, 0)),
     # a regulatory branch: from T down to tau, so n_lo > 0
-    "branch_to_tau": ("linear_physical", {"mu": 0.05}, (1000, 950)),
+    "branch_to_tau": (("linear_physical",), {"mu": 0.05}, (1000, 950)),
+    # stacks: schedules 0, 0, N, N with a source that moves in t
+    "stack_affine_mu": (("linear_physical", "linear_cash", "twap_physical",
+                         "twap_cash"), {"mu": 0.05}, (50, 0)),
+    "stack_collars": (("collar_physical", "collar_cash"), {}, (50, 0)),
+    "stack_branches": (("linear_physical", "linear_cash"), {"mu": 0.05}, (1000, 950)),
 }
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")
 @pytest.mark.parametrize("case", list(REFERENCE_SWEEPS))
 def test_sweep_equals_reference_step_bitwise(case):
-    family, kw, (n_hi, n_lo) = REFERENCE_SWEEPS[case]
+    families, kw, (n_hi, n_lo) = REFERENCE_SWEEPS[case]
     p = ef.MarketParams(**kw)
-    g, P_T, schedule = _terminal_layer(ef.make_contract(family), p, ef.GridSpec())
-    assert schedule == (p.N if ef.Family(family).is_twap else 0.0)
-    got = _sweep(P_T, n_hi, n_lo, p, g, schedule)
-    assert got.shape == (n_hi - n_lo + 1, g.I + 1, g.J + 1)
-    assert np.array_equal(got, _reference_sweep(P_T, n_hi, n_lo, p, g, schedule))
+    solves = [_terminal_layer(ef.make_contract(f), p, ef.GridSpec()) for f in families]
+    g = solves[0][0]
+    assert all(solved == g for solved, _, _ in solves)
+    P_Ts = [P_T for _, P_T, _ in solves]
+    schedules = [schedule for _, _, schedule in solves]
+    assert schedules == [p.N if ef.Family(f).is_twap else 0.0 for f in families]
+    got = _sweep(P_Ts, n_hi, n_lo, p, g, schedules, every_layer=True)
+    lowest = _sweep(P_Ts, n_hi, n_lo, p, g, schedules)
+    assert len(got) == len(lowest) == len(families)
+    for P_T, schedule, layers, layer in zip(P_Ts, schedules, got, lowest):
+        assert layers.shape == (n_hi - n_lo + 1, g.I + 1, g.J + 1)
+        assert np.array_equal(layers, _reference_sweep(P_T, n_hi, n_lo, p, g, schedule))
+        assert layer.shape == (1, g.I + 1, g.J + 1)
+        assert np.array_equal(layer, layers[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +348,25 @@ def test_regulatory_keeps_one_layer_per_p():
     assert held <= 0.05 * ONE_SURFACE, held / ONE_SURFACE
     assert peak < ONE_SURFACE, peak / ONE_SURFACE
     assert [surface.n_layers for surface in pre] == [1] * 5
+
+
+def test_value_at_reads_only_the_stored_layers():
+    # a fee-only surface holds t = 0 alone, so a later t raises instead of
+    # returning the t = 0 fee; a stored t reads what the lookup reads there
+    p, g = ef.MarketParams(), ef.GridSpec(I=20, J=20, n_steps=200)
+    pre = ef.solve_regulatory(0.5, [0.5], p, g)[0]
+    assert pre.n_layers == 1
+    assert pre.value_at(0.0, 45.0, 0.5) == _interpolate(pre, 0, 45.0, 0.5)
+    with pytest.raises(ValueError, match="outside the stored layers"):
+        pre.value_at(0.9, 45.0, 0.5)
+    full = ef.solve_fee_surface(ef.make_contract("linear_cash"), p, g)
+    dt = g.dt(p.T)
+    for t in (0.0, 0.3 + 0.25 * dt, p.T, p.T + 1e-12 * dt):   # rounding allowed
+        assert full.value_at(t, 45.0, 0.5) == _interpolate(
+            full, _layer_position(full, t), 45.0, 0.5), t
+    for t in (p.T + 1e-6 * dt, 1.5, -0.1):
+        with pytest.raises(ValueError, match="outside the stored layers"):
+            full.value_at(t, 45.0, 0.5)
 
 
 def test_regulatory_tau_validation(params, grid):
@@ -477,7 +523,8 @@ def test_affine_families_solve_exactly_on_three_price_nodes(sigma, mu):
         P_T = (ef.liquidation_cost(q, spec.target(p.N), p.alpha)
                if spec.family.is_twap else ef.terminal_fee(spec, q, S, p)) + zeros
         full = ef.FeeSurface(grid=g, params=p, contract=spec, schedule=schedule,
-                             values=_sweep(P_T, g.n_steps, 0, p, g, schedule))
+                             values=_sweep([P_T], g.n_steps, 0, p, g, [schedule],
+                                           every_layer=True)[0])
         _assert_matches_full_axis(ef.solve_fee_surface(spec, p, g), full, p)
     # regulatory mixture at p = 1/2, mixed independently of solve_regulatory on
     # both axes; solve_regulatory keeps only t = 0, so its fee is held to the full
@@ -495,11 +542,12 @@ def _mixture_at_half(p, g):
     n_tau = ef.RegulatorySpec(p=0.5, tau=0.5).snapped_step(p, g)
     S = g.s_nodes()[:, None]; q = g.q_nodes()[None, :]
     zeros = np.zeros((g.I + 1, g.J + 1))
-    P1, P0 = (_sweep(ef.terminal_fee(ef.make_contract(fam), q, S, p) + zeros,
-                     g.n_steps, n_tau, p, g)[0]
+    P1, P0 = (_sweep([ef.terminal_fee(ef.make_contract(fam), q, S, p) + zeros],
+                     g.n_steps, n_tau, p, g)[0][0]
               for fam in ("linear_physical", "linear_cash"))
     P_tau = (np.logaddexp(p.gamma * P1, p.gamma * P0) + np.log(0.5)) / p.gamma
-    return ef.FeeSurface(grid=g, params=p, values=_sweep(P_tau, n_tau, 0, p, g))
+    return ef.FeeSurface(grid=g, params=p,
+                         values=_sweep([P_tau], n_tau, 0, p, g, every_layer=True)[0])
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")
