@@ -55,6 +55,8 @@ from .errors import (BlendOverflow, ConfigError, NonFinite, RequiresZeroRate,
 
 # warn when dt * max|explicit increment| exceeds this fraction of the surface scale
 _EXPLICIT_GUARD = 0.1
+# time layers per array expression of extract_control
+_EXTRACT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -133,18 +135,92 @@ class ControlSurface:
     n0: int = 0
 
 
+class _Lookup:
+    """Buffers of bilinear lookups on one grid at points of one shape.
+
+    `locate` finds, for coordinates (S, q) clamped to the grid hull, the
+    flat index of each point's lower corner and the weights [1 - f, f] of
+    its price and inventory fractions; `blend` then interpolates a layer at
+    those points.  With `members` K the points carry a leading member axis,
+    of length K, and the layer is a (K, I+1, J+1) stack gathered by `layer`:
+    member m reads layer m; a stack of one reads its own layer in place.
+    Nothing is allocated after construction.
+    """
+
+    def __init__(self, grid: GridSpec, shape: tuple, members: int = 1):
+        self.grid, self.members = grid, members
+        self.pos = np.empty((2,) + shape)              # cell coordinates of S, q
+        self.weight = np.empty((2, 2) + shape)         # [1 - f, f] of S, q
+        self.idx = np.empty(shape, dtype=np.intp)
+        self.corner = np.empty(shape)
+        self.value, self.value_next = np.empty(shape), np.empty(shape)
+        if members > 1:
+            self.layers = np.empty((members, grid.I + 1, grid.J + 1))
+            self.offset = (np.arange(members) * self.layers[0].size).reshape(
+                (members,) + (1,) * (len(shape) - 1))
+
+    def locate(self, S, q) -> None:
+        """Lower-corner flat indices and [1 - f, f] weights of the points (S, q)."""
+        g, pos, weight = self.grid, self.pos, self.weight
+        # the trailing ...: for points of shape () a row stays a 0-d array
+        for p, x, lo, d, top in ((pos[0, ...], S, g.s_min, g.ds, g.I),
+                                 (pos[1, ...], q, g.q_min, g.dq, g.J)):
+            np.subtract(x, lo, out=p); p /= d
+            np.clip(p, 0.0, top - 1e-12, out=p)
+        # integer parts, in weight[0] for now: floor truncates pos >= 0, and
+        # adding 0.0 makes -0.0 the +0.0 of int(-0.0), so the fractions are
+        # those of pos - int(pos), signed zeros included
+        low, frac = weight
+        np.floor(pos, out=low); low += 0.0
+        np.subtract(pos, low, out=frac)
+        # flat index of the lower corner, exact in float64, in the spent pos
+        flat = pos[0, ...]
+        np.multiply(low[0], g.J + 1, out=flat); flat += low[1]
+        if self.members > 1:
+            flat += self.offset
+        np.copyto(self.idx, flat, casting="unsafe")
+        np.subtract(1.0, frac, out=low)
+
+    def layer(self, surface, k: int) -> np.ndarray:
+        """Layer k of a surface, or of every member of a stack as one array."""
+        if not isinstance(surface, list):
+            return surface.values[k]
+        if len(surface) == 1:
+            return surface[0].values[k]
+        for layer, member in zip(self.layers, surface):
+            layer[...] = member.values[k]
+        return self.layers
+
+    def blend(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The located points interpolated on the C-ordered layer (or stack) V.
+
+        Corner by corner, in the order (i, j), (i+1, j), (i, j+1), (i+1, j+1):
+        one gather at a shifted view of the flat layer, weighted by its price,
+        then its inventory weight, and added to the sum.
+        """
+        flat, row, c = V.ravel(), V.shape[-1], self.corner
+        (ws0, wq0), (ws1, wq1) = self.weight
+        for shift, ws, wq in ((0, ws0, wq0), (row, ws1, wq0), (1, ws0, wq1),
+                              (row + 1, ws1, wq1)):
+            term = c if shift else out
+            # the shifted index is in bounds; clip mode writes straight to term
+            np.take(flat[shift:], self.idx, out=term, mode="clip")
+            term *= ws; term *= wq
+            if shift:
+                out += c
+        return out
+
+
+def _lookup_for(grid: GridSpec, S, q, members: int = 1) -> _Lookup:
+    """A _Lookup for the broadcast shape of S and q."""
+    return _Lookup(grid, np.broadcast_shapes(np.shape(S), np.shape(q)), members)
+
+
 def _bilinear(V: np.ndarray, g: GridSpec, S, q):
     """Bilinear interpolation of one (price, inventory) layer, clamped to the hull."""
-    si = np.clip((np.asarray(S) - g.s_min) / g.ds, 0.0, g.I - 1e-12)
-    qi = np.clip((np.asarray(q) - g.q_min) / g.dq, 0.0, g.J - 1e-12)
-    i0 = si.astype(int); j0 = qi.astype(int)
-    fs = si - i0; fq = qi - j0
-    # four 1-D gathers at one flat index: cheaper than 2-D fancy indexing
-    flat = V.ravel()
-    row = V.shape[1]
-    idx = i0 * row + j0
-    return (flat.take(idx) * (1 - fs) * (1 - fq) + flat.take(idx + row) * fs * (1 - fq)
-            + flat.take(idx + 1) * (1 - fs) * fq + flat.take(idx + (row + 1)) * fs * fq)
+    w = _lookup_for(g, S, q)
+    w.locate(S, q)
+    return w.blend(V, w.value)[()]
 
 
 def _layer_position(surface: FeeSurface | ControlSurface, t: float) -> float:
@@ -152,22 +228,32 @@ def _layer_position(surface: FeeSurface | ControlSurface, t: float) -> float:
     return t / surface.grid.dt(surface.params.T) - surface.n0
 
 
-def _interpolate(surface: FeeSurface | ControlSurface, k: float, S, q):
+def _interpolate(surface, k: float, S, q, work: _Lookup | None = None):
     """Bilinear in (S, q), linear between layers at fractional layer position k.
 
-    Coordinates outside the grid hull are clamped to it; an integer k reads
-    layer k alone.
+    `surface` is one FeeSurface or ControlSurface, or a list of K surfaces
+    on one grid with the same layers (a stack) looked up at points with a
+    leading member axis: member m at (S[m], q[m]).  Coordinates outside the
+    grid hull are clamped to it; an integer k reads layer k alone.  With
+    `work`, a _Lookup for the points, the lookup allocates nothing and the
+    result is a buffer of `work`; without, it is the caller's own.
     """
-    g = surface.grid
-    n_layers = surface.values.shape[0]
+    first = surface[0] if isinstance(surface, list) else surface
+    n_layers = first.values.shape[0]
     # builtins, not np.clip: this runs on a scalar once per Euler step
     k = min(max(k, 0.0), n_layers - 1.0)
     k0 = int(k); k1 = min(k0 + 1, n_layers - 1)
     wk = k - k0
-    v = _bilinear(surface.values[k0], g, S, q)
+    w = work
+    if w is None:
+        w = _lookup_for(first.grid, S, q,
+                        len(surface) if isinstance(surface, list) else 1)
+    w.locate(S, q)
+    v = w.blend(w.layer(surface, k0), w.value)
     if wk > 0.0:
-        v = (1.0 - wk) * v + wk * _bilinear(surface.values[k1], g, S, q)
-    return v
+        v_next = w.blend(w.layer(surface, k1), w.value_next)
+        v *= 1.0 - wk; v_next *= wk; v += v_next
+    return v if work is not None else v[()]
 
 
 def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
@@ -498,31 +584,39 @@ def extract_control(surface: FeeSurface, params: MarketParams,
 
     Central differences in the interior, second-order one-sided at the edges;
     at the inventory boundaries the speed is additionally restricted to point
-    into the grid, matching the solver's boundary Hamiltonian.  The control
-    is written to `out` (freshly allocated when None), which may be
-    `surface.values` itself: each layer is read in full before its control
-    overwrites it, and no other layer is read.  y = q - schedule*t/T.
+    into the grid, matching the solver's boundary Hamiltonian.  y = q -
+    schedule*t/T.  The layers are taken _EXTRACT_BLOCK at a time, one array
+    expression per block, with the formulas of a layer on its own.  The
+    control is written to `out` (freshly allocated when None), which may be
+    `surface.values` itself: each block of layers is read in full before its
+    control overwrites it, and no other layer is read.
     """
     g = surface.grid
-    ds, dq = g.ds, g.dq
-    q = g.q_nodes()[None, :]
+    ds, dq, b = g.ds, g.dq, params.b
+    q = g.q_nodes()[None, None, :]
     if out is None:
         out = np.empty_like(surface.values)
-    for k in range(surface.n_layers):
-        P = surface.values[k]
-        DS = np.empty_like(P)
-        DS[1:-1, :] = (P[2:, :] - P[:-2, :]) / (2.0 * ds)
-        DS[0, :] = (-3.0 * P[0, :] + 4.0 * P[1, :] - P[2, :]) / (2.0 * ds)
-        DS[-1, :] = (3.0 * P[-1, :] - 4.0 * P[-2, :] + P[-3, :]) / (2.0 * ds)
-        Dq = np.empty_like(P)
-        Dq[:, 1:-1] = (P[:, 2:] - P[:, :-2]) / (2.0 * dq)
-        Dq[:, 0] = (-3.0 * P[:, 0] + 4.0 * P[:, 1] - P[:, 2]) / (2.0 * dq)
-        Dq[:, -1] = (3.0 * P[:, -1] - 4.0 * P[:, -2] + P[:, -3]) / (2.0 * dq)
-        t = (surface.n0 + k) * g.dt(params.T)
-        y = q - surface.schedule * t / params.T
-        v = (params.b * y - params.b * DS - Dq) / (2.0 * params.l)
+    layers = np.arange(surface.n0, surface.n0 + surface.n_layers)
+    size = min(_EXTRACT_BLOCK, surface.n_layers)
+    DS_block, Dq_block = (np.empty((size,) + surface.values.shape[1:]) for _ in range(2))
+    for k in range(0, surface.n_layers, size):
+        P = surface.values[k:k + size]
+        v = out[k:k + size]
+        DS, Dq = DS_block[:len(P)], Dq_block[:len(P)]
+        np.subtract(P[:, 2:, :], P[:, :-2, :], out=DS[:, 1:-1, :])
+        DS[:, 1:-1, :] /= 2.0 * ds
+        DS[:, 0, :] = (-3.0 * P[:, 0, :] + 4.0 * P[:, 1, :] - P[:, 2, :]) / (2.0 * ds)
+        DS[:, -1, :] = (3.0 * P[:, -1, :] - 4.0 * P[:, -2, :] + P[:, -3, :]) / (2.0 * ds)
+        np.subtract(P[:, :, 2:], P[:, :, :-2], out=Dq[:, :, 1:-1])
+        Dq[:, :, 1:-1] /= 2.0 * dq
+        Dq[:, :, 0] = (-3.0 * P[:, :, 0] + 4.0 * P[:, :, 1] - P[:, :, 2]) / (2.0 * dq)
+        Dq[:, :, -1] = (3.0 * P[:, :, -1] - 4.0 * P[:, :, -2] + P[:, :, -3]) / (2.0 * dq)
+        t = layers[k:k + size] * g.dt(params.T)
+        y = q - (surface.schedule * t / params.T)[:, None, None]
+        # P is spent: v may be P itself from here on
+        DS *= b
+        np.subtract(b * y, DS, out=v); v -= Dq; v /= 2.0 * params.l
         np.clip(v, -params.C, params.C, out=v)
-        v[:, 0] = np.maximum(v[:, 0], 0.0)
-        v[:, -1] = np.minimum(v[:, -1], 0.0)
-        out[k] = v
+        np.maximum(v[:, :, 0], 0.0, out=v[:, :, 0])
+        np.minimum(v[:, :, -1], 0.0, out=v[:, :, -1])
     return ControlSurface(grid=g, params=params, values=out, n0=surface.n0)

@@ -4,6 +4,12 @@ Paths share Brownian increments across contract families (common random
 numbers) so trajectory comparisons isolate the contract effect.  Increments
 are drawn per path from a counter-based generator keyed by (seed, path index),
 so any subset of paths is reproducible independently.
+
+One Euler kernel steps a stack of contracts whose controls share a grid: the
+expected-payoff metric steps each grid's contracts as one stack, reading each
+step's noise once, and a trajectory run is a stack of one.  Each member
+keeps its own start wealth, control and hull-clamp budget, and its states
+are bit for bit those of a stack of its own.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ import numpy as np
 from .contracts import (ContractSpec, GridSpec, MarketParams, check_count,
                         check_real, collar_per_share, liquidation_cost)
 from .errors import ConfigError, NonFinite, OutOfGrid
-from .hjb import ControlSurface, _interpolate
+from .hjb import ControlSurface, _interpolate, _Lookup
 
 # abort when more than this fraction of lookups had to be clamped to the hull
 _CLAMP_BUDGET = 0.01
@@ -99,53 +105,82 @@ def common_noise_batch(cfg: SimConfig, params: MarketParams,
     return out
 
 
-def _hull_clamps(g: GridSpec, S, q, axis=None):
-    """Lookups outside the grid hull: the total, or the counts along `axis`."""
+def _outside_hull(g: GridSpec, S, q, out=None) -> np.ndarray:
+    """Mask of the lookups outside the grid hull.
+
+    `out` is a pair of boolean buffers of the points' shape (allocated when
+    None); the mask is written to the first.
+    """
     eps = 1e-9
-    return np.count_nonzero((S < g.s_min - eps) | (S > g.s_max + eps)
-                            | (q < g.q_min - eps) | (q > g.q_max + eps), axis=axis)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(S), np.shape(q))
+        out = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+    hit, side = out
+    np.less(S, g.s_min - eps, out=hit)
+    for x, cmp, edge in ((S, np.greater, g.s_max + eps), (q, np.less, g.q_min - eps),
+                         (q, np.greater, g.q_max + eps)):
+        cmp(x, edge, out=side); hit |= side
+    return hit
 
 
-def _euler_batch(control: ControlSurface, params: MarketParams, start: tuple,
+def _euler_batch(controls: list[ControlSurface], params: MarketParams, starts,
                  increments: np.ndarray, record: bool = False):
     """Shared Euler kernel; returns (terminal states, trajectories if record).
 
-    Every path starts at `start` = (s0, q0, x0).  The hull-clamp budget
-    holds per call, and in record mode per row: each recorded trajectory is
-    checked on its own.
+    `controls` is a stack of K controls on one grid with the same layers;
+    member m starts every path at starts[m] = (s0, q0, x0) and all members
+    step on the same increments.  States have shape (K, n), trajectories
+    (n_steps + 1, K, n).  Every per-step array is allocated before the first
+    step, and each member's arithmetic is that of a stack of its own, bit
+    for bit.  The hull-clamp budget holds per member, and in record mode per
+    member and path: each recorded trajectory is checked on its own.
     """
-    g = control.grid
+    g = controls[0].grid
     n, n_steps = increments.shape
+    shape = (len(controls), n)
     dt = params.T / n_steps
-    S, Q, X = (np.full(n, x) for x in start)
-    A_int = np.zeros(n)
-    clamped = 0
+    S, Q, X = (np.empty(shape) for _ in range(3))
+    for m, (s0, q0, x0) in enumerate(starts):
+        S[m], Q[m], X[m] = s0, q0, x0
+    A_int = np.zeros(shape)
+    tmp, tmp2, noise = np.empty(shape), np.empty(shape), np.empty(n)
+    lookup = _Lookup(g, shape, len(controls))
+    hull = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+    clamped = np.zeros(len(controls), dtype=np.int64)
     if record:
-        traj = {k: np.empty((n_steps + 1, n)) for k in ("S", "Q", "X", "A")}
-        traj["v"] = np.empty((n_steps, n))
-        for key, x0 in (("S", S), ("Q", Q), ("X", X)):
+        traj = {k: np.empty((n_steps + 1,) + shape) for k in ("S", "Q", "X", "A")}
+        traj["v"] = np.empty((n_steps,) + shape)
+        for key, x0 in (("S", S), ("Q", Q), ("X", X), ("A", S)):
             traj[key][0] = x0
-        traj["A"][0] = S
     for k in range(n_steps):
         if not record:
-            clamped += _hull_clamps(g, S, Q)
+            outside = _outside_hull(g, S, Q, hull)
+            if outside.any():   # most steps clamp nothing; any() is the cheap test
+                clamped += np.count_nonzero(outside, axis=1)
         # layer of t = k*dt without rounding through dt: a step at a grid
         # time reads that layer alone
-        v = np.clip(_interpolate(control, k * g.n_steps / n_steps - control.n0, S, Q),
-                    -params.C, params.C)
-        X = X + (params.r * X - v * (S + params.l * v)) * dt
-        A_int = A_int + S * dt
-        S = S + (params.mu + params.b * v) * dt + params.sigma * increments[:, k]
-        Q = Q + v * dt
+        v = _interpolate(controls, k * g.n_steps / n_steps - controls[0].n0, S, Q,
+                         lookup)
+        np.clip(v, -params.C, params.C, out=v)
+        # X += (r*X - v*(S + l*v))*dt
+        np.multiply(v, params.l, out=tmp); tmp += S; tmp *= v
+        np.multiply(X, params.r, out=tmp2); tmp2 -= tmp; tmp2 *= dt; X += tmp2
+        np.multiply(S, dt, out=tmp); A_int += tmp
+        # S += (mu + b*v)*dt + sigma*dW, the noise column read once
+        np.multiply(increments[:, k], params.sigma, out=noise)
+        np.multiply(v, params.b, out=tmp); tmp += params.mu; tmp *= dt
+        S += tmp; S += noise
+        np.multiply(v, dt, out=tmp); Q += tmp
         if record:
             traj["v"][k] = v
             traj["S"][k + 1] = S; traj["Q"][k + 1] = Q; traj["X"][k + 1] = X
-            traj["A"][k + 1] = A_int / ((k + 1) * dt)
-    if record:   # the states each step looked up, one column per row
-        fracs = _hull_clamps(g, traj["S"][:-1], traj["Q"][:-1], axis=0) / float(n_steps)
+            np.divide(A_int, (k + 1) * dt, out=traj["A"][k + 1])
+    if record:   # the states each step looked up, per member and path
+        fracs = np.count_nonzero(_outside_hull(g, traj["S"][:-1], traj["Q"][:-1]),
+                                 axis=0) / float(n_steps)
     else:
-        fracs = [clamped / float(n * n_steps)]
-    for frac in fracs:
+        fracs = clamped / float(n * n_steps)
+    for frac in fracs.ravel():
         if frac > _CLAMP_BUDGET:
             raise OutOfGrid(f"{100 * frac:.2f}% of simulated steps left the grid hull")
     return (S, Q, X, A_int / params.T), (traj if record else None)
@@ -157,13 +192,13 @@ def simulate_path(control: ControlSurface, params: MarketParams, cfg: SimConfig,
 
     `increments` is (n_paths, n_steps); the SimPath holds one column per
     path, each with its own hull-clamp budget, so a column equals the path
-    that its row alone gives.
+    that its row alone gives.  The paths are a stack of one control.
     """
     n_steps = increments.shape[1]
-    _, traj = _euler_batch(control, params, (cfg.s0, cfg.q0, cfg.x0), increments,
-                           record=True)
+    _, traj = _euler_batch([control], params, [(cfg.s0, cfg.q0, cfg.x0)],
+                           increments, record=True)
     times = np.arange(n_steps + 1) * (params.T / n_steps)
-    return SimPath(times=times, **traj)
+    return SimPath(times=times, **{key: a[:, 0] for key, a in traj.items()})
 
 
 def realized_payoff(terminal, spec: ContractSpec, params: MarketParams):
@@ -185,11 +220,13 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     `contracts` is a sequence of (spec, control, fee), the control and fee
     coming from the contract's fee surface; one estimate is returned per
     contract, in order.  Each noise chunk is drawn once and every contract is
-    stepped on it (common random numbers), with its own accumulators and
-    its own hull-clamp budget per chunk, so each estimate equals the one a
-    single-contract call gives.  The initial wealth convention makes the
-    broker's cash at t=0 equal to the indifference fee; a positive estimate
-    beyond two standard errors flags a statistical arbitrage.  The same paths
+    stepped on it (common random numbers): the contracts whose controls share
+    grid and layers as one stack, in the order of their first contract.
+    Each keeps its own start wealth, accumulators and hull-clamp budget per
+    chunk, so each estimate equals the one a single-contract call gives.
+    The initial wealth convention makes the broker's cash at t=0 equal to
+    the indifference fee; a positive estimate beyond two standard errors
+    flags a statistical arbitrage.  The same paths
     give the certainty equivalent CE = -log(mean w)/gamma with
     w = exp(-gamma*(Y - x0)), which the indifference fee sets to 0, and
     se(CE) = sd(w)/(sqrt(n)*gamma*mean w).  Paths are accumulated chunk by
@@ -198,21 +235,30 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     contracts = list(contracts)
     g = params.gamma
     n = cfg.n_paths
+    stacks = {}
+    for i, (_, control, _) in enumerate(contracts):
+        key = (control.grid, control.n0, control.values.shape[0])
+        stacks.setdefault(key, []).append(i)
     # per contract: sum Y, sum Y^2, sum w, sum w^2
     totals = [[0.0, 0.0, 0.0, 0.0] for _ in contracts]
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
         dW = common_noise_batch(cfg, params, start=done, count=m)
-        for (spec, control, fee), acc in zip(contracts, totals):
-            start = (cfg.s0, cfg.q0, cfg.x0 - cfg.q0 * cfg.s0 + fee)
-            terminal = _euler_batch(control, params, start, dW)[0]
-            Y = realized_payoff(terminal, spec, params)
-            w = np.exp(-g * (Y - cfg.x0))
-            acc[0] += float(Y.sum())
-            acc[1] += float((Y * Y).sum())
-            acc[2] += float(w.sum())
-            acc[3] += float((w * w).sum())
+        for stack in stacks.values():
+            members = [contracts[i] for i in stack]
+            starts = [(cfg.s0, cfg.q0, cfg.x0 - cfg.q0 * cfg.s0 + fee)
+                      for _, _, fee in members]
+            terminal = _euler_batch([control for _, control, _ in members], params,
+                                    starts, dW)[0]
+            for member, ((spec, _, _), i) in enumerate(zip(members, stack)):
+                Y = realized_payoff([x[member] for x in terminal], spec, params)
+                w = np.exp(-g * (Y - cfg.x0))
+                acc = totals[i]
+                acc[0] += float(Y.sum())
+                acc[1] += float((Y * Y).sum())
+                acc[2] += float(w.sum())
+                acc[3] += float((w * w).sum())
         done += m
     for (spec, _, _), acc in zip(contracts, totals):
         if not np.isfinite(acc).all():

@@ -84,6 +84,71 @@ def cash_unwind_inventory(params, q0):
     return solve_ivp(ode, [0.0, params.T], [q0], rtol=1e-10, atol=1e-12).y[0, -1]
 
 
+def reference_extract_control(surface, params):
+    """Oracle of extract_control: its formulas applied one layer at a time,
+    into a fresh array of the surface's shape."""
+    g = surface.grid
+    ds, dq = g.ds, g.dq
+    q = g.q_nodes()[None, :]
+    out = np.empty_like(surface.values)
+    for k in range(surface.n_layers):
+        P = surface.values[k]
+        DS = np.empty_like(P)
+        DS[1:-1, :] = (P[2:, :] - P[:-2, :]) / (2.0 * ds)
+        DS[0, :] = (-3.0 * P[0, :] + 4.0 * P[1, :] - P[2, :]) / (2.0 * ds)
+        DS[-1, :] = (3.0 * P[-1, :] - 4.0 * P[-2, :] + P[-3, :]) / (2.0 * ds)
+        Dq = np.empty_like(P)
+        Dq[:, 1:-1] = (P[:, 2:] - P[:, :-2]) / (2.0 * dq)
+        Dq[:, 0] = (-3.0 * P[:, 0] + 4.0 * P[:, 1] - P[:, 2]) / (2.0 * dq)
+        Dq[:, -1] = (3.0 * P[:, -1] - 4.0 * P[:, -2] + P[:, -3]) / (2.0 * dq)
+        t = (surface.n0 + k) * g.dt(params.T)
+        y = q - surface.schedule * t / params.T
+        v = (params.b * y - params.b * DS - Dq) / (2.0 * params.l)
+        np.clip(v, -params.C, params.C, out=v)
+        v[:, 0] = np.maximum(v[:, 0], 0.0)
+        v[:, -1] = np.minimum(v[:, -1], 0.0)
+        out[k] = v
+    return out
+
+
+def reference_bilinear(V, g, S, q):
+    """Oracle of the bilinear lookup of one layer: fresh numpy expressions,
+    integer parts by truncation to int."""
+    si = np.clip((S - g.s_min) / g.ds, 0.0, g.I - 1e-12)
+    qi = np.clip((q - g.q_min) / g.dq, 0.0, g.J - 1e-12)
+    i0 = si.astype(int); j0 = qi.astype(int)
+    fs = si - i0; fq = qi - j0
+    flat, row = V.ravel(), V.shape[1]
+    idx = i0 * row + j0
+    return (flat.take(idx) * (1 - fs) * (1 - fq) + flat.take(idx + row) * fs * (1 - fq)
+            + flat.take(idx + 1) * (1 - fs) * fq + flat.take(idx + (row + 1)) * fs * fq)
+
+
+def reference_euler_terminal(control, params, start, increments):
+    """Oracle of the Euler kernel: one contract, every path from `start` =
+    (s0, q0, x0), each step written as fresh numpy expressions; returns the
+    terminal (S, Q, X, A)."""
+    g = control.grid
+    n, n_steps = increments.shape
+    n_layers = control.values.shape[0]
+    dt = params.T / n_steps
+    S, Q, X = (np.full(n, x) for x in start)
+    A_int = np.zeros(n)
+    for k in range(n_steps):
+        pos = min(max(k * g.n_steps / n_steps - control.n0, 0.0), n_layers - 1.0)
+        k0 = int(pos); k1 = min(k0 + 1, n_layers - 1)
+        wk = pos - k0
+        v = reference_bilinear(control.values[k0], g, S, Q)
+        if wk > 0.0:
+            v = (1.0 - wk) * v + wk * reference_bilinear(control.values[k1], g, S, Q)
+        v = np.clip(v, -params.C, params.C)
+        X = X + (params.r * X - v * (S + params.l * v)) * dt
+        A_int = A_int + S * dt
+        S = S + (params.mu + params.b * v) * dt + params.sigma * increments[:, k]
+        Q = Q + v * dt
+    return S, Q, X, A_int / params.T
+
+
 # grid of the memory tests, and the bytes of one full-layer surface on it
 MEMORY_GRID = ef.GridSpec(I=40, J=40, n_steps=400)
 ONE_SURFACE = 8 * (MEMORY_GRID.n_steps + 1) * (MEMORY_GRID.I + 1) * (MEMORY_GRID.J + 1)

@@ -102,6 +102,17 @@ def test_criterion_4_twap_fee_table(params, twap_surfaces):
         for s, (u, oracle) in rows.items()))
 
 
+def test_criterion_4_gaps_are_the_readme_figures(params, twap_surfaces):
+    # README quotes the gaps to the coefficient-ODE oracle: 1.7e-5 (physical)
+    # and 2.24e-4 (cash); each is held to its figure plus a margin, beside
+    # criterion 4's 1e-3
+    for side, target, figure, margin in (("physical", params.N, 1.7e-5, 3e-6),
+                                         ("cash", 0.0, 2.24e-4, 1e-5)):
+        gap = abs(twap_surfaces[side].value_at(0.0, S0, Q0)
+                  - twap_reduced_ode_value(params, target, Q0))
+        assert gap <= figure + margin, (side, gap)
+
+
 def test_criterion_5_sensitivity_rows(params, grid):
     diffs = {}
     pars_r = params.replace(r=0.01)
@@ -210,6 +221,12 @@ def test_criterion_7f_deterministic_inventory_targets(params, controls):
     _report("7f", ok, f"zero-noise terminal inventory: physical={q_phys:.4f} "
                       f"(target 1), cash={q_cash:.4f} (closed-form "
                       f"{q_star:.4f}, table target 0)")
+
+
+def test_criterion_7f_cash_endpoint_is_the_readme_figure(params, controls):
+    # README: the PDE-controlled zero-noise cash path ends at Q(T) = 0.0616
+    q_cash = _zero_noise_path("linear_cash", params, controls).Q[-1, 0]
+    assert abs(q_cash - 0.0616) <= 1e-4
 
 
 def test_criterion_7g_grid_refinement(surfaces, twap_surfaces, refined_fees):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,12 +8,12 @@ from scipy.linalg import solve_banded
 import execfees as ef
 from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
-from execfees.hjb import (_interpolate, _layer_position, _sweep, _terminal_layer,
-                          build_banded)
+from execfees.hjb import (_EXTRACT_BLOCK, _interpolate, _layer_position, _sweep,
+                          _terminal_layer, build_banded)
 
 from conftest import (BASELINE_FAMILIES, MEMORY_GRID, ONE_SURFACE,
-                      deterministic_optimum, traced_memory, twap_ode_coefficients,
-                      twap_reduced_ode_value)
+                      deterministic_optimum, reference_extract_control,
+                      traced_memory, twap_ode_coefficients, twap_reduced_ode_value)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +307,43 @@ def test_control_written_over_its_surface_equals_fresh_control(params, fam):
     assert in_place.values is values
     assert np.array_equal(in_place.values, fresh.values)
     assert (in_place.n0, in_place.grid) == (fresh.n0, fresh.grid)
+
+
+def _twap_window(params):
+    """Layers 5..79 of a 3-node TWAP surface: n0 > 0, a moving schedule and a
+    layer count that is no multiple of the extraction block."""
+    full = ef.solve_fee_surface(ef.make_contract("twap_cash", params), params,
+                                ef.GridSpec(I=40, J=40, n_steps=400))
+    assert full.grid.I == 2 and full.schedule == params.N
+    window = dataclasses.replace(full, values=full.values[5:80].copy(), n0=5)
+    assert window.n_layers % _EXTRACT_BLOCK != 0
+    return window
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["twap_window", "baseline_collar"])
+def test_blocked_control_equals_layer_by_layer_reference(params, surfaces, controls,
+                                                         case):
+    if case == "twap_window":
+        surface = _twap_window(params)
+        control = ef.extract_control(surface, params)
+    else:   # the session's control of the baseline collar
+        surface, control = surfaces["collar_cash"], controls["collar_cash"]
+    assert surface.n_layers > _EXTRACT_BLOCK
+    assert np.array_equal(_bits(control.values),
+                          _bits(reference_extract_control(surface, params)))
+
+
+def test_blocked_control_written_over_its_surface_equals_reference(params):
+    surface = _twap_window(params)
+    expected = reference_extract_control(surface, params)
+    values = surface.values
+    control = ef.extract_control(surface, params, out=surface.values)
+    assert control.values is values
+    assert np.array_equal(_bits(control.values), _bits(expected))
 
 
 def test_control_near_target_and_saturation(controls, params, grid):

@@ -8,9 +8,11 @@ from scipy.integrate import solve_ivp
 import execfees as ef
 from execfees.errors import ConfigError, OutOfGrid
 from execfees.hjb import _bilinear, _interpolate, _layer_position
-from execfees.simulate import _CHUNK, _MAX_SEED
+from execfees.hjb import solve_fee_surfaces
+from execfees.simulate import _CHUNK, _MAX_SEED, _euler_batch
 
-from conftest import BASELINE_FAMILIES, cash_unwind_inventory
+from conftest import (BASELINE_FAMILIES, cash_unwind_inventory, reference_bilinear,
+                      reference_euler_terminal)
 
 ALL_FAMILIES = BASELINE_FAMILIES + ("twap_physical", "twap_cash")
 
@@ -143,6 +145,19 @@ def test_euler_reads_grid_time_layers_exactly(params, n_steps):
         layer = ctrl.values[k * 400 // n_steps]
         assert v[k] == np.clip(_bilinear(layer, g, S[k], Q[k]),
                                -params.C, params.C), k
+
+
+def test_lookup_keeps_the_signed_zeros_of_truncation():
+    # at S = -0.0 on a hull from 0 the price fraction is -0.0, as
+    # truncation to int gives it; here it decides the sign of a zero lookup
+    g = ef.GridSpec(s_min=0.0, s_max=4.0, I=4, q_min=0.0, q_max=4.0, J=4)
+    V = np.zeros((5, 5))
+    V[0, :2] = -0.0
+    V[1, :2] = 1.0
+    want = reference_bilinear(V, g, np.array([-0.0]), np.array([0.0]))
+    got = _bilinear(V, g, np.array([-0.0]), np.array([0.0]))
+    assert want[0] == 0.0 and np.signbit(want[0])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +361,13 @@ def test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral(params, fam):
     assert abs(est.estimate - noisy.mean()) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
-def test_metric_over_all_contracts_equals_one_contract_calls(params):
-    # drawing each noise chunk once for all contracts changes no bit of any
-    # contract's estimate; 9000 paths span two chunks
+def _assert_stacked_metric_equals_one_contract_calls(params, n_steps):
+    """Drawing each noise chunk once and stepping each grid's contracts as
+    one stack changes no bit of any contract's estimate; 9000 paths span two
+    chunks, on a 100-step grid."""
     assert 9000 > _CHUNK
     g = ef.GridSpec(I=10, J=10, n_steps=100)
-    cfg = ef.SimConfig(n_paths=9000, n_steps=100, seed=13)
+    cfg = ef.SimConfig(n_paths=9000, n_steps=n_steps, seed=13)
     contracts = []
     for fam in ALL_FAMILIES:
         spec = ef.make_contract(fam)
@@ -365,3 +380,54 @@ def test_metric_over_all_contracts_equals_one_contract_calls(params):
         [alone] = ef.expected_payoff_metric(params, cfg, [entry])
         assert (est.estimate, est.stderr, est.ce, est.ce_stderr, est.arbitrage) == (
             alone.estimate, alone.stderr, alone.ce, alone.ce_stderr, alone.arbitrage)
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_metric_over_all_contracts_equals_one_contract_calls(params):
+    _assert_stacked_metric_equals_one_contract_calls(params, 100)
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_metric_over_all_contracts_blending_layers_equals_one_contract_calls(params):
+    # 150 steps on the 100-step grid: most steps blend two layers
+    _assert_stacked_metric_equals_one_contract_calls(params, 150)
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+@pytest.mark.parametrize("n_steps", [100, 150])
+def test_stacked_euler_equals_reference_step_bitwise(params, n_steps):
+    # each member of a stack ends bit for bit where the step's formulas,
+    # applied to it alone, take it; each member starts from its own wealth
+    g = ef.GridSpec(I=10, J=10, n_steps=100)
+    cfg = ef.SimConfig(n_paths=300, n_steps=n_steps, seed=17)
+    dW = ef.common_noise_batch(cfg, params)
+    specs = [ef.make_contract(fam, params) for fam in ALL_FAMILIES]
+    surfaces = solve_fee_surfaces(specs, params, g, every_layer=True)
+    stacks = {}
+    for surface in surfaces:
+        stacks.setdefault(surface.grid, []).append(ef.extract_control(surface, params))
+    assert sorted(len(stack) for stack in stacks.values()) == [2, 4]
+    for stack in stacks.values():
+        starts = [(cfg.s0, cfg.q0, cfg.x0 + 0.1 * m) for m in range(len(stack))]
+        terminal = _euler_batch(stack, params, starts, dW)[0]
+        for m, (control, start) in enumerate(zip(stack, starts)):
+            expected = reference_euler_terminal(control, params, start, dW)
+            for got, want in zip(terminal, expected):
+                assert np.array_equal(got[m].view(np.uint64), want.view(np.uint64))
+
+
+def test_metric_budget_is_per_contract(params):
+    # four idle controls and one that buys at full speed from layer 90 on:
+    # its inventory leaves the hull for the last 3-4% of its lookups, which
+    # pooled over the five contracts would be under the 1% budget
+    g = ef.GridSpec(I=4, J=4, n_steps=100)
+    cfg = ef.SimConfig(n_paths=50, n_steps=100, seed=3)
+    spec = ef.make_contract("linear_physical")
+    idle = [(spec, zero_control(params, g, 101), 0.0) for _ in range(4)]
+    buyer = zero_control(params, g, 101)
+    buyer.values[90:] = params.C
+    with pytest.raises(OutOfGrid, match=r"^[34]\.\d\d% of simulated steps"):
+        ef.expected_payoff_metric(params, cfg, [(spec, buyer, 0.0)])
+    with pytest.raises(OutOfGrid):
+        ef.expected_payoff_metric(params, cfg, idle[:2] + [(spec, buyer, 0.0)] + idle[2:])
+    assert len(ef.expected_payoff_metric(params, cfg, idle)) == 4
