@@ -96,6 +96,7 @@ class FeeSurface:
     node i, inventory node j of ``grid``, the grid it was solved on (see
     _terminal_layer).  At schedule N (TWAP) it holds the reduced value U; the
     fee at time t is N*(t/T)*(S - A) + U, which at t = 0 is U itself.
+    Of kind "control" it holds the trading speed of extract_control.
     """
 
     grid: GridSpec
@@ -123,16 +124,6 @@ class FeeSurface:
             raise ValueError(f"t = {t!r} lies outside the stored layers "
                              f"[{first!r}, {last!r}]")
         return float(_interpolate(self, k, S, q))
-
-
-@dataclass
-class ControlSurface:
-    """Clamped optimal trading speed on the same grid as the fee surface."""
-
-    grid: GridSpec
-    params: MarketParams
-    values: np.ndarray
-    n0: int = 0
 
 
 class _Lookup:
@@ -181,13 +172,11 @@ class _Lookup:
         np.copyto(self.idx, flat, casting="unsafe")
         np.subtract(1.0, frac, out=low)
 
-    def layer(self, surface, k: int) -> np.ndarray:
-        """Layer k of a surface, or of every member of a stack as one array."""
-        if not isinstance(surface, list):
-            return surface.values[k]
-        if len(surface) == 1:
-            return surface[0].values[k]
-        for layer, member in zip(self.layers, surface):
+    def layer(self, stack: list, k: int) -> np.ndarray:
+        """Layer k of every member of a stack of surfaces, as one array."""
+        if len(stack) == 1:
+            return stack[0].values[k]
+        for layer, member in zip(self.layers, stack):
             layer[...] = member.values[k]
         return self.layers
 
@@ -211,19 +200,7 @@ class _Lookup:
         return out
 
 
-def _lookup_for(grid: GridSpec, S, q, members: int = 1) -> _Lookup:
-    """A _Lookup for the broadcast shape of S and q."""
-    return _Lookup(grid, np.broadcast_shapes(np.shape(S), np.shape(q)), members)
-
-
-def _bilinear(V: np.ndarray, g: GridSpec, S, q):
-    """Bilinear interpolation of one (price, inventory) layer, clamped to the hull."""
-    w = _lookup_for(g, S, q)
-    w.locate(S, q)
-    return w.blend(V, w.value)[()]
-
-
-def _layer_position(surface: FeeSurface | ControlSurface, t: float) -> float:
+def _layer_position(surface: FeeSurface, t: float) -> float:
     """Fractional index of time t among the surface's layers."""
     return t / surface.grid.dt(surface.params.T) - surface.n0
 
@@ -231,27 +208,25 @@ def _layer_position(surface: FeeSurface | ControlSurface, t: float) -> float:
 def _interpolate(surface, k: float, S, q, work: _Lookup | None = None):
     """Bilinear in (S, q), linear between layers at fractional layer position k.
 
-    `surface` is one FeeSurface or ControlSurface, or a list of K surfaces
+    `surface` is one FeeSurface, fee or control, or a list of K surfaces
     on one grid with the same layers (a stack) looked up at points with a
     leading member axis: member m at (S[m], q[m]).  Coordinates outside the
     grid hull are clamped to it; an integer k reads layer k alone.  With
     `work`, a _Lookup for the points, the lookup allocates nothing and the
     result is a buffer of `work`; without, it is the caller's own.
     """
-    first = surface[0] if isinstance(surface, list) else surface
-    n_layers = first.values.shape[0]
+    stack = surface if isinstance(surface, list) else [surface]
+    n_layers = stack[0].n_layers
     # builtins, not np.clip: this runs on a scalar once per Euler step
     k = min(max(k, 0.0), n_layers - 1.0)
     k0 = int(k); k1 = min(k0 + 1, n_layers - 1)
     wk = k - k0
-    w = work
-    if w is None:
-        w = _lookup_for(first.grid, S, q,
-                        len(surface) if isinstance(surface, list) else 1)
+    w = work if work is not None else _Lookup(
+        stack[0].grid, np.broadcast_shapes(np.shape(S), np.shape(q)), len(stack))
     w.locate(S, q)
-    v = w.blend(w.layer(surface, k0), w.value)
+    v = w.blend(w.layer(stack, k0), w.value)
     if wk > 0.0:
-        v_next = w.blend(w.layer(surface, k1), w.value_next)
+        v_next = w.blend(w.layer(stack, k1), w.value_next)
         v *= 1.0 - wk; v_next *= wk; v += v_next
     return v if work is not None else v[()]
 
@@ -579,7 +554,7 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
 
 
 def extract_control(surface: FeeSurface, params: MarketParams,
-                    out: np.ndarray | None = None) -> ControlSurface:
+                    out: np.ndarray | None = None) -> FeeSurface:
     """Clamped optimal speed v* = clip((b*y - b*dP/dS - dP/dq)/(2l), [-C, C]).
 
     Central differences in the interior, second-order one-sided at the edges;
@@ -619,4 +594,4 @@ def extract_control(surface: FeeSurface, params: MarketParams,
         np.clip(v, -params.C, params.C, out=v)
         np.maximum(v[:, :, 0], 0.0, out=v[:, :, 0])
         np.minimum(v[:, :, -1], 0.0, out=v[:, :, -1])
-    return ControlSurface(grid=g, params=params, values=out, n0=surface.n0)
+    return replace(surface, values=out, kind="control")

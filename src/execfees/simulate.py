@@ -8,8 +8,10 @@ so any subset of paths is reproducible independently.
 One Euler kernel steps a stack of contracts whose controls share a grid: the
 expected-payoff metric steps each grid's contracts as one stack, reading each
 step's noise once, and a trajectory run is a stack of one.  Each member
-keeps its own start wealth, control and hull-clamp budget, and its states
-are bit for bit those of a stack of its own.
+keeps its own start wealth and control, and its states are bit for bit
+those of a stack of its own.  Both count the hull clamps at every step: the
+budget holds per member in the metric and per path in a trajectory run, and
+its OutOfGrid names the member's contract.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from .contracts import (ContractSpec, GridSpec, MarketParams, check_count,
                         check_real, collar_per_share, liquidation_cost)
 from .errors import ConfigError, NonFinite, OutOfGrid
-from .hjb import ControlSurface, _interpolate, _Lookup
+from .hjb import FeeSurface, _interpolate, _Lookup
 
 # abort when more than this fraction of lookups had to be clamped to the hull
 _CLAMP_BUDGET = 0.01
@@ -105,16 +107,13 @@ def common_noise_batch(cfg: SimConfig, params: MarketParams,
     return out
 
 
-def _outside_hull(g: GridSpec, S, q, out=None) -> np.ndarray:
+def _outside_hull(g: GridSpec, S, q, out) -> np.ndarray:
     """Mask of the lookups outside the grid hull.
 
-    `out` is a pair of boolean buffers of the points' shape (allocated when
-    None); the mask is written to the first.
+    `out` is a pair of boolean buffers of the points' shape; the mask is
+    written to the first.
     """
     eps = 1e-9
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(S), np.shape(q))
-        out = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
     hit, side = out
     np.less(S, g.s_min - eps, out=hit)
     for x, cmp, edge in ((S, np.greater, g.s_max + eps), (q, np.less, g.q_min - eps),
@@ -123,7 +122,7 @@ def _outside_hull(g: GridSpec, S, q, out=None) -> np.ndarray:
     return hit
 
 
-def _euler_batch(controls: list[ControlSurface], params: MarketParams, starts,
+def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
                  increments: np.ndarray, record: bool = False):
     """Shared Euler kernel; returns (terminal states, trajectories if record).
 
@@ -132,8 +131,8 @@ def _euler_batch(controls: list[ControlSurface], params: MarketParams, starts,
     step on the same increments.  States have shape (K, n), trajectories
     (n_steps + 1, K, n).  Every per-step array is allocated before the first
     step, and each member's arithmetic is that of a stack of its own, bit
-    for bit.  The hull-clamp budget holds per member, and in record mode per
-    member and path: each recorded trajectory is checked on its own.
+    for bit.  One (K, n) count of the lookups outside the hull serves the
+    clamp budget, per member, and in record mode per member and path.
     """
     g = controls[0].grid
     n, n_steps = increments.shape
@@ -146,17 +145,16 @@ def _euler_batch(controls: list[ControlSurface], params: MarketParams, starts,
     tmp, tmp2, noise = np.empty(shape), np.empty(shape), np.empty(n)
     lookup = _Lookup(g, shape, len(controls))
     hull = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
-    clamped = np.zeros(len(controls), dtype=np.int64)
+    clamped = np.zeros(shape, dtype=np.int64)
     if record:
         traj = {k: np.empty((n_steps + 1,) + shape) for k in ("S", "Q", "X", "A")}
         traj["v"] = np.empty((n_steps,) + shape)
         for key, x0 in (("S", S), ("Q", Q), ("X", X), ("A", S)):
             traj[key][0] = x0
     for k in range(n_steps):
-        if not record:
-            outside = _outside_hull(g, S, Q, hull)
-            if outside.any():   # most steps clamp nothing; any() is the cheap test
-                clamped += np.count_nonzero(outside, axis=1)
+        outside = _outside_hull(g, S, Q, hull)
+        if outside.any():   # most steps clamp nothing; any() is the cheap test
+            clamped += outside
         # layer of t = k*dt without rounding through dt: a step at a grid
         # time reads that layer alone
         v = _interpolate(controls, k * g.n_steps / n_steps - controls[0].n0, S, Q,
@@ -175,18 +173,18 @@ def _euler_batch(controls: list[ControlSurface], params: MarketParams, starts,
             traj["v"][k] = v
             traj["S"][k + 1] = S; traj["Q"][k + 1] = Q; traj["X"][k + 1] = X
             np.divide(A_int, (k + 1) * dt, out=traj["A"][k + 1])
-    if record:   # the states each step looked up, per member and path
-        fracs = np.count_nonzero(_outside_hull(g, traj["S"][:-1], traj["Q"][:-1]),
-                                 axis=0) / float(n_steps)
-    else:
-        fracs = clamped / float(n * n_steps)
-    for frac in fracs.ravel():
-        if frac > _CLAMP_BUDGET:
-            raise OutOfGrid(f"{100 * frac:.2f}% of simulated steps left the grid hull")
+    fracs = (clamped / float(n_steps) if record
+             else clamped.sum(axis=1, keepdims=True) / float(n * n_steps))
+    for control, member in zip(controls, fracs):
+        over = member[member > _CLAMP_BUDGET]
+        if over.size:
+            name = f" ({control.contract.family.value})" if control.contract else ""
+            raise OutOfGrid(f"{100 * over[0]:.2f}% of simulated steps left the grid "
+                            f"hull{name}")
     return (S, Q, X, A_int / params.T), (traj if record else None)
 
 
-def simulate_path(control: ControlSurface, params: MarketParams, cfg: SimConfig,
+def simulate_path(control: FeeSurface, params: MarketParams, cfg: SimConfig,
                   increments: np.ndarray) -> SimPath:
     """Euler paths under the interpolated control, one per row of `increments`.
 

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 import execfees as ef
 from execfees.errors import ConfigError, OutOfGrid
-from execfees.hjb import _bilinear, _interpolate, _layer_position
+from execfees.hjb import _interpolate, _layer_position
 from execfees.hjb import solve_fee_surfaces
 from execfees.simulate import _CHUNK, _MAX_SEED, _euler_batch
 
@@ -19,8 +19,8 @@ ALL_FAMILIES = BASELINE_FAMILIES + ("twap_physical", "twap_cash")
 
 def zero_control(params, grid, n_layers=None):
     n = grid.n_steps + 1 if n_layers is None else n_layers
-    return ef.ControlSurface(grid=grid, params=params,
-                             values=np.zeros((n, grid.I + 1, grid.J + 1)))
+    return ef.FeeSurface(grid=grid, params=params,
+                         values=np.zeros((n, grid.I + 1, grid.J + 1)), kind="control")
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +134,15 @@ def test_euler_reads_grid_time_layers_exactly(params, n_steps):
     # not the simulation's time grid is the solver's
     g = ef.GridSpec(I=40, J=40, n_steps=400)
     rng = np.random.default_rng(5)
-    ctrl = ef.ControlSurface(grid=g, params=params,
-                             values=rng.uniform(-1.0, 1.0, (401, 41, 41)))
+    ctrl = ef.FeeSurface(grid=g, params=params,
+                         values=rng.uniform(-1.0, 1.0, (401, 41, 41)), kind="control")
     cfg = ef.SimConfig(n_paths=1, n_steps=n_steps, seed=3)
     path = ef.simulate_path(ctrl, params, cfg, ef.common_noise_batch(cfg, params))
     v, S, Q = path.v[:, 0], path.S[:, 0], path.Q[:, 0]
     on_grid = [k for k in range(n_steps) if k * 400 % n_steps == 0]
     assert len(on_grid) == min(n_steps, 400)
     for k in on_grid:
-        layer = ctrl.values[k * 400 // n_steps]
-        assert v[k] == np.clip(_bilinear(layer, g, S[k], Q[k]),
+        assert v[k] == np.clip(_interpolate(ctrl, k * 400 // n_steps, S[k], Q[k]),
                                -params.C, params.C), k
 
 
@@ -155,7 +154,8 @@ def test_lookup_keeps_the_signed_zeros_of_truncation():
     V[0, :2] = -0.0
     V[1, :2] = 1.0
     want = reference_bilinear(V, g, np.array([-0.0]), np.array([0.0]))
-    got = _bilinear(V, g, np.array([-0.0]), np.array([0.0]))
+    surface = ef.FeeSurface(grid=g, params=ef.MarketParams(), values=V[None])
+    got = _interpolate(surface, 0, np.array([-0.0]), np.array([0.0]))
     assert want[0] == 0.0 and np.signbit(want[0])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -240,6 +240,30 @@ def test_out_of_grid_detection(params, grid):
     cfg = ef.SimConfig(n_paths=2, n_steps=1000, seed=1)
     with pytest.raises(OutOfGrid):
         ef.simulate_path(ctrl, params, cfg, np.zeros((1, 1000)))
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_one_clamp_count_in_both_modes(params, record):
+    # one path of 100 lookups under a zero control: the budget allows one
+    # outside the hull, not two; a state on the hull's edge is inside it
+    assert params.mu == 0.0   # an idle path moves only with the noise
+    g = ef.GridSpec(I=4, J=4, n_steps=100)
+    control = [zero_control(params, g, 101)]
+    jump = (g.s_max + 1.0 - 45.0) / params.sigma
+
+    def run(s0, out_from=None):
+        """Euler from s0, the path jumping beyond s_max at step out_from."""
+        dW = np.zeros((1, 100))
+        if out_from is not None:
+            dW[0, out_from] = jump
+        return _euler_batch(control, params, [(s0, 0.5, 0.0)], dW, record=record)
+
+    run(45.0, out_from=98)   # the lookup of step 99 alone is outside
+    with pytest.raises(OutOfGrid, match=r"^2\.00% of simulated steps"):
+        run(45.0, out_from=97)
+    run(g.s_max)
+    with pytest.raises(OutOfGrid, match=r"^100\.00% of simulated steps"):
+        run(g.s_max + 1e-6)
 
 
 def test_clamp_budget_is_per_path(params):
@@ -419,15 +443,19 @@ def test_stacked_euler_equals_reference_step_bitwise(params, n_steps):
 def test_metric_budget_is_per_contract(params):
     # four idle controls and one that buys at full speed from layer 90 on:
     # its inventory leaves the hull for the last 3-4% of its lookups, which
-    # pooled over the five contracts would be under the 1% budget
+    # pooled over the five contracts would be under the 1% budget; the error
+    # from the stack names the buyer's contract
     g = ef.GridSpec(I=4, J=4, n_steps=100)
     cfg = ef.SimConfig(n_paths=50, n_steps=100, seed=3)
     spec = ef.make_contract("linear_physical")
     idle = [(spec, zero_control(params, g, 101), 0.0) for _ in range(4)]
-    buyer = zero_control(params, g, 101)
+    cash = ef.make_contract("linear_cash")
+    buyer = dataclasses.replace(zero_control(params, g, 101), contract=cash)
     buyer.values[90:] = params.C
     with pytest.raises(OutOfGrid, match=r"^[34]\.\d\d% of simulated steps"):
-        ef.expected_payoff_metric(params, cfg, [(spec, buyer, 0.0)])
-    with pytest.raises(OutOfGrid):
-        ef.expected_payoff_metric(params, cfg, idle[:2] + [(spec, buyer, 0.0)] + idle[2:])
+        ef.expected_payoff_metric(params, cfg, [(cash, buyer, 0.0)])
+    stacked = idle[:2] + [(cash, buyer, 0.0)] + idle[2:]
+    with pytest.raises(OutOfGrid, match=r"^[34]\.\d\d% of simulated steps.*"
+                                        r"\(linear_cash\)$"):
+        ef.expected_payoff_metric(params, cfg, stacked)
     assert len(ef.expected_payoff_metric(params, cfg, idle)) == 4
