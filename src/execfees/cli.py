@@ -227,9 +227,13 @@ def _fmt(x) -> str:
 def _atomic_write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):   # the write or the rename failed
+            os.remove(tmp)
 
 
 def _write_csv(path: str, header: list[str], rows: list[dict], cfg_hash: str) -> None:

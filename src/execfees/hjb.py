@@ -127,32 +127,38 @@ class FeeSurface:
 
 
 class _Lookup:
-    """Buffers of bilinear lookups on one grid at points of one shape.
+    """Bilinear lookups on a stack of K surfaces (one grid, the same layers).
 
-    `locate` finds, for coordinates (S, q) clamped to the grid hull, the
-    flat index of each point's lower corner and the weights [1 - f, f] of
-    its price and inventory fractions; `blend` then interpolates a layer at
-    those points.  With `members` K the points carry a leading member axis,
-    of length K, and the layer is a (K, I+1, J+1) stack gathered by `layer`:
-    member m reads layer m; a stack of one reads its own layer in place.
-    Nothing is allocated after construction.
+    `locate` marks in `outside` the points (S, q) more than 1e-9 beyond the
+    grid hull, then finds, for the points clamped to it, each lower corner's
+    flat index and the weights [1 - f, f] of the price and inventory
+    fractions; `blend` interpolates a layer there, `at` a layer position.
+    With K > 1 the points carry a leading member axis, and `layer` gathers a
+    (K, I+1, J+1) stack: member m reads layer m; a stack of one reads its own
+    layer in place.  Nothing is allocated after construction.
     """
 
-    def __init__(self, grid: GridSpec, shape: tuple, members: int = 1):
-        self.grid, self.members = grid, members
+    def __init__(self, stack: list, shape: tuple):
+        self.stack, self.grid, members = stack, stack[0].grid, len(stack)
         self.pos = np.empty((2,) + shape)              # cell coordinates of S, q
         self.weight = np.empty((2, 2) + shape)         # [1 - f, f] of S, q
         self.idx = np.empty(shape, dtype=np.intp)
         self.corner = np.empty(shape)
         self.value, self.value_next = np.empty(shape), np.empty(shape)
+        self.outside, self.side = (np.empty(shape, dtype=bool) for _ in range(2))
         if members > 1:
-            self.layers = np.empty((members, grid.I + 1, grid.J + 1))
+            self.layers = np.empty((members, self.grid.I + 1, self.grid.J + 1))
             self.offset = (np.arange(members) * self.layers[0].size).reshape(
                 (members,) + (1,) * (len(shape) - 1))
 
     def locate(self, S, q) -> None:
-        """Lower-corner flat indices and [1 - f, f] weights of the points (S, q)."""
+        """Hull mask, lower-corner flat indices and [1 - f, f] weights of (S, q)."""
         g, pos, weight = self.grid, self.pos, self.weight
+        hit, side, eps = self.outside, self.side, 1e-9
+        np.less(S, g.s_min - eps, out=hit)
+        for x, cmp, edge in ((S, np.greater, g.s_max + eps), (q, np.less, g.q_min - eps),
+                             (q, np.greater, g.q_max + eps)):
+            cmp(x, edge, out=side); hit |= side
         # the trailing ...: for points of shape () a row stays a 0-d array
         for p, x, lo, d, top in ((pos[0, ...], S, g.s_min, g.ds, g.I),
                                  (pos[1, ...], q, g.q_min, g.dq, g.J)):
@@ -167,16 +173,16 @@ class _Lookup:
         # flat index of the lower corner, exact in float64, in the spent pos
         flat = pos[0, ...]
         np.multiply(low[0], g.J + 1, out=flat); flat += low[1]
-        if self.members > 1:
+        if len(self.stack) > 1:
             flat += self.offset
         np.copyto(self.idx, flat, casting="unsafe")
         np.subtract(1.0, frac, out=low)
 
-    def layer(self, stack: list, k: int) -> np.ndarray:
-        """Layer k of every member of a stack of surfaces, as one array."""
-        if len(stack) == 1:
-            return stack[0].values[k]
-        for layer, member in zip(self.layers, stack):
+    def layer(self, k: int) -> np.ndarray:
+        """Layer k of every member of the stack, as one array."""
+        if len(self.stack) == 1:
+            return self.stack[0].values[k]
+        for layer, member in zip(self.layers, self.stack):
             layer[...] = member.values[k]
         return self.layers
 
@@ -199,36 +205,38 @@ class _Lookup:
                 out += c
         return out
 
+    def at(self, k: float, S, q) -> np.ndarray:
+        """Layer position k (clamped, linear between layers) at (S, q), in a buffer."""
+        n_layers = self.stack[0].n_layers
+        # builtins, not np.clip: this runs on a scalar once per Euler step
+        k = min(max(k, 0.0), n_layers - 1.0)
+        k0 = int(k); k1 = min(k0 + 1, n_layers - 1)
+        wk = k - k0
+        self.locate(S, q)
+        v = self.blend(self.layer(k0), self.value)
+        if wk > 0.0:
+            v_next = self.blend(self.layer(k1), self.value_next)
+            v *= 1.0 - wk; v_next *= wk; v += v_next
+        return v
+
 
 def _layer_position(surface: FeeSurface, t: float) -> float:
     """Fractional index of time t among the surface's layers."""
     return t / surface.grid.dt(surface.params.T) - surface.n0
 
 
-def _interpolate(surface, k: float, S, q, work: _Lookup | None = None):
+def _interpolate(surface, k: float, S, q):
     """Bilinear in (S, q), linear between layers at fractional layer position k.
 
     `surface` is one FeeSurface, fee or control, or a list of K surfaces
     on one grid with the same layers (a stack) looked up at points with a
     leading member axis: member m at (S[m], q[m]).  Coordinates outside the
-    grid hull are clamped to it; an integer k reads layer k alone.  With
-    `work`, a _Lookup for the points, the lookup allocates nothing and the
-    result is a buffer of `work`; without, it is the caller's own.
+    grid hull are clamped to it; an integer k reads layer k alone.  The
+    result is the caller's own; a loop of lookups builds one _Lookup instead.
     """
     stack = surface if isinstance(surface, list) else [surface]
-    n_layers = stack[0].n_layers
-    # builtins, not np.clip: this runs on a scalar once per Euler step
-    k = min(max(k, 0.0), n_layers - 1.0)
-    k0 = int(k); k1 = min(k0 + 1, n_layers - 1)
-    wk = k - k0
-    w = work if work is not None else _Lookup(
-        stack[0].grid, np.broadcast_shapes(np.shape(S), np.shape(q)), len(stack))
-    w.locate(S, q)
-    v = w.blend(w.layer(stack, k0), w.value)
-    if wk > 0.0:
-        v_next = w.blend(w.layer(stack, k1), w.value_next)
-        v *= 1.0 - wk; v_next *= wk; v += v_next
-    return v if work is not None else v[()]
+    shape = np.broadcast_shapes(np.shape(S), np.shape(q))
+    return _Lookup(stack, shape).at(k, S, q)[()]
 
 
 def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:

@@ -9,9 +9,9 @@ One Euler kernel steps a stack of contracts whose controls share a grid: the
 expected-payoff metric steps each grid's contracts as one stack, reading each
 step's noise once, and a trajectory run is a stack of one.  Each member
 keeps its own start wealth and control, and its states are bit for bit
-those of a stack of its own.  Both count the hull clamps at every step: the
-budget holds per member in the metric and per path in a trajectory run, and
-its OutOfGrid names the member's contract.
+those of a stack of its own.  Both count the hull clamps the lookup marks at
+every step: the budget holds per member in the metric and per path in a
+trajectory run, and its OutOfGrid names the member's contract.
 """
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contracts import (ContractSpec, GridSpec, MarketParams, check_count,
-                        check_real, collar_per_share, liquidation_cost)
+from .contracts import (ContractSpec, MarketParams, check_count, check_real,
+                        collar_per_share, liquidation_cost)
 from .errors import ConfigError, NonFinite, OutOfGrid
-from .hjb import FeeSurface, _interpolate, _Lookup
+from .hjb import FeeSurface, _Lookup
 
 # abort when more than this fraction of lookups had to be clamped to the hull
 _CLAMP_BUDGET = 0.01
@@ -107,21 +107,6 @@ def common_noise_batch(cfg: SimConfig, params: MarketParams,
     return out
 
 
-def _outside_hull(g: GridSpec, S, q, out) -> np.ndarray:
-    """Mask of the lookups outside the grid hull.
-
-    `out` is a pair of boolean buffers of the points' shape; the mask is
-    written to the first.
-    """
-    eps = 1e-9
-    hit, side = out
-    np.less(S, g.s_min - eps, out=hit)
-    for x, cmp, edge in ((S, np.greater, g.s_max + eps), (q, np.less, g.q_min - eps),
-                         (q, np.greater, g.q_max + eps)):
-        cmp(x, edge, out=side); hit |= side
-    return hit
-
-
 def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
                  increments: np.ndarray, record: bool = False):
     """Shared Euler kernel; returns (terminal states, trajectories if record).
@@ -131,8 +116,8 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
     step on the same increments.  States have shape (K, n), trajectories
     (n_steps + 1, K, n).  Every per-step array is allocated before the first
     step, and each member's arithmetic is that of a stack of its own, bit
-    for bit.  One (K, n) count of the lookups outside the hull serves the
-    clamp budget, per member, and in record mode per member and path.
+    for bit.  One (K, n) count of the states the lookup clamped to the hull
+    serves the clamp budget, per member, and in record mode per member and path.
     """
     g = controls[0].grid
     n, n_steps = increments.shape
@@ -143,8 +128,7 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
         S[m], Q[m], X[m] = s0, q0, x0
     A_int = np.zeros(shape)
     tmp, tmp2, noise = np.empty(shape), np.empty(shape), np.empty(n)
-    lookup = _Lookup(g, shape, len(controls))
-    hull = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+    lookup = _Lookup(controls, shape)
     clamped = np.zeros(shape, dtype=np.int64)
     if record:
         traj = {k: np.empty((n_steps + 1,) + shape) for k in ("S", "Q", "X", "A")}
@@ -152,13 +136,11 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
         for key, x0 in (("S", S), ("Q", Q), ("X", X), ("A", S)):
             traj[key][0] = x0
     for k in range(n_steps):
-        outside = _outside_hull(g, S, Q, hull)
-        if outside.any():   # most steps clamp nothing; any() is the cheap test
-            clamped += outside
         # layer of t = k*dt without rounding through dt: a step at a grid
         # time reads that layer alone
-        v = _interpolate(controls, k * g.n_steps / n_steps - controls[0].n0, S, Q,
-                         lookup)
+        v = lookup.at(k * g.n_steps / n_steps - controls[0].n0, S, Q)
+        if lookup.outside.any():   # most steps clamp nothing; any() is the cheap test
+            clamped += lookup.outside
         np.clip(v, -params.C, params.C, out=v)
         # X += (r*X - v*(S + l*v))*dt
         np.multiply(v, params.l, out=tmp); tmp += S; tmp *= v

@@ -124,12 +124,37 @@ PREMIUM_GAP_FLOORS = {"linear": 3e-3,   # measured +0.004518
 PREMIUM_RANGE = (0.001, 0.008)          # README, "Known discrepancies" item 2
 
 
-def test_cash_premium_above_physical_premium_for_s_free_contracts(params, grid):
+@pytest.fixture(scope="module")
+def premia(params, grid):
+    """Zero-noise E[Y] - x0 of each S-free family at the baseline."""
     assert params.mu == params.r == 0.0
-    premia = {fam: y for fam, (y, _) in _zero_noise_payoffs(params, params, grid).items()}
+    return {fam: y for fam, (y, _) in _zero_noise_payoffs(params, params, grid).items()}
+
+
+def test_cash_premium_above_physical_premium_for_s_free_contracts(premia):
     for family, floor in PREMIUM_GAP_FLOORS.items():
         gap = premia[f"{family}_cash"] - premia[f"{family}_physical"]
         assert gap >= floor, (family, premia)
     lo, hi = PREMIUM_RANGE
     for fam, premium in premia.items():
         assert lo <= premium <= hi, (fam, premia)
+
+
+# At mu = r = 0 a cash linear contract's expected profit under any strategy is
+#   E[Y] - x0 = P - N*s0 - N*b*E[Q_T - q0] + (b/2 - alpha)*E[Q_T^2]
+#               - b*q0^2/2 - l*E[int v^2 dt],
+# the impact cross-term being a function of Q_T alone.  Dropping the last
+# term (<= 0) leaves a quadratic in Q_T, concave as alpha > b/2, whose
+# maximum at Q_T = b*N/(b - 2*alpha) bounds every strategy's profit.
+CASH_LINEAR_PROFIT_BOUND = 0.01343   # README, "Known discrepancies" item 2
+
+
+def test_cash_linear_profit_bound_is_the_readme_figure(params, premia):
+    assert params.mu == params.r == 0.0
+    N, b, alpha = params.N, params.b, params.alpha
+    fee = float(ef.fee_trs_closed(0.0, Q0, S0, params))
+    q_top = b * N / (b - 2.0 * alpha)
+    bound = (fee - N * S0 - N * b * (q_top - Q0) + (b / 2.0 - alpha) * q_top**2
+             - b * Q0**2 / 2.0)
+    assert bound == pytest.approx(CASH_LINEAR_PROFIT_BOUND, abs=1e-5)
+    assert premia["linear_cash"] < bound   # measured +0.005913

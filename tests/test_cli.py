@@ -160,6 +160,18 @@ def test_error_line_is_the_first_line_of_stderr(tmp_path, param):
     assert done.stderr.startswith("execfees: error:"), done.stderr
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # the rename onto a directory fails after the temp file is written
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "contracts: [linear_physical]\n")
+    out = tmp_path / "o"
+    (out / "fees.csv").mkdir(parents=True)
+    assert main(["fees", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error:"), err
+    assert [p.name for p in out.iterdir()] == ["fees.csv"]
+
+
 # command -> a sweep it does not accept: p belongs to regulatory alone
 WRONG_SWEEPS = {
     "paths": "sim: {n_paths: 1, n_steps: 400}\nsweep: {param: p, values: [0.5]}\n",

@@ -245,25 +245,30 @@ def test_out_of_grid_detection(params, grid):
 @pytest.mark.parametrize("record", [False, True])
 def test_one_clamp_count_in_both_modes(params, record):
     # one path of 100 lookups under a zero control: the budget allows one
-    # outside the hull, not two; a state on the hull's edge is inside it
+    # outside the hull, not two; a state on any edge of the hull is inside
+    # it, and 1e-6 beyond that edge outside
     assert params.mu == 0.0   # an idle path moves only with the noise
     g = ef.GridSpec(I=4, J=4, n_steps=100)
     control = [zero_control(params, g, 101)]
     jump = (g.s_max + 1.0 - 45.0) / params.sigma
 
-    def run(s0, out_from=None):
-        """Euler from s0, the path jumping beyond s_max at step out_from."""
+    def run(s0, q0=0.5, out_from=None):
+        """Euler from (s0, q0), the path jumping beyond s_max at step out_from."""
         dW = np.zeros((1, 100))
         if out_from is not None:
             dW[0, out_from] = jump
-        return _euler_batch(control, params, [(s0, 0.5, 0.0)], dW, record=record)
+        return _euler_batch(control, params, [(s0, q0, 0.0)], dW, record=record)
 
     run(45.0, out_from=98)   # the lookup of step 99 alone is outside
     with pytest.raises(OutOfGrid, match=r"^2\.00% of simulated steps"):
         run(45.0, out_from=97)
-    run(g.s_max)
-    with pytest.raises(OutOfGrid, match=r"^100\.00% of simulated steps"):
-        run(g.s_max + 1e-6)
+    for s0, q0, beyond_s, beyond_q in ((g.s_min, 0.5, -1e-6, 0.0),
+                                       (g.s_max, 0.5, 1e-6, 0.0),
+                                       (45.0, g.q_min, 0.0, -1e-6),
+                                       (45.0, g.q_max, 0.0, 1e-6)):
+        run(s0, q0)
+        with pytest.raises(OutOfGrid, match=r"^100\.00% of simulated steps"):
+            run(s0 + beyond_s, q0 + beyond_q)
 
 
 def test_clamp_budget_is_per_path(params):
