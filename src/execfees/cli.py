@@ -225,12 +225,19 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """text written to path through a temp file beside it, then renamed.
+
+    A failed write or rename raises an OSError that names path, not the
+    temp file, which is removed.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         if os.path.exists(tmp):   # the write or the rename failed
             os.remove(tmp)

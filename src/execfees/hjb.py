@@ -96,7 +96,8 @@ class FeeSurface:
     node i, inventory node j of ``grid``, the grid it was solved on (see
     _terminal_layer).  At schedule N (TWAP) it holds the reduced value U; the
     fee at time t is N*(t/T)*(S - A) + U, which at t = 0 is U itself.
-    Of kind "control" it holds the trading speed of extract_control.
+    Of kind "control" it holds the trading speed of extract_control, on a
+    single price row (constant in S) for a price-affine contract.
     """
 
     grid: GridSpec
@@ -127,29 +128,51 @@ class FeeSurface:
 
 
 class _Lookup:
-    """Bilinear lookups on a stack of K surfaces (one grid, the same layers).
+    """Bilinear lookups on a stack of K surfaces (one grid, the same
+    layers and price rows).
 
     `locate` marks in `outside` the points (S, q) more than 1e-9 beyond the
     grid hull, then finds, for the points clamped to it, each lower corner's
     flat index and the weights [1 - f, f] of the price and inventory
     fractions; `blend` interpolates a layer there, `at` a layer position.
-    With K > 1 the points carry a leading member axis, and `layer` gathers a
-    (K, I+1, J+1) stack: member m reads layer m; a stack of one reads its own
-    layer in place.  Nothing is allocated after construction.
+    A stack whose surfaces hold one price row (the S-free controls of
+    extract_control) is constant in S: its points keep the hull mask on
+    both axes, but only their inventory fraction is found, and `blend`
+    interpolates the two inventory corners.  With K > 1 the points carry a
+    leading member axis, and `layer` gathers a (K, rows, J+1) stack: member
+    m reads layer m; a stack of one reads its own layer in place.  Nothing
+    is allocated after construction.
     """
 
     def __init__(self, stack: list, shape: tuple):
         self.stack, self.grid, members = stack, stack[0].grid, len(stack)
-        self.pos = np.empty((2,) + shape)              # cell coordinates of S, q
-        self.weight = np.empty((2, 2) + shape)         # [1 - f, f] of S, q
+        layer_shape = stack[0].values.shape[1:]
+        if any(member.values.shape[1:] != layer_shape for member in stack):
+            raise ValueError("a lookup stack needs layers of one shape, got "
+                             f"{[member.values.shape[1:] for member in stack]}")
+        axes = 2 if layer_shape[0] > 1 else 1          # (S, q), or q alone
+        self.pos = np.empty((axes,) + shape)           # cell coordinates
+        self.weight = np.empty((2, axes) + shape)      # [1 - f, f] per axis
         self.idx = np.empty(shape, dtype=np.intp)
         self.corner = np.empty(shape)
         self.value, self.value_next = np.empty(shape), np.empty(shape)
         self.outside, self.side = (np.empty(shape, dtype=bool) for _ in range(2))
+        # each corner: its shift from the lower one in the flat layer, and its
+        # weights, in the order (i, j), (i+1, j), (i, j+1), (i+1, j+1); the
+        # trailing ...: for points of shape () a weight stays a 0-d array
+        w, row = self.weight, self.grid.J + 1
+        if axes == 2:
+            self.corners = ((0, (w[0, 0, ...], w[0, 1, ...])),
+                            (row, (w[1, 0, ...], w[0, 1, ...])),
+                            (1, (w[0, 0, ...], w[1, 1, ...])),
+                            (row + 1, (w[1, 0, ...], w[1, 1, ...])))
+        else:
+            self.corners = ((0, (w[0, 0, ...],)), (1, (w[1, 0, ...],)))
         if members > 1:
-            self.layers = np.empty((members, self.grid.I + 1, self.grid.J + 1))
-            self.offset = (np.arange(members) * self.layers[0].size).reshape(
-                (members,) + (1,) * (len(shape) - 1))
+            self.layers = np.empty((members,) + layer_shape)
+            # float, as the index it shifts: an int offset would cast per add
+            self.offset = (np.arange(members, dtype=float) * self.layers[0].size
+                           ).reshape((members,) + (1,) * (len(shape) - 1))
 
     def locate(self, S, q) -> None:
         """Hull mask, lower-corner flat indices and [1 - f, f] weights of (S, q)."""
@@ -159,9 +182,9 @@ class _Lookup:
         for x, cmp, edge in ((S, np.greater, g.s_max + eps), (q, np.less, g.q_min - eps),
                              (q, np.greater, g.q_max + eps)):
             cmp(x, edge, out=side); hit |= side
-        # the trailing ...: for points of shape () a row stays a 0-d array
-        for p, x, lo, d, top in ((pos[0, ...], S, g.s_min, g.ds, g.I),
-                                 (pos[1, ...], q, g.q_min, g.dq, g.J)):
+        axes = ((S, g.s_min, g.ds, g.I), (q, g.q_min, g.dq, g.J))[-len(pos):]
+        for a, (x, lo, d, top) in enumerate(axes):
+            p = pos[a, ...]
             np.subtract(x, lo, out=p); p /= d
             np.clip(p, 0.0, top - 1e-12, out=p)
         # integer parts, in weight[0] for now: floor truncates pos >= 0, and
@@ -171,8 +194,12 @@ class _Lookup:
         np.floor(pos, out=low); low += 0.0
         np.subtract(pos, low, out=frac)
         # flat index of the lower corner, exact in float64, in the spent pos
-        flat = pos[0, ...]
-        np.multiply(low[0], g.J + 1, out=flat); flat += low[1]
+        # (on one price row, the inventory part itself: low is rewritten below)
+        if len(pos) == 2:
+            flat = pos[0, ...]
+            np.multiply(low[0], g.J + 1, out=flat); flat += low[1]
+        else:
+            flat = low[0, ...]
         if len(self.stack) > 1:
             flat += self.offset
         np.copyto(self.idx, flat, casting="unsafe")
@@ -189,18 +216,17 @@ class _Lookup:
     def blend(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The located points interpolated on the C-ordered layer (or stack) V.
 
-        Corner by corner, in the order (i, j), (i+1, j), (i, j+1), (i+1, j+1):
-        one gather at a shifted view of the flat layer, weighted by its price,
-        then its inventory weight, and added to the sum.
+        Corner by corner: one gather at a shifted view of the flat layer,
+        weighted by its price, then its inventory weight (the inventory
+        weight alone on one price row), and added to the sum.
         """
-        flat, row, c = V.ravel(), V.shape[-1], self.corner
-        (ws0, wq0), (ws1, wq1) = self.weight
-        for shift, ws, wq in ((0, ws0, wq0), (row, ws1, wq0), (1, ws0, wq1),
-                              (row + 1, ws1, wq1)):
+        flat, c = V.ravel(), self.corner
+        for shift, weights in self.corners:
             term = c if shift else out
             # the shifted index is in bounds; clip mode writes straight to term
             np.take(flat[shift:], self.idx, out=term, mode="clip")
-            term *= ws; term *= wq
+            for w in weights:
+                term *= w
             if shift:
                 out += c
         return out
@@ -229,9 +255,10 @@ def _interpolate(surface, k: float, S, q):
     """Bilinear in (S, q), linear between layers at fractional layer position k.
 
     `surface` is one FeeSurface, fee or control, or a list of K surfaces
-    on one grid with the same layers (a stack) looked up at points with a
-    leading member axis: member m at (S[m], q[m]).  Coordinates outside the
-    grid hull are clamped to it; an integer k reads layer k alone.  The
+    on one grid with the same layers and price rows (a stack) looked up at
+    points with a leading member axis: member m at (S[m], q[m]).
+    Coordinates outside the grid hull are clamped to it; an integer k reads
+    layer k alone, and a surface of one price row is constant in S.  The
     result is the caller's own; a loop of lookups builds one _Lookup instead.
     """
     stack = surface if isinstance(surface, list) else [surface]
@@ -452,14 +479,23 @@ def _sweep(P_terminals, n_hi: int, n_lo: int, params: MarketParams,
     return [np.ascontiguousarray(P[..., k])[None] for k in range(members)]
 
 
+def _price_affine(spec: ContractSpec | None, params: MarketParams) -> bool:
+    """Whether the fee of spec at params is affine in S.
+
+    At r = 0 every non-collar fee is a(t, q) + N*S, or the TWAP reduction's
+    price-free U; its control, which reads dP/dS, is then constant in S.
+    """
+    return spec is not None and not spec.family.is_collar and params.r == 0.0
+
+
 def _solve_grid(spec: ContractSpec, params: MarketParams, grid: GridSpec) -> GridSpec:
     """The grid a solve of spec runs on.
 
-    At r = 0 every non-collar fee is affine in S (a(t, q) + N*S, or the TWAP
-    reduction's price-free U); the scheme and bilinear lookup are exact on an
-    affine field, so those solves take a 3-node price axis on the same hull.
+    The scheme and bilinear lookup are exact on an affine field, so the
+    price-affine solves (see _price_affine) take a 3-node price axis on the
+    same hull.
     """
-    return grid if spec.family.is_collar or params.r != 0.0 else replace(grid, I=2)
+    return replace(grid, I=2) if _price_affine(spec, params) else grid
 
 
 def _terminal_layer(spec: ContractSpec, params: MarketParams,
@@ -569,27 +605,45 @@ def extract_control(surface: FeeSurface, params: MarketParams,
     at the inventory boundaries the speed is additionally restricted to point
     into the grid, matching the solver's boundary Hamiltonian.  y = q -
     schedule*t/T.  The layers are taken _EXTRACT_BLOCK at a time, one array
-    expression per block, with the formulas of a layer on its own.  The
-    control is written to `out` (freshly allocated when None), which may be
-    `surface.values` itself: each block of layers is read in full before its
-    control overwrites it, and no other layer is read.
+    expression per block, with the formulas of a layer on its own.
+
+    A price-affine contract (see _price_affine) solved on its 3-node price
+    axis has a control constant in S: it gets one price row, the middle
+    node's, of shape (n_layers, 1, J+1), the same numbers as that row of the
+    full control.  The control is written to `out`, an array of the
+    surface's shape (a one-row control takes its middle row), or to a fresh
+    array of the control's shape when None.  `out` may be `surface.values`
+    itself: each block of layers is read in full before its control
+    overwrites it, and no other layer is read.
     """
     g = surface.grid
     ds, dq, b = g.ds, g.dq, params.b
     q = g.q_nodes()[None, None, :]
+    one_row = g.I == 2 and _price_affine(surface.contract, params)
     if out is None:
-        out = np.empty_like(surface.values)
+        out = np.empty((surface.n_layers, 1 if one_row else g.I + 1, g.J + 1))
+    elif out.shape != surface.values.shape:
+        raise ValueError(f"out: shape {out.shape} is not the surface's "
+                         f"{surface.values.shape}")
+    elif one_row:
+        out = out[:, 1:2]
     layers = np.arange(surface.n0, surface.n0 + surface.n_layers)
     size = min(_EXTRACT_BLOCK, surface.n_layers)
-    DS_block, Dq_block = (np.empty((size,) + surface.values.shape[1:]) for _ in range(2))
+    DS_block, Dq_block = (np.empty((size,) + out.shape[1:]) for _ in range(2))
     for k in range(0, surface.n_layers, size):
         P = surface.values[k:k + size]
         v = out[k:k + size]
         DS, Dq = DS_block[:len(P)], Dq_block[:len(P)]
-        np.subtract(P[:, 2:, :], P[:, :-2, :], out=DS[:, 1:-1, :])
-        DS[:, 1:-1, :] /= 2.0 * ds
-        DS[:, 0, :] = (-3.0 * P[:, 0, :] + 4.0 * P[:, 1, :] - P[:, 2, :]) / (2.0 * ds)
-        DS[:, -1, :] = (3.0 * P[:, -1, :] - 4.0 * P[:, -2, :] + P[:, -3, :]) / (2.0 * ds)
+        if one_row:   # the interior formula at the middle node alone
+            np.subtract(P[:, 2:, :], P[:, :1, :], out=DS)
+            DS /= 2.0 * ds
+            P = P[:, 1:2]
+        else:
+            np.subtract(P[:, 2:, :], P[:, :-2, :], out=DS[:, 1:-1, :])
+            DS[:, 1:-1, :] /= 2.0 * ds
+            DS[:, 0, :] = (-3.0 * P[:, 0, :] + 4.0 * P[:, 1, :] - P[:, 2, :]) / (2.0 * ds)
+            DS[:, -1, :] = ((3.0 * P[:, -1, :] - 4.0 * P[:, -2, :] + P[:, -3, :])
+                            / (2.0 * ds))
         np.subtract(P[:, :, 2:], P[:, :, :-2], out=Dq[:, :, 1:-1])
         Dq[:, :, 1:-1] /= 2.0 * dq
         Dq[:, :, 0] = (-3.0 * P[:, :, 0] + 4.0 * P[:, :, 1] - P[:, :, 2]) / (2.0 * dq)

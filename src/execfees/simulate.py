@@ -5,9 +5,11 @@ numbers) so trajectory comparisons isolate the contract effect.  Increments
 are drawn per path from a counter-based generator keyed by (seed, path index),
 so any subset of paths is reproducible independently.
 
-One Euler kernel steps a stack of contracts whose controls share a grid: the
-expected-payoff metric steps each grid's contracts as one stack, reading each
-step's noise once, and a trajectory run is a stack of one.  Each member
+One Euler kernel steps a stack of contracts whose controls share a grid and
+a shape: the expected-payoff metric steps each such group as one stack,
+reading each step's noise once, and a trajectory run is a stack of one.  A
+control of one price row (a price-affine contract's, see
+hjb.extract_control) is looked up in inventory alone.  Each member
 keeps its own start wealth and control, and its states are bit for bit
 those of a stack of its own.  Both count the hull clamps the lookup marks at
 every step: the budget holds per member in the metric and per path in a
@@ -111,13 +113,14 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
                  increments: np.ndarray, record: bool = False):
     """Shared Euler kernel; returns (terminal states, trajectories if record).
 
-    `controls` is a stack of K controls on one grid with the same layers;
-    member m starts every path at starts[m] = (s0, q0, x0) and all members
-    step on the same increments.  States have shape (K, n), trajectories
-    (n_steps + 1, K, n).  Every per-step array is allocated before the first
-    step, and each member's arithmetic is that of a stack of its own, bit
-    for bit.  One (K, n) count of the states the lookup clamped to the hull
-    serves the clamp budget, per member, and in record mode per member and path.
+    `controls` is a stack of K controls on one grid with the same layers
+    and price rows; member m starts every path at starts[m] = (s0, q0, x0)
+    and all members step on the same increments.  States have shape (K, n),
+    trajectories (n_steps + 1, K, n).  Every per-step array is allocated
+    before the first step, and each member's arithmetic is that of a stack
+    of its own, bit for bit.  One (K, n) count of the states the lookup
+    clamped to the hull serves the clamp budget, per member, and in record
+    mode per member and path.
     """
     g = controls[0].grid
     n, n_steps = increments.shape
@@ -201,7 +204,8 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     coming from the contract's fee surface; one estimate is returned per
     contract, in order.  Each noise chunk is drawn once and every contract is
     stepped on it (common random numbers): the contracts whose controls share
-    grid and layers as one stack, in the order of their first contract.
+    grid, layers and price rows as one stack, in the order of their first
+    contract.
     Each keeps its own start wealth, accumulators and hull-clamp budget per
     chunk, so each estimate equals the one a single-contract call gives.
     The initial wealth convention makes the broker's cash at t=0 equal to
@@ -217,7 +221,7 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     n = cfg.n_paths
     stacks = {}
     for i, (_, control, _) in enumerate(contracts):
-        key = (control.grid, control.n0, control.values.shape[0])
+        key = (control.grid, control.n0, control.values.shape)
         stacks.setdefault(key, []).append(i)
     # per contract: sum Y, sum Y^2, sum w, sum w^2
     totals = [[0.0, 0.0, 0.0, 0.0] for _ in contracts]

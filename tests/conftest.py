@@ -15,6 +15,8 @@ settings.load_profile("suite")
 
 BASELINE_FAMILIES = ("linear_physical", "linear_cash",
                      "collar_physical", "collar_cash")
+# price-affine at r = 0: their controls hold one price row
+S_FREE_FAMILIES = ("linear_physical", "linear_cash", "twap_physical", "twap_cash")
 
 
 def twap_ode_coefficients(params, target, t=0.0):
@@ -113,11 +115,17 @@ def reference_extract_control(surface, params):
 
 def reference_bilinear(V, g, S, q):
     """Oracle of the bilinear lookup of one layer: fresh numpy expressions,
-    integer parts by truncation to int."""
-    si = np.clip((S - g.s_min) / g.ds, 0.0, g.I - 1e-12)
+    integer parts by truncation to int.  A layer of one price row is constant
+    in S: linear in q between its two inventory neighbours."""
     qi = np.clip((q - g.q_min) / g.dq, 0.0, g.J - 1e-12)
-    i0 = si.astype(int); j0 = qi.astype(int)
-    fs = si - i0; fq = qi - j0
+    j0 = qi.astype(int)
+    fq = qi - j0
+    if V.shape[0] == 1:
+        row = V[0]
+        return row.take(j0) * (1 - fq) + row.take(j0 + 1) * fq
+    si = np.clip((S - g.s_min) / g.ds, 0.0, g.I - 1e-12)
+    i0 = si.astype(int)
+    fs = si - i0
     flat, row = V.ravel(), V.shape[1]
     idx = i0 * row + j0
     return (flat.take(idx) * (1 - fs) * (1 - fq) + flat.take(idx + row) * fs * (1 - fq)
@@ -127,7 +135,8 @@ def reference_bilinear(V, g, S, q):
 def reference_euler_terminal(control, params, start, increments):
     """Oracle of the Euler kernel: one contract, every path from `start` =
     (s0, q0, x0), each step written as fresh numpy expressions; returns the
-    terminal (S, Q, X, A)."""
+    terminal (S, Q, X, A).  A control of one price row is read in q alone
+    (see reference_bilinear)."""
     g = control.grid
     n, n_steps = increments.shape
     n_layers = control.values.shape[0]

@@ -172,6 +172,19 @@ def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["fees.csv"]
 
 
+def test_failed_write_names_the_target_not_the_temp_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "contracts: [linear_physical]\n")
+    out = tmp_path / "o"
+    (out / "fees.csv").mkdir(parents=True)
+    assert main(["fees", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    target = os.path.join(str(out), "fees.csv")
+    # one line, "[Errno 21] Is a directory: '<out>/fees.csv'" on Linux
+    assert err.startswith("execfees: error: [Errno ") and err.count("\n") == 1, err
+    assert err.endswith(f": {target!r}\n") and ".tmp-" not in err, err
+
+
 # command -> a sweep it does not accept: p belongs to regulatory alone
 WRONG_SWEEPS = {
     "paths": "sim: {n_paths: 1, n_steps: 400}\nsweep: {param: p, values: [0.5]}\n",

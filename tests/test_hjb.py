@@ -11,7 +11,7 @@ from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
 from execfees.hjb import (_EXTRACT_BLOCK, _interpolate, _layer_position, _sweep,
                           _terminal_layer, build_banded)
 
-from conftest import (BASELINE_FAMILIES, MEMORY_GRID, ONE_SURFACE,
+from conftest import (BASELINE_FAMILIES, MEMORY_GRID, ONE_SURFACE, S_FREE_FAMILIES,
                       deterministic_optimum, reference_extract_control,
                       traced_memory, twap_ode_coefficients, twap_reduced_ode_value)
 
@@ -304,9 +304,16 @@ def test_control_written_over_its_surface_equals_fresh_control(params, fam):
     fresh = ef.extract_control(surface, params)
     values = surface.values
     in_place = ef.extract_control(surface, params, out=surface.values)
-    assert in_place.values is values
+    if fam == "collar_cash":
+        assert in_place.values is values
+    else:   # an S-free control takes the middle price row of the buffer
+        assert fresh.values.shape == (g.n_steps + 1, 1, g.J + 1)
+        assert np.shares_memory(in_place.values, values)
+        assert np.array_equal(values[:, 1:2], fresh.values)
     assert np.array_equal(in_place.values, fresh.values)
     assert (in_place.n0, in_place.grid) == (fresh.n0, fresh.grid)
+    with pytest.raises(ValueError, match="not the surface's"):
+        ef.extract_control(surface, params, out=np.empty_like(fresh.values[:, :, 1:]))
 
 
 def _twap_window(params):
@@ -333,17 +340,49 @@ def test_blocked_control_equals_layer_by_layer_reference(params, surfaces, contr
     else:   # the session's control of the baseline collar
         surface, control = surfaces["collar_cash"], controls["collar_cash"]
     assert surface.n_layers > _EXTRACT_BLOCK
-    assert np.array_equal(_bits(control.values),
-                          _bits(reference_extract_control(surface, params)))
+    expected = reference_extract_control(surface, params)
+    if case == "twap_window":   # S-free: the middle price row alone
+        expected = expected[:, 1:2]
+    assert np.array_equal(_bits(control.values), _bits(expected))
 
 
 def test_blocked_control_written_over_its_surface_equals_reference(params):
     surface = _twap_window(params)
-    expected = reference_extract_control(surface, params)
+    expected = reference_extract_control(surface, params)[:, 1:2]
     values = surface.values
     control = ef.extract_control(surface, params, out=surface.values)
-    assert control.values is values
+    assert np.shares_memory(control.values, values)
+    assert np.array_equal(_bits(values[:, 1:2]), _bits(expected))
     assert np.array_equal(_bits(control.values), _bits(expected))
+
+
+def test_s_free_controls_are_the_middle_row_of_the_full_control(params):
+    # at r = 0 the price-affine families keep one price row of the control,
+    # the middle node's of their 3-node axis, bit for bit
+    g = ef.GridSpec(I=20, J=20, n_steps=200)
+    for fam in S_FREE_FAMILIES:
+        surface = ef.solve_fee_surface(ef.make_contract(fam, params), params, g)
+        control = ef.extract_control(surface, params)
+        assert control.values.shape == (g.n_steps + 1, 1, g.J + 1), fam
+        expected = reference_extract_control(surface, params)[:, 1:2]
+        assert np.array_equal(_bits(control.values), _bits(expected)), fam
+
+
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_controls_off_the_affine_rule_keep_every_price_row():
+    # at r != 0 the linear controls read the price, and a collar's always
+    # does, even on a configured grid of 3 price nodes
+    g = ef.GridSpec(I=20, J=20, n_steps=200)
+    p_r = ef.MarketParams(r=0.01)
+    for fam in ("linear_physical", "linear_cash"):
+        surface = ef.solve_fee_surface(ef.make_contract(fam), p_r, g)
+        control = ef.extract_control(surface, p_r)
+        assert control.values.shape == (g.n_steps + 1, g.I + 1, g.J + 1), fam
+        assert np.array_equal(_bits(control.values),
+                              _bits(reference_extract_control(surface, p_r))), fam
+    p, g3 = ef.MarketParams(), dataclasses.replace(g, I=2)
+    collar = ef.solve_fee_surface(ef.make_contract("collar_cash"), p, g3)
+    assert ef.extract_control(collar, p).values.shape == (g.n_steps + 1, 3, g.J + 1)
 
 
 def test_control_near_target_and_saturation(controls, params, grid):

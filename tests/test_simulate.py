@@ -11,8 +11,8 @@ from execfees.hjb import _interpolate, _layer_position
 from execfees.hjb import solve_fee_surfaces
 from execfees.simulate import _CHUNK, _MAX_SEED, _euler_batch
 
-from conftest import (BASELINE_FAMILIES, cash_unwind_inventory, reference_bilinear,
-                      reference_euler_terminal)
+from conftest import (BASELINE_FAMILIES, S_FREE_FAMILIES, cash_unwind_inventory,
+                      reference_bilinear, reference_euler_terminal)
 
 ALL_FAMILIES = BASELINE_FAMILIES + ("twap_physical", "twap_cash")
 
@@ -218,6 +218,22 @@ def _sign_changes(v):
     return int(np.sum(s[1:] != s[:-1]))
 
 
+@pytest.mark.parametrize("fam", S_FREE_FAMILIES)
+def test_s_free_inventory_paths_equal_the_zero_noise_path(params, fam):
+    # at r = 0 a linear or TWAP control reads no price, so every noisy path
+    # trades exactly as the zero-noise path does
+    g = ef.GridSpec(I=40, J=40, n_steps=400)
+    surface = ef.solve_fee_surface(ef.make_contract(fam, params), params, g)
+    control = ef.extract_control(surface, params, out=surface.values)
+    cfg = ef.SimConfig(n_paths=50, n_steps=400, seed=23)
+    noisy = ef.simulate_path(control, params, cfg, ef.common_noise_batch(cfg, params))
+    quiet = ef.simulate_path(control, params, cfg, np.zeros((1, cfg.n_steps)))
+    assert not np.array_equal(noisy.S[:, :1], quiet.S)
+    for got, want in ((noisy.Q, quiet.Q), (noisy.v, quiet.v)):
+        assert np.array_equal(got.view(np.uint64),
+                              np.broadcast_to(want, got.shape).view(np.uint64))
+
+
 def test_deterministic_path_physical(params, controls):
     Q, v = _zero_noise_path("linear_physical", params, controls)
     assert abs(Q[-1] - params.N) <= 0.02
@@ -269,6 +285,25 @@ def test_one_clamp_count_in_both_modes(params, record):
         run(s0, q0)
         with pytest.raises(OutOfGrid, match=r"^100\.00% of simulated steps"):
             run(s0 + beyond_s, q0 + beyond_q)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_s_free_member_leaving_the_price_hull_is_out_of_grid(params, record):
+    # a one-row control reads no price, yet its states keep the price hull:
+    # the jump after the first lookup takes the member started at 45 beyond
+    # s_max and the one started at 30 not; the error names the one that left
+    g = ef.GridSpec(I=4, J=4, n_steps=100)
+    specs = [ef.make_contract(fam) for fam in ("linear_physical", "linear_cash")]
+    stack = [ef.extract_control(surface, params)
+             for surface in solve_fee_surfaces(specs, params, g, every_layer=True)]
+    assert [control.values.shape for control in stack] == [(101, 1, 5)] * 2
+    starts = [(30.0, 0.5, 0.0), (45.0, 0.5, 0.0)]
+    dW = np.zeros((1, 100))
+    _euler_batch(stack, params, starts, dW, record=record)
+    dW[0, 0] = (g.s_max + 1.0 - 45.0) / params.sigma
+    with pytest.raises(OutOfGrid, match=r"^99\.00% of simulated steps.*"
+                                        r"\(linear_cash\)$"):
+        _euler_batch(stack, params, starts, dW, record=record)
 
 
 def test_clamp_budget_is_per_path(params):
@@ -385,17 +420,19 @@ def test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral(params, fam):
     [quiet], _ = gains(np.zeros((1, cfg.n_steps)))
     w = path.times[1:, None] / params.T if spec.family.is_twap else 1.0
     hedge = params.sigma * ((path.Q[1:] - params.N * w) * dW.T).sum(axis=0)
-    assert np.abs(noisy - hedge - quiet).max() <= 1e-10
+    assert np.abs(noisy - hedge - quiet).max() <= 1e-12
     [est] = ef.expected_payoff_metric(params, cfg, [(spec, control, fee)])
     assert abs(est.estimate - noisy.mean()) <= 1e-12
 
 
-def _assert_stacked_metric_equals_one_contract_calls(params, n_steps):
-    """Drawing each noise chunk once and stepping each grid's contracts as
+STACK_GRID = ef.GridSpec(I=10, J=10, n_steps=100)
+
+
+def _assert_stacked_metric_equals_one_contract_calls(params, n_steps, g=STACK_GRID):
+    """Drawing each noise chunk once and stepping each group of contracts as
     one stack changes no bit of any contract's estimate; 9000 paths span two
     chunks, on a 100-step grid."""
     assert 9000 > _CHUNK
-    g = ef.GridSpec(I=10, J=10, n_steps=100)
     cfg = ef.SimConfig(n_paths=9000, n_steps=n_steps, seed=13)
     contracts = []
     for fam in ALL_FAMILIES:
@@ -420,6 +457,19 @@ def test_metric_over_all_contracts_equals_one_contract_calls(params):
 def test_metric_over_all_contracts_blending_layers_equals_one_contract_calls(params):
     # 150 steps on the 100-step grid: most steps blend two layers
     _assert_stacked_metric_equals_one_contract_calls(params, 150)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_metric_on_a_three_node_grid_equals_one_contract_calls(params):
+    # with I = 2 configured, the collars and the price-affine contracts share
+    # the grid but not the control's shape (3 price rows against 1), so they
+    # are stepped as two stacks
+    g = ef.GridSpec(I=2, J=10, n_steps=100)
+    shapes = {ef.extract_control(ef.solve_fee_surface(ef.make_contract(fam, params),
+                                                      params, g), params).values.shape
+              for fam in ("collar_cash", "linear_cash")}
+    assert shapes == {(101, 3, 11), (101, 1, 11)}
+    _assert_stacked_metric_equals_one_contract_calls(params, 100, g)
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")
