@@ -79,6 +79,12 @@ class ExperimentConfig:
             if self.sweep is not None and self.sweep.param == "p":
                 for p in self.sweep.values:
                     dataclasses.replace(self.regulatory, p=p)   # checks p in [0, 1]
+        if self.sweep is not None and self.sweep.param != "p":
+            for value in self.sweep.values:
+                try:
+                    self.params.replace(**{self.sweep.param: value})
+                except ConfigError as exc:
+                    raise ConfigError(f"sweep.values: {exc}") from None
 
     def canonical_dict(self) -> dict:
         return {

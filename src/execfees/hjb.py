@@ -251,19 +251,16 @@ def _layer_position(surface: FeeSurface, t: float) -> float:
     return t / surface.grid.dt(surface.params.T) - surface.n0
 
 
-def _interpolate(surface, k: float, S, q):
+def _interpolate(surface: FeeSurface, k: float, S, q):
     """Bilinear in (S, q), linear between layers at fractional layer position k.
 
-    `surface` is one FeeSurface, fee or control, or a list of K surfaces
-    on one grid with the same layers and price rows (a stack) looked up at
-    points with a leading member axis: member m at (S[m], q[m]).
-    Coordinates outside the grid hull are clamped to it; an integer k reads
-    layer k alone, and a surface of one price row is constant in S.  The
-    result is the caller's own; a loop of lookups builds one _Lookup instead.
+    `surface` is one FeeSurface, fee or control.  Coordinates outside the
+    grid hull are clamped to it; an integer k reads layer k alone, and a
+    surface of one price row is constant in S.  The result is the caller's
+    own; a loop of lookups builds one _Lookup instead.
     """
-    stack = surface if isinstance(surface, list) else [surface]
     shape = np.broadcast_shapes(np.shape(S), np.shape(q))
-    return _Lookup(stack, shape).at(k, S, q)[()]
+    return _Lookup([surface], shape).at(k, S, q)[()]
 
 
 def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
@@ -607,26 +604,21 @@ def extract_control(surface: FeeSurface, params: MarketParams,
     schedule*t/T.  The layers are taken _EXTRACT_BLOCK at a time, one array
     expression per block, with the formulas of a layer on its own.
 
-    A price-affine contract (see _price_affine) solved on its 3-node price
-    axis has a control constant in S: it gets one price row, the middle
-    node's, of shape (n_layers, 1, J+1), the same numbers as that row of the
-    full control.  The control is written to `out`, an array of the
-    surface's shape (a one-row control takes its middle row), or to a fresh
-    array of the control's shape when None.  `out` may be `surface.values`
-    itself: each block of layers is read in full before its control
-    overwrites it, and no other layer is read.
+    The control is written to `out`, an array of the surface's shape, or to
+    a fresh one when None.  `out` may be `surface.values` itself: each block
+    of layers is read in full before its control overwrites it, and no other
+    layer is read.  A price-affine contract (see _price_affine) solved on its
+    3-node price axis has a control constant in S, and keeps row 1 of it, the
+    middle node's: a view of shape (n_layers, 1, J+1).
     """
     g = surface.grid
     ds, dq, b = g.ds, g.dq, params.b
     q = g.q_nodes()[None, None, :]
-    one_row = g.I == 2 and _price_affine(surface.contract, params)
     if out is None:
-        out = np.empty((surface.n_layers, 1 if one_row else g.I + 1, g.J + 1))
+        out = np.empty_like(surface.values)
     elif out.shape != surface.values.shape:
         raise ValueError(f"out: shape {out.shape} is not the surface's "
                          f"{surface.values.shape}")
-    elif one_row:
-        out = out[:, 1:2]
     layers = np.arange(surface.n0, surface.n0 + surface.n_layers)
     size = min(_EXTRACT_BLOCK, surface.n_layers)
     DS_block, Dq_block = (np.empty((size,) + out.shape[1:]) for _ in range(2))
@@ -634,16 +626,10 @@ def extract_control(surface: FeeSurface, params: MarketParams,
         P = surface.values[k:k + size]
         v = out[k:k + size]
         DS, Dq = DS_block[:len(P)], Dq_block[:len(P)]
-        if one_row:   # the interior formula at the middle node alone
-            np.subtract(P[:, 2:, :], P[:, :1, :], out=DS)
-            DS /= 2.0 * ds
-            P = P[:, 1:2]
-        else:
-            np.subtract(P[:, 2:, :], P[:, :-2, :], out=DS[:, 1:-1, :])
-            DS[:, 1:-1, :] /= 2.0 * ds
-            DS[:, 0, :] = (-3.0 * P[:, 0, :] + 4.0 * P[:, 1, :] - P[:, 2, :]) / (2.0 * ds)
-            DS[:, -1, :] = ((3.0 * P[:, -1, :] - 4.0 * P[:, -2, :] + P[:, -3, :])
-                            / (2.0 * ds))
+        np.subtract(P[:, 2:, :], P[:, :-2, :], out=DS[:, 1:-1, :])
+        DS[:, 1:-1, :] /= 2.0 * ds
+        DS[:, 0, :] = (-3.0 * P[:, 0, :] + 4.0 * P[:, 1, :] - P[:, 2, :]) / (2.0 * ds)
+        DS[:, -1, :] = (3.0 * P[:, -1, :] - 4.0 * P[:, -2, :] + P[:, -3, :]) / (2.0 * ds)
         np.subtract(P[:, :, 2:], P[:, :, :-2], out=Dq[:, :, 1:-1])
         Dq[:, :, 1:-1] /= 2.0 * dq
         Dq[:, :, 0] = (-3.0 * P[:, :, 0] + 4.0 * P[:, :, 1] - P[:, :, 2]) / (2.0 * dq)
@@ -656,4 +642,6 @@ def extract_control(surface: FeeSurface, params: MarketParams,
         np.clip(v, -params.C, params.C, out=v)
         np.maximum(v[:, :, 0], 0.0, out=v[:, :, 0])
         np.minimum(v[:, :, -1], 0.0, out=v[:, :, -1])
+    if g.I == 2 and _price_affine(surface.contract, params):
+        out = out[:, 1:2]
     return replace(surface, values=out, kind="control")

@@ -73,8 +73,10 @@ INVALID_CONFIGS = {
     # a misspelt key is rejected in the sweep section as in every other
     "sweep": ["sweep: {param: sigma, values: [5.0], valus: [6.0]}\n"],
     "sweep.param": ["sweep: {param: tau, values: [0.3]}\n"],
+    # a swept value its parameter rejects, even for a command that ignores sweeps
     "sweep.values": ["sweep: {param: sigma, values: 5}\n",
-                     "sweep: {param: sigma, values: [abc]}\n"],
+                     "sweep: {param: sigma, values: [abc]}\n",
+                     "sweep: {param: l, values: [1.0e-3, 0.0]}\n"],
     "contracts": ["contracts: 5\n", "contracts: []\n",
                   # a misspelt strike is not a default one
                   "contracts: [{family: collar_cash, k1: 30.0}]\n"],
@@ -414,6 +416,20 @@ def test_paths_sweep_values_naming_the_same_files_exit_nonzero(tmp_path, capsys)
     assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("execfees: error: sweep.values:"), err
+    assert not out.exists()
+
+
+def test_paths_contracts_of_one_family_exit_nonzero(tmp_path, capsys):
+    # both collars would write paths_collar_cash.csv: the second would
+    # overwrite the first, so the config is refused before any solve
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "contracts: [{family: collar_cash, K1: 40.0, K2: 50.0},"
+                   " {family: collar_cash, K1: 30.0, K2: 60.0}]\n"
+                   "sim: {n_paths: 1, n_steps: 200, seed: 5}\n")
+    out = tmp_path / "out"
+    assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error: contracts: 'collar_cash'"), err
     assert not out.exists()
 
 

@@ -64,6 +64,15 @@ def test_configs_built_in_code_obey_the_loader_rules(build, field):
     assert str(exc.value).startswith(field)
 
 
+@pytest.mark.parametrize("param, value", [("l", 0.0), ("sigma", -1.0), ("T", 0.0)])
+def test_swept_model_parameter_values_are_checked(param, value):
+    # each swept value builds its MarketParams when the config is made
+    raw = {"sweep": {"param": param, "values": [1.0, value]}}
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value).startswith(f"sweep.values: params.{param}:")
+
+
 def test_readme_config_example_loads():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]

@@ -303,6 +303,8 @@ def test_control_written_over_its_surface_equals_fresh_control(params, fam):
     surface = ef.solve_fee_surface(ef.make_contract(fam), params, g)
     fresh = ef.extract_control(surface, params)
     values = surface.values
+    # a fresh control, one row or every row, owns its memory
+    assert not np.shares_memory(fresh.values, values)
     in_place = ef.extract_control(surface, params, out=surface.values)
     if fam == "collar_cash":
         assert in_place.values is values
