@@ -167,10 +167,6 @@ def run_paths(config: ExperimentConfig, out_dir: str):
     if cfg.n_paths * cfg.n_steps > 2_000_000:
         raise ConfigError("sim.n_paths: trajectory dump too large; the paths "
                           "command is meant for a handful of paths")
-    for k, contract in enumerate(config.contracts):
-        if contract.family in [c.family for c in config.contracts[:k]]:
-            raise ConfigError(f"contracts: {contract.family.value!r} is listed twice; "
-                              "paths writes one file set per family")
     cfg_hash = config.config_hash()
     swept = _swept(config)
     tags = ["" if value is None else f"_{config.sweep.param}={value:g}"

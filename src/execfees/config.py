@@ -72,6 +72,11 @@ class ExperimentConfig:
                                   f"[{lo}, {hi}], got {getattr(self.sim, name)!r}")
         if not self.contracts:
             raise ConfigError("contracts: must be non-empty")
+        # every table row and trajectory file names a contract by its family alone
+        for k, contract in enumerate(self.contracts):
+            if contract.family in [c.family for c in self.contracts[:k]]:
+                raise ConfigError(f"contracts: {contract.family.value!r} is listed "
+                                  "twice; the artifacts name a contract by its family")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir: expected a path, got {self.output_dir!r}")
         if self.regulatory is not None:

@@ -18,7 +18,11 @@ tridiagonal solve per inventory slice; the nonlinear part (quadratic risk
 term and the constrained trading Hamiltonian) is explicit at the known time
 layer.  Each sweep allocates its workspace once and calls LAPACK gtsv (the
 routine scipy.linalg.solve_banded runs for a tridiagonal matrix) directly,
-so a time step allocates no array of the grid's size.
+so a time step allocates no array of the grid's size.  gtsv is scipy's own
+compiled wrapper, taken from the scipy.linalg._flapack extension without
+importing the scipy.linalg package: that package's __init__ pulls in
+numpy.testing, numpy.f2py and unittest, whose time and memory every
+command would otherwise pay before its first solve.
 
 A sweep advances a stack of K terminal layers that share params and grid:
 the kernels work on a Fortran-ordered (I+1, J+1, K) array, each member with
@@ -41,12 +45,15 @@ point into the grid.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .contracts import (ContractSpec, Family, GridSpec, MarketParams, check_real,
                         liquidation_cost, terminal_fee)
@@ -57,6 +64,28 @@ from .errors import (BlendOverflow, ConfigError, NonFinite, RequiresZeroRate,
 _EXPLICIT_GUARD = 0.1
 # time layers per array expression of extract_control
 _EXTRACT_BLOCK = 32
+
+
+def _flapack():
+    """scipy's compiled LAPACK wrappers, loaded without importing scipy.linalg.
+
+    The module is registered under its own name before it runs, so a later
+    `import scipy.linalg` reuses it instead of initialising it a second time.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        linalg_dir = os.path.join(
+            importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        origin = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir]).origin
+        spec = importlib.util.spec_from_file_location(name, origin)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# LAPACK's real tridiagonal solver, the routine scipy.linalg.solve_banded and
+# get_lapack_funcs(("gtsv",), ...) give for float64 arrays
+_dgtsv = _flapack().dgtsv
 
 
 @dataclass(frozen=True)
@@ -264,7 +293,10 @@ def _interpolate(surface: FeeSurface, k: float, S, q):
 
 
 def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
-    """Banded (3, I+1) storage of the implicit matrix for scipy.solve_banded.
+    """Banded (3, I+1) storage of the implicit matrix, solve_banded's layout.
+
+    _sweep hands the three diagonals to LAPACK gtsv itself: ab[0, 1:] above,
+    ab[1] on and ab[2, :-1] below the main diagonal.
 
     Interior rows hold the diffusion and the central drift, the same for every
     price row; the operator contains no inventory derivatives, so the matrix
@@ -421,7 +453,6 @@ def _sweep(P_terminals, n_hi: int, n_lo: int, params: MarketParams,
     dt_src[...] = (dt * src)[..., None]
     # the members whose source moves in t; their dt_src is rebuilt per step
     moving = [k for k in range(members) if params.mu * schedules[k] != 0.0]
-    gtsv, = get_lapack_funcs(("gtsv",), (ab,))
     du, d, dl = ab[0, 1:], ab[1, :], ab[2, :-1]
     P = w.P
     for k, P_T in enumerate(P_terminals):
@@ -455,8 +486,8 @@ def _sweep(P_terminals, n_hi: int, n_lo: int, params: MarketParams,
         # -P + dt*L2 + dt*src: x - y is x + (-y), and a sum of two commutes
         rhs -= P; rhs += dt_src
         w.L2 = P   # the next increment overwrites the layer just used
-        x, info = gtsv(dl, d, du, rhs.reshape(shape[0], -1, order="F"),
-                       overwrite_b=True)[3:]
+        x, info = _dgtsv(dl, d, du, rhs.reshape(shape[0], -1, order="F"),
+                         overwrite_b=True)[3:]
         if info > 0:
             raise SingularTridiagonal("singular matrix")
         P = x.reshape(shape, order="F")

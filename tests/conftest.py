@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -156,6 +157,35 @@ def reference_euler_terminal(control, params, start, increments):
         S = S + (params.mu + params.b * v) * dt + params.sigma * increments[:, k]
         Q = Q + v * dt
     return S, Q, X, A_int / params.T
+
+
+def exact_premium_and_ce(family, params, grid):
+    """Independent oracle, at mu = r = 0 only: (E[Y] - x0, CE) of an S-free
+    (linear or TWAP) contract under the Euler scheme, from one zero-noise path.
+
+    Its control reads no price there, so every path trades as the zero-noise
+    path does, and Y is that path's payoff Y0 plus the hedge integral
+    sigma * sum_k c_k dW_k with c_k = Q_{k+1} - N*w_{k+1} (w = 1 linear,
+    w = t/T TWAP; test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral).
+    Y is Gaussian, so E[Y] = Y0 and the CARA certainty equivalent is
+        CE = Y0 - x0 - (gamma/2) * sigma^2 * dt * sum_k c_k^2.
+    The path takes one Euler step per grid time step and starts at the
+    baseline (s0, q0) with the fee as cash."""
+    assert params.mu == params.r == 0.0
+    spec = ef.make_contract(family)
+    assert not spec.family.is_collar
+    surface = ef.solve_fee_surface(spec, params, grid)
+    cfg = ef.SimConfig(n_paths=1, n_steps=grid.n_steps)
+    fee = surface.value_at(0.0, cfg.s0, cfg.q0)
+    control = ef.extract_control(surface, params, out=surface.values)
+    start = dataclasses.replace(cfg, x0=cfg.x0 - cfg.q0 * cfg.s0 + fee)
+    path = ef.simulate_path(control, params, start, np.zeros((1, cfg.n_steps)))
+    terminal = (path.S[-1], path.Q[-1], path.X[-1], path.A[-1])
+    premium = float(ef.realized_payoff(terminal, spec, params)[0]) - cfg.x0
+    w = path.times[1:] / params.T if spec.family.is_twap else 1.0
+    c = path.Q[1:, 0] - params.N * w
+    dt = params.T / cfg.n_steps
+    return premium, premium - 0.5 * params.gamma * params.sigma**2 * dt * float(c @ c)
 
 
 # grid of the memory tests, and the bytes of one full-layer surface on it

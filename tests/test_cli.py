@@ -419,17 +419,19 @@ def test_paths_sweep_values_naming_the_same_files_exit_nonzero(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_paths_contracts_of_one_family_exit_nonzero(tmp_path, capsys):
-    # both collars would write paths_collar_cash.csv: the second would
-    # overwrite the first, so the config is refused before any solve
+@pytest.mark.parametrize("command", ["fees", "statarb", "paths"])
+def test_contracts_of_one_family_exit_nonzero(tmp_path, capsys, command):
+    # both collars would be a row collar_cash of one table, or write
+    # paths_collar_cash.csv twice: the config is refused when it loads
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(COARSE_GRID + "contracts: [{family: collar_cash, K1: 40.0, K2: 50.0},"
                    " {family: collar_cash, K1: 30.0, K2: 60.0}]\n"
                    "sim: {n_paths: 1, n_steps: 200, seed: 5}\n")
     out = tmp_path / "out"
-    assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("execfees: error: contracts: 'collar_cash'"), err
+    assert err.startswith("execfees: error: contracts: 'collar_cash' is listed "
+                          "twice"), err
     assert not out.exists()
 
 

@@ -57,7 +57,12 @@ def test_default_config_is_the_loaded_baseline():
     (lambda: ExperimentConfig(contracts=()), "contracts:"),
     (lambda: ExperimentConfig(output_dir=5), "output_dir:"),
     (lambda: SweepSpec("sigma", 5.0), "sweep.values:"),
-], ids=["s0", "q0", "contracts", "output_dir", "sweep_values"])
+    # two collars of one family would be two rows collar_cash of every table
+    (lambda: ExperimentConfig(contracts=(ef.make_contract("collar_cash"),
+                                         ef.make_contract("collar_cash", K1=30.0,
+                                                          K2=60.0))),
+     "contracts: 'collar_cash' is listed twice"),
+], ids=["s0", "q0", "contracts", "output_dir", "sweep_values", "one_family"])
 def test_configs_built_in_code_obey_the_loader_rules(build, field):
     with pytest.raises(ConfigError) as exc:
         build()

@@ -1,13 +1,19 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 import execfees as ef
 from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
+from execfees import hjb
 from execfees.hjb import (_EXTRACT_BLOCK, _interpolate, _layer_position, _sweep,
                           _terminal_layer, build_banded)
 
@@ -224,6 +230,49 @@ def test_sweep_equals_reference_step_bitwise(case):
         assert np.array_equal(layers, _reference_sweep(P_T, n_hi, n_lo, p, g, schedule))
         assert layer.shape == (1, g.I + 1, g.J + 1)
         assert np.array_equal(layer, layers[:1])
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of `code` run by a new Python with src and tests importable."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_linalg_unimported():
+    # gtsv comes from scipy's compiled LAPACK extension, not the linalg package
+    out = _fresh_interpreter("""
+        import sys
+        import execfees.cli
+        print("scipy.linalg" in sys.modules)
+        """)
+    assert out.split() == ["False"]
+
+
+def test_gtsv_is_scipys_routine_in_either_import_order():
+    # here scipy.linalg came first (through conftest): the solver reused its module
+    assert hjb._dgtsv is get_lapack_funcs(("gtsv",), (np.zeros(3),))[0]
+    # the solver first: scipy.linalg then reuses the extension module the solver
+    # loaded, and a sweep still equals the solve_banded reference bit for bit
+    out = _fresh_interpreter("""
+        import numpy as np
+        from execfees import hjb
+        import scipy.linalg
+        import execfees as ef
+        from test_hjb import _reference_sweep
+        print(scipy.linalg.get_lapack_funcs(("gtsv",), (np.zeros(3),))[0]
+              is hjb._dgtsv)
+        p = ef.MarketParams()
+        g, P_T, schedule = hjb._terminal_layer(ef.make_contract("collar_cash"), p,
+                                               ef.GridSpec())
+        got, = hjb._sweep([P_T], 50, 0, p, g, [schedule], every_layer=True)
+        print(np.array_equal(got, _reference_sweep(P_T, 50, 0, p, g, schedule)))
+        """)
+    assert out.split() == ["True", "True"]
 
 
 # ---------------------------------------------------------------------------
