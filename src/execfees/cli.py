@@ -140,6 +140,10 @@ def run_statarb(config: ExperimentConfig, memo=None):
     solve; one Monte-Carlo pass then steps all controls on each path's
     noise, drawn once.
     """
+    if config.sim.zero_noise:
+        raise ConfigError("sim.zero_noise: the statarb table estimates over "
+                          "noisy paths; zero_noise applies to the paths "
+                          "command only")
     memo = {} if memo is None else memo
     surfaces = _solve_fees(config.contracts, config, config.params, memo,
                            every_layer=True)

@@ -121,10 +121,11 @@ class RegulatorySpec:
 class FeeSurface:
     """Fee values on the (time, price, inventory) grid.
 
-    ``values[k, i, j]`` approximates the fee at time layer ``n0 + k``, price
-    node i, inventory node j of ``grid``, the grid it was solved on (see
-    _terminal_layer).  At schedule N (TWAP) it holds the reduced value U; the
-    fee at time t is N*(t/T)*(S - A) + U, which at t = 0 is U itself.
+    ``values[k, i, j]`` approximates the fee at time layer k, price node i,
+    inventory node j of ``grid``, the grid it was solved on (see
+    _terminal_layer): every surface starts at t = 0.  At schedule N (TWAP)
+    it holds the reduced value U; the fee at time t is N*(t/T)*(S - A) + U,
+    which at t = 0 is U itself.
     Of kind "control" it holds the trading speed of extract_control, on a
     single price row (constant in S) for a price-affine contract.
     """
@@ -133,9 +134,10 @@ class FeeSurface:
     params: MarketParams
     values: np.ndarray
     contract: ContractSpec | None = None
-    n0: int = 0
     schedule: float = 0.0
     kind: str = "fee"
+    # index of the first stored layer, always 0; perfbench's tracer reads it
+    n0 = 0
 
     @property
     def n_layers(self) -> int:
@@ -149,10 +151,9 @@ class FeeSurface:
         """
         k = _layer_position(self, t)
         if not -1e-9 <= k <= self.n_layers - 1 + 1e-9:
-            dt = self.grid.dt(self.params.T)
-            first, last = self.n0 * dt, (self.n0 + self.n_layers - 1) * dt
+            last = (self.n_layers - 1) * self.grid.dt(self.params.T)
             raise ValueError(f"t = {t!r} lies outside the stored layers "
-                             f"[{first!r}, {last!r}]")
+                             f"[0.0, {last!r}]")
         return float(_interpolate(self, k, S, q))
 
 
@@ -160,21 +161,21 @@ class _Lookup:
     """Bilinear lookups on a stack of K surfaces (one grid, the same
     layers and price rows).
 
-    `locate` marks in `outside` the points (S, q) more than 1e-9 beyond the
-    grid hull, then finds, for the points clamped to it, each lower corner's
-    flat index and the weights [1 - f, f] of the price and inventory
-    fractions; `blend` interpolates a layer there, `at` a layer position.
-    A stack whose surfaces hold one price row (the S-free controls of
-    extract_control) is constant in S: its points keep the hull mask on
-    both axes, but only their inventory fraction is found, and `blend`
-    interpolates the two inventory corners.  With K > 1 the points carry a
-    leading member axis, and `layer` gathers a (K, rows, J+1) stack: member
-    m reads layer m; a stack of one reads its own layer in place.  Nothing
-    is allocated after construction.
+    The points carry a leading member axis of length K: member m's points
+    are looked up on member m's surface, and a single surface is a stack of
+    one.  `locate` marks in `outside` the points (S, q) more than 1e-9
+    beyond the grid hull, then finds, for the points clamped to it, each
+    lower corner's flat index and the weights [1 - f, f] of the price and
+    inventory fractions; `blend` interpolates a layer there, `at` a layer
+    position.  A stack whose surfaces hold one price row (the S-free
+    controls of extract_control) is constant in S: its points keep the hull
+    mask on both axes, but only their inventory fraction is found, and
+    `blend` interpolates the two inventory corners.  Nothing is allocated
+    after construction.
     """
 
     def __init__(self, stack: list, shape: tuple):
-        self.stack, self.grid, members = stack, stack[0].grid, len(stack)
+        self.stack, self.grid = stack, stack[0].grid
         layer_shape = stack[0].values.shape[1:]
         if any(member.values.shape[1:] != layer_shape for member in stack):
             raise ValueError("a lookup stack needs layers of one shape, got "
@@ -187,21 +188,13 @@ class _Lookup:
         self.value, self.value_next = np.empty(shape), np.empty(shape)
         self.outside, self.side = (np.empty(shape, dtype=bool) for _ in range(2))
         # each corner: its shift from the lower one in the flat layer, and its
-        # weights, in the order (i, j), (i+1, j), (i, j+1), (i+1, j+1); the
-        # trailing ...: for points of shape () a weight stays a 0-d array
+        # weights, in the order (i, j), (i+1, j), (i, j+1), (i+1, j+1)
         w, row = self.weight, self.grid.J + 1
         if axes == 2:
-            self.corners = ((0, (w[0, 0, ...], w[0, 1, ...])),
-                            (row, (w[1, 0, ...], w[0, 1, ...])),
-                            (1, (w[0, 0, ...], w[1, 1, ...])),
-                            (row + 1, (w[1, 0, ...], w[1, 1, ...])))
+            self.corners = ((0, (w[0, 0], w[0, 1])), (row, (w[1, 0], w[0, 1])),
+                            (1, (w[0, 0], w[1, 1])), (row + 1, (w[1, 0], w[1, 1])))
         else:
-            self.corners = ((0, (w[0, 0, ...],)), (1, (w[1, 0, ...],)))
-        if members > 1:
-            self.layers = np.empty((members,) + layer_shape)
-            # float, as the index it shifts: an int offset would cast per add
-            self.offset = (np.arange(members, dtype=float) * self.layers[0].size
-                           ).reshape((members,) + (1,) * (len(shape) - 1))
+            self.corners = ((0, (w[0, 0],)), (1, (w[1, 0],)))
 
     def locate(self, S, q) -> None:
         """Hull mask, lower-corner flat indices and [1 - f, f] weights of (S, q)."""
@@ -213,7 +206,7 @@ class _Lookup:
             cmp(x, edge, out=side); hit |= side
         axes = ((S, g.s_min, g.ds, g.I), (q, g.q_min, g.dq, g.J))[-len(pos):]
         for a, (x, lo, d, top) in enumerate(axes):
-            p = pos[a, ...]
+            p = pos[a]
             np.subtract(x, lo, out=p); p /= d
             np.clip(p, 0.0, top - 1e-12, out=p)
         # integer parts, in weight[0] for now: floor truncates pos >= 0, and
@@ -225,35 +218,28 @@ class _Lookup:
         # flat index of the lower corner, exact in float64, in the spent pos
         # (on one price row, the inventory part itself: low is rewritten below)
         if len(pos) == 2:
-            flat = pos[0, ...]
+            flat = pos[0]
             np.multiply(low[0], g.J + 1, out=flat); flat += low[1]
         else:
-            flat = low[0, ...]
-        if len(self.stack) > 1:
-            flat += self.offset
+            flat = low[0]
         np.copyto(self.idx, flat, casting="unsafe")
         np.subtract(1.0, frac, out=low)
 
-    def layer(self, k: int) -> np.ndarray:
-        """Layer k of every member of the stack, as one array."""
-        if len(self.stack) == 1:
-            return self.stack[0].values[k]
-        for layer, member in zip(self.layers, self.stack):
-            layer[...] = member.values[k]
-        return self.layers
+    def blend(self, k: int, out: np.ndarray) -> np.ndarray:
+        """The located points interpolated on layer k of the stack, in out.
 
-    def blend(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The located points interpolated on the C-ordered layer (or stack) V.
-
-        Corner by corner: one gather at a shifted view of the flat layer,
-        weighted by its price, then its inventory weight (the inventory
-        weight alone on one price row), and added to the sum.
+        Corner by corner: member m's points gather at a shifted view of
+        member m's own flat layer k, read in place; the stacked terms are
+        then weighted by their price, then their inventory weight (the
+        inventory weight alone on one price row), and added to the sum.
         """
-        flat, c = V.ravel(), self.corner
+        flats, c = [member.values[k].ravel() for member in self.stack], self.corner
         for shift, weights in self.corners:
             term = c if shift else out
-            # the shifted index is in bounds; clip mode writes straight to term
-            np.take(flat[shift:], self.idx, out=term, mode="clip")
+            for m, flat in enumerate(flats):
+                # the shifted index is in bounds; clip mode writes straight to
+                # term, whose [m, ...] stays an array for points of shape (K,)
+                np.take(flat[shift:], self.idx[m, ...], out=term[m, ...], mode="clip")
             for w in weights:
                 term *= w
             if shift:
@@ -261,35 +247,37 @@ class _Lookup:
         return out
 
     def at(self, k: float, S, q) -> np.ndarray:
-        """Layer position k (clamped, linear between layers) at (S, q), in a buffer."""
+        """Layer position k (clamped, linear between layers) of each member
+        at its points (S, q), in a buffer of the points' shape."""
         n_layers = self.stack[0].n_layers
         # builtins, not np.clip: this runs on a scalar once per Euler step
         k = min(max(k, 0.0), n_layers - 1.0)
         k0 = int(k); k1 = min(k0 + 1, n_layers - 1)
         wk = k - k0
         self.locate(S, q)
-        v = self.blend(self.layer(k0), self.value)
+        v = self.blend(k0, self.value)
         if wk > 0.0:
-            v_next = self.blend(self.layer(k1), self.value_next)
+            v_next = self.blend(k1, self.value_next)
             v *= 1.0 - wk; v_next *= wk; v += v_next
         return v
 
 
 def _layer_position(surface: FeeSurface, t: float) -> float:
     """Fractional index of time t among the surface's layers."""
-    return t / surface.grid.dt(surface.params.T) - surface.n0
+    return t / surface.grid.dt(surface.params.T)
 
 
 def _interpolate(surface: FeeSurface, k: float, S, q):
     """Bilinear in (S, q), linear between layers at fractional layer position k.
 
-    `surface` is one FeeSurface, fee or control.  Coordinates outside the
-    grid hull are clamped to it; an integer k reads layer k alone, and a
-    surface of one price row is constant in S.  The result is the caller's
-    own; a loop of lookups builds one _Lookup instead.
+    `surface` is one FeeSurface, fee or control, looked up as a stack of
+    one.  Coordinates outside the grid hull are clamped to it; an integer k
+    reads layer k alone, and a surface of one price row is constant in S.
+    The result is the caller's own; a loop of lookups builds one _Lookup
+    instead.
     """
-    shape = np.broadcast_shapes(np.shape(S), np.shape(q))
-    return _Lookup([surface], shape).at(k, S, q)[()]
+    shape = (1,) + np.broadcast_shapes(np.shape(S), np.shape(q))
+    return _Lookup([surface], shape).at(k, S, q)[0]
 
 
 def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
@@ -650,7 +638,6 @@ def extract_control(surface: FeeSurface, params: MarketParams,
     elif out.shape != surface.values.shape:
         raise ValueError(f"out: shape {out.shape} is not the surface's "
                          f"{surface.values.shape}")
-    layers = np.arange(surface.n0, surface.n0 + surface.n_layers)
     size = min(_EXTRACT_BLOCK, surface.n_layers)
     DS_block, Dq_block = (np.empty((size,) + out.shape[1:]) for _ in range(2))
     for k in range(0, surface.n_layers, size):
@@ -665,7 +652,7 @@ def extract_control(surface: FeeSurface, params: MarketParams,
         Dq[:, :, 1:-1] /= 2.0 * dq
         Dq[:, :, 0] = (-3.0 * P[:, :, 0] + 4.0 * P[:, :, 1] - P[:, :, 2]) / (2.0 * dq)
         Dq[:, :, -1] = (3.0 * P[:, :, -1] - 4.0 * P[:, :, -2] + P[:, :, -3]) / (2.0 * dq)
-        t = layers[k:k + size] * g.dt(params.T)
+        t = np.arange(k, k + len(P)) * g.dt(params.T)
         y = q - (surface.schedule * t / params.T)[:, None, None]
         # P is spent: v may be P itself from here on
         DS *= b

@@ -141,7 +141,7 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
     for k in range(n_steps):
         # layer of t = k*dt without rounding through dt: a step at a grid
         # time reads that layer alone
-        v = lookup.at(k * g.n_steps / n_steps - controls[0].n0, S, Q)
+        v = lookup.at(k * g.n_steps / n_steps, S, Q)
         if lookup.outside.any():   # most steps clamp nothing; any() is the cheap test
             clamped += lookup.outside
         np.clip(v, -params.C, params.C, out=v)
@@ -221,7 +221,7 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     n = cfg.n_paths
     stacks = {}
     for i, (_, control, _) in enumerate(contracts):
-        key = (control.grid, control.n0, control.values.shape)
+        key = (control.grid, control.values.shape)
         stacks.setdefault(key, []).append(i)
     # per contract: sum Y, sum Y^2, sum w, sum w^2
     totals = [[0.0, 0.0, 0.0, 0.0] for _ in contracts]

@@ -104,7 +104,7 @@ def reference_extract_control(surface, params):
         Dq[:, 1:-1] = (P[:, 2:] - P[:, :-2]) / (2.0 * dq)
         Dq[:, 0] = (-3.0 * P[:, 0] + 4.0 * P[:, 1] - P[:, 2]) / (2.0 * dq)
         Dq[:, -1] = (3.0 * P[:, -1] - 4.0 * P[:, -2] + P[:, -3]) / (2.0 * dq)
-        t = (surface.n0 + k) * g.dt(params.T)
+        t = k * g.dt(params.T)
         y = q - surface.schedule * t / params.T
         v = (params.b * y - params.b * DS - Dq) / (2.0 * params.l)
         np.clip(v, -params.C, params.C, out=v)
@@ -145,7 +145,7 @@ def reference_euler_terminal(control, params, start, increments):
     S, Q, X = (np.full(n, x) for x in start)
     A_int = np.zeros(n)
     for k in range(n_steps):
-        pos = min(max(k * g.n_steps / n_steps - control.n0, 0.0), n_layers - 1.0)
+        pos = min(max(k * g.n_steps / n_steps, 0.0), n_layers - 1.0)
         k0 = int(pos); k1 = min(k0 + 1, n_layers - 1)
         wk = pos - k0
         v = reference_bilinear(control.values[k0], g, S, Q)
@@ -160,8 +160,9 @@ def reference_euler_terminal(control, params, start, increments):
 
 
 def exact_premium_and_ce(family, params, grid):
-    """Independent oracle, at mu = r = 0 only: (E[Y] - x0, CE) of an S-free
-    (linear or TWAP) contract under the Euler scheme, from one zero-noise path.
+    """Independent oracle, at r = 0 only and any drift mu: (E[Y] - x0, CE) of
+    an S-free (linear or TWAP) contract under the Euler scheme, from one
+    zero-noise path.
 
     Its control reads no price there, so every path trades as the zero-noise
     path does, and Y is that path's payoff Y0 plus the hedge integral
@@ -171,7 +172,7 @@ def exact_premium_and_ce(family, params, grid):
         CE = Y0 - x0 - (gamma/2) * sigma^2 * dt * sum_k c_k^2.
     The path takes one Euler step per grid time step and starts at the
     baseline (s0, q0) with the fee as cash."""
-    assert params.mu == params.r == 0.0
+    assert params.r == 0.0
     spec = ef.make_contract(family)
     assert not spec.family.is_collar
     surface = ef.solve_fee_surface(spec, params, grid)

@@ -1,6 +1,7 @@
 import collections
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -432,6 +433,24 @@ def test_contracts_of_one_family_exit_nonzero(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("execfees: error: contracts: 'collar_cash' is listed "
                           "twice"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["statarb", "reproduce-all"])
+def test_zero_noise_table_exits_nonzero(tmp_path, capsys, monkeypatch, command):
+    # an expected payoff over noiseless paths is not the table's estimate:
+    # zero_noise is refused before the first solve, not ignored
+    solves = []
+    monkeypatch.setattr(cli, "solve_fee_surfaces",
+                        lambda *args, **kw: solves.append(args))
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "contracts: [linear_cash]\n"
+                   "sim: {n_paths: 500, n_steps: 200, seed: 3, zero_noise: true}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"execfees: error: sim\.zero_noise:", err.splitlines()[0]), err
+    assert solves == []
     assert not out.exists()
 
 

@@ -362,18 +362,18 @@ def test_control_written_over_its_surface_equals_fresh_control(params, fam):
         assert np.shares_memory(in_place.values, values)
         assert np.array_equal(values[:, 1:2], fresh.values)
     assert np.array_equal(in_place.values, fresh.values)
-    assert (in_place.n0, in_place.grid) == (fresh.n0, fresh.grid)
+    assert in_place.grid == fresh.grid
     with pytest.raises(ValueError, match="not the surface's"):
         ef.extract_control(surface, params, out=np.empty_like(fresh.values[:, :, 1:]))
 
 
 def _twap_window(params):
-    """Layers 5..79 of a 3-node TWAP surface: n0 > 0, a moving schedule and a
-    layer count that is no multiple of the extraction block."""
+    """Layers 0..74 of a 3-node TWAP surface: a moving schedule and a layer
+    count that is no multiple of the extraction block."""
     full = ef.solve_fee_surface(ef.make_contract("twap_cash", params), params,
                                 ef.GridSpec(I=40, J=40, n_steps=400))
     assert full.grid.I == 2 and full.schedule == params.N
-    window = dataclasses.replace(full, values=full.values[5:80].copy(), n0=5)
+    window = dataclasses.replace(full, values=full.values[:75].copy())
     assert window.n_layers % _EXTRACT_BLOCK != 0
     return window
 

@@ -394,14 +394,18 @@ def test_metric_single_path_has_no_stderr(params, surfaces, controls):
     assert est.arbitrage is False
 
 
-# At mu = r = 0 the linear and TWAP controls do not read the price, so every
-# path trades as the zero-noise path does, and its payoff differs from that
-# path's by the hedge integral sigma * sum_k (Q_{k+1} - N*w_{k+1}) dW_k, with
-# w = 1 for linear contracts and w = t/T for TWAP ones.
-@pytest.mark.parametrize("fam", ["linear_physical", "linear_cash",
-                                 "twap_physical", "twap_cash"])
-def test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral(params, fam):
-    assert params.mu == params.r == 0.0
+# At r = 0 the linear and TWAP controls do not read the price, whatever the
+# drift mu, so every path trades as the zero-noise path does, and its payoff
+# differs from that path's by the hedge integral
+# sigma * sum_k (Q_{k+1} - N*w_{k+1}) dW_k, with w = 1 for linear contracts
+# and w = t/T for TWAP ones.  The zero-noise payoff is the oracle's.
+@pytest.mark.parametrize("fam, mu", [
+    pytest.param(fam, mu, id=fam if mu == 0.0 else f"{fam}-mu={mu:g}")
+    for mu in (0.0, 0.5, -0.3)
+    for fam in ("linear_physical", "linear_cash", "twap_physical", "twap_cash")])
+def test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral(fam, mu):
+    params = ef.MarketParams(mu=mu)
+    assert params.r == 0.0
     grid = ef.GridSpec(I=40, J=40, n_steps=400)
     cfg = ef.SimConfig(n_paths=2000, n_steps=400, seed=7)
     spec = ef.make_contract(fam)
@@ -422,6 +426,7 @@ def test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral(params, fam):
     w = path.times[1:, None] / params.T if spec.family.is_twap else 1.0
     hedge = params.sigma * ((path.Q[1:] - params.N * w) * dW.T).sum(axis=0)
     assert np.abs(noisy - hedge - quiet).max() <= 1e-12
+    assert exact_premium_and_ce(fam, params, grid)[0] == quiet
     [est] = ef.expected_payoff_metric(params, cfg, [(spec, control, fee)])
     assert abs(est.estimate - noisy.mean()) <= 1e-12
 
@@ -502,10 +507,14 @@ def test_metric_on_a_three_node_grid_equals_one_contract_calls(params):
 
 
 @pytest.mark.filterwarnings("ignore:collar strike")
-@pytest.mark.parametrize("n_steps", [100, 150])
-def test_stacked_euler_equals_reference_step_bitwise(params, n_steps):
+@pytest.mark.parametrize("n_steps, in_place", [
+    pytest.param(n_steps, in_place, id=f"{n_steps}-in_place" if in_place else str(n_steps))
+    for in_place in (False, True) for n_steps in (100, 150)])
+def test_stacked_euler_equals_reference_step_bitwise(params, n_steps, in_place):
     # each member of a stack ends bit for bit where the step's formulas,
-    # applied to it alone, take it; each member starts from its own wealth
+    # applied to it alone, take it; each member starts from its own wealth.
+    # Written over its fee surface, as statarb writes it, an S-free control
+    # is a one-row view of a 3-row buffer, each member a buffer of its own
     g = ef.GridSpec(I=10, J=10, n_steps=100)
     cfg = ef.SimConfig(n_paths=300, n_steps=n_steps, seed=17)
     dW = ef.common_noise_batch(cfg, params)
@@ -513,7 +522,11 @@ def test_stacked_euler_equals_reference_step_bitwise(params, n_steps):
     surfaces = solve_fee_surfaces(specs, params, g, every_layer=True)
     stacks = {}
     for surface in surfaces:
-        stacks.setdefault(surface.grid, []).append(ef.extract_control(surface, params))
+        out = surface.values if in_place else None
+        control = ef.extract_control(surface, params, out=out)
+        if in_place and control.values.shape[1] == 1:
+            assert control.values.base is surface.values
+        stacks.setdefault(surface.grid, []).append(control)
     assert sorted(len(stack) for stack in stacks.values()) == [2, 4]
     for stack in stacks.values():
         starts = [(cfg.s0, cfg.q0, cfg.x0 + 0.1 * m) for m in range(len(stack))]
