@@ -196,6 +196,8 @@ def run_paths(config: ExperimentConfig, out_dir: str):
             _write_lines(os.path.join(out_dir, name),
                          ["path", "t", "S", "Q", "X", "v", "A"],
                          _path_lines(path, times), cfg_hash)
+            # the next contract's solve runs without this one's surface
+            del surface, control, path
         fams = sorted(shared)
         header = ["t"] + [f"{c}_{f}" for f in fams for c in ("S", "Q", "v")]
         columns = [times] + [col for f in fams for col in shared[f]]
@@ -333,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # numpy's floating-point warnings stay off: the NonFinite and
-    # BlendOverflow checks report such a fault, as the first line of stderr
+    # numpy's floating-point warnings stay off: the NonFinite checks report
+    # such a fault, as the first line of stderr
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             config = load_config(args.config)

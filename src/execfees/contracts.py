@@ -124,13 +124,14 @@ def make_contract(family: Family | str, params: MarketParams | None = None,
     return ContractSpec(family=family, K1=K1, K2=K2)
 
 
-def check_count(field: str, value, least: int) -> None:
-    """Reject a count that is not an integer in [least, float max], naming the field."""
-    # a count beyond the float range would overflow in dt = T/n_steps or ds
+def check_count(field: str, value, least: int, most: int = sys.maxsize) -> None:
+    """Reject a count that is not an integer in [least, most], naming the field."""
+    # sys.maxsize is numpy's largest length; it lies in the float range, so
+    # dt = T/n_steps and ds stay finite
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not least <= value <= sys.float_info.max):
-        raise ConfigError(f"{field}: must be an integer >= {least} within the "
-                          f"float range, got {value!r}")
+            or not least <= value <= most):
+        raise ConfigError(f"{field}: must be an integer in [{least}, {most}], "
+                          f"got {value!r}")
 
 
 def check_real(field: str, value) -> None:

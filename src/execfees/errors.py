@@ -31,7 +31,3 @@ class RequiresZeroRate(ExecFeesError):
 
 class OutOfGrid(ExecFeesError):
     """Too many simulated states left the grid hull."""
-
-
-class BlendOverflow(ExecFeesError):
-    """Exponential-utility blend exceeded the representable range."""

@@ -57,8 +57,7 @@ import numpy as np
 
 from .contracts import (ContractSpec, Family, GridSpec, MarketParams, check_real,
                         liquidation_cost, terminal_fee)
-from .errors import (BlendOverflow, ConfigError, NonFinite, RequiresZeroRate,
-                     SingularTridiagonal)
+from .errors import ConfigError, NonFinite, RequiresZeroRate, SingularTridiagonal
 
 # warn when dt * max|explicit increment| exceeds this fraction of the surface scale
 _EXPLICIT_GUARD = 0.1
@@ -584,8 +583,11 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
                      * log( p*e^{g*P1} + (1-p)*e^{g*P0} ),  g = gamma*e^{r(T-tau)},
 
     which is then propagated to t = 0 with the standard backward stepping,
-    once per approval probability in p_values.  The exponentials are rescaled
-    by their nodewise maximum before the log.
+    once per approval probability in p_values.  The mixture is one
+    log-sum-exp of g*P1 + log p and g*P0 + log(1-p): a zero weight is a log
+    of -inf that drops its branch, so p = 1 and p = 0 give P1 and P0 up to
+    the rounding of g*P/g.  A mixture that is not finite comes only from g*P overflowing,
+    and the pre-decision sweep reports it as NonFinite.
 
     The two branches are one stacked sweep from T down to tau, and the
     mixtures of every p another from tau down to 0.  Returns one FeeSurface
@@ -601,14 +603,9 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
                                             params, solved))
     tau = n_tau * solved.dt(params.T)   # the grid time tau snaps to
     g = params.gamma * np.exp(params.r * (params.T - tau))
-    M = np.maximum(P1, P0)
-    E1, E0 = np.exp(g * (P1 - M)), np.exp(g * (P0 - M))
-    mixtures = []
-    for spec in specs:
-        mix = spec.p * E1 + (1.0 - spec.p) * E0
-        if not np.isfinite(mix).all() or np.any(mix <= 0.0):
-            raise BlendOverflow("regulatory mixture left the representable range")
-        mixtures.append(M + np.log(mix) / g)
+    with np.errstate(divide="ignore"):
+        mixtures = [np.logaddexp(g * P1 + np.log(spec.p), g * P0 + np.log1p(-spec.p)) / g
+                    for spec in specs]
     return [FeeSurface(grid=solved, params=params, values=values)
             for values in _sweep(mixtures, n_tau, 0, params, solved)]
 

@@ -49,9 +49,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_paths", "n_steps"):
             check_count(f"sim.{name}", getattr(self, name), 1)
-        check_count("sim.seed", self.seed, 0)
-        if self.seed > _MAX_SEED:
-            raise ConfigError(f"sim.seed: must be <= 2**63, got {self.seed!r}")
+        check_count("sim.seed", self.seed, 0, _MAX_SEED)
         for name in ("x0", "q0", "s0"):
             check_real(f"sim.{name}", getattr(self, name))
         if not isinstance(self.zero_noise, bool):

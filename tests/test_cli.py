@@ -60,17 +60,21 @@ INVALID_CONFIGS = {
                "- 1\n- 2\n", "5\n"],
     "params.sigma": ["params:\n  sigma: -3\n", "params: {sigma: abc}\n"],
     "params": ["params: 5\n"],
-    "sim.n_paths": ["sim: {n_paths: 0}\n"],
-    "sim.n_steps": ["sim: {n_steps: 2.5}\n", f"sim: {{n_steps: {10**400}}}\n"],
+    # counts past sys.maxsize, the longest array numpy can index
+    "sim.n_paths": ["sim: {n_paths: 0}\n", f"sim: {{n_paths: {10**20}}}\n"],
+    "sim.n_steps": ["sim: {n_steps: 2.5}\n", f"sim: {{n_steps: {10**400}}}\n",
+                    f"sim: {{n_paths: 100, n_steps: {10**20}}}\n"],
     "sim.seed": ["sim: {seed: abc}\n", f"sim: {{seed: {2**64 - 1}}}\n",
                  f"sim: {{seed: {2**64}}}\n"],
     # the fee lookup would clamp a start outside the grid hull to its edge
     "sim.s0": ["sim: {s0: abc}\n", "sim: {s0: 100.0}\n"],
     "sim.q0": ["sim: {q0: 3.0}\n"],
     "grid.I": ["grid: {I: 10.5}\n",
-               f"grid: {{I: {10**400}}}\ncontracts: [collar_cash]\n"],
+               f"grid: {{I: {10**400}}}\ncontracts: [collar_cash]\n",
+               f"grid: {{I: {10**20}}}\ncontracts: [collar_cash]\n"],
     "grid.J": ["grid: {J: 20.0}\n"],
-    "grid.n_steps": ["grid: {n_steps: 0}\n"],
+    "grid.n_steps": ["grid: {n_steps: 0}\n",
+                     f"grid: {{I: 20, J: 20, n_steps: {10**20}}}\n"],
     # a misspelt key is rejected in the sweep section as in every other
     "sweep": ["sweep: {param: sigma, values: [5.0], valus: [6.0]}\n"],
     "sweep.param": ["sweep: {param: tau, values: [0.3]}\n"],
@@ -338,6 +342,21 @@ def test_regulatory_command(tmp_path):
     assert len(rows) == 1 and float(rows[0]["p"]) == 0.5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_regulatory_at_certain_approval_is_the_physical_fee(tmp_path):
+    # at gamma = 1000 the branches are far apart at some node; p = 1 is the
+    # linear_physical fee all the same
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("grid: {I: 10, J: 10, n_steps: 50}\nparams: {gamma: 1000.0}\n"
+                   "regulatory: {p: 1.0, tau: 0.5}\ncontracts: [linear_physical]\n")
+    out = tmp_path / "out"
+    assert main(["regulatory", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["fees", "--config", str(cfg), "--out", str(out)]) == 0
+    _, _, (regulatory,) = _read_csv(out / "regulatory.csv")
+    _, _, (fees,) = _read_csv(out / "fees.csv")
+    assert regulatory["fee"] == fees["fee"]
+
+
 def test_statarb_single_path_reports_na(tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(FAST_GRID + "contracts: [linear_physical]\n"
@@ -499,11 +518,13 @@ def test_paths_rows_equal_one_path_runs(tmp_path, sim):
 
 @pytest.mark.filterwarnings("ignore:collar strike")
 def test_paths_writes_the_control_over_its_fee_surface(tmp_path):
-    config = ExperimentConfig(
-        grid=MEMORY_GRID, sim=SimConfig(n_paths=2, n_steps=400),
-        contracts=(ContractSpec(Family.COLLAR_CASH, 40.0, 50.0),))
-    _, _, peak = traced_memory(lambda: cli.run_paths(config, str(tmp_path)))
-    assert peak < 1.5 * ONE_SURFACE, peak / ONE_SURFACE
+    # one surface at a time: each contract's is released before the next solve
+    for families in ((Family.COLLAR_CASH,), (Family.COLLAR_PHYSICAL, Family.COLLAR_CASH)):
+        config = ExperimentConfig(
+            grid=MEMORY_GRID, sim=SimConfig(n_paths=2, n_steps=400),
+            contracts=tuple(ContractSpec(family, 40.0, 50.0) for family in families))
+        _, _, peak = traced_memory(lambda: cli.run_paths(config, str(tmp_path)))
+        assert peak < 1.5 * ONE_SURFACE, (families, peak / ONE_SURFACE)
 
 
 def test_paths_guardrail_on_huge_dumps(tmp_path):

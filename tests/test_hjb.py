@@ -14,6 +14,7 @@ import execfees as ef
 from execfees.errors import (ConfigError, NonFinite, RequiresZeroRate,
                              SingularTridiagonal)
 from execfees import hjb
+from execfees.simulate import _euler_batch
 from execfees.hjb import (_EXTRACT_BLOCK, _interpolate, _layer_position, _sweep,
                           _terminal_layer, build_banded)
 
@@ -436,6 +437,18 @@ def test_controls_off_the_affine_rule_keep_every_price_row():
     assert ef.extract_control(collar, p).values.shape == (g.n_steps + 1, 3, g.J + 1)
 
 
+@pytest.mark.filterwarnings("ignore:collar strike")
+def test_lookup_refuses_a_stack_of_mixed_layer_shapes():
+    # on a configured 3-node price axis a linear control keeps one price row
+    # and a collar's all three: one lookup cannot serve both
+    p, g3 = ef.MarketParams(), ef.GridSpec(I=2, J=20, n_steps=200)
+    stack = [ef.extract_control(ef.solve_fee_surface(ef.make_contract(fam), p, g3), p)
+             for fam in ("linear_cash", "collar_cash")]
+    with pytest.raises(ValueError) as err:
+        _euler_batch(stack, p, [(45.0, 0.5, 0.0)] * 2, np.zeros((1, g3.n_steps)))
+    assert "(1, 21)" in str(err.value) and "(3, 21)" in str(err.value), err.value
+
+
 def test_control_near_target_and_saturation(controls, params, grid):
     # at S = 45 and q = 1 = N, on the last layer (t = T)
     assert _interpolate(controls["linear_physical"], grid.n_steps, 45.0,
@@ -453,6 +466,18 @@ def test_regulatory_endpoints_recover_single_contract(params, grid, surfaces):
     for pre, fam in zip(res, ("linear_physical", "linear_cash")):
         assert pre.value_at(0.0, 45.0, 0.5) == pytest.approx(
             surfaces[fam].value_at(0.0, 45.0, 0.5), abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_regulatory_endpoints_recover_single_contract_far_apart():
+    # at gamma = 1000 the branches differ by far more than 745/g at some
+    # node: a weight of 0 still drops its branch instead of underflowing
+    p, g = ef.MarketParams(gamma=1000.0), ef.GridSpec(I=10, J=10, n_steps=50)
+    res = ef.solve_regulatory(0.5, [1.0, 0.0], p, g)
+    for pre, fam in zip(res, ("linear_physical", "linear_cash")):
+        alone = ef.solve_fee_surface(ef.make_contract(fam), p, g)
+        assert pre.value_at(0.0, 45.0, 0.5) == pytest.approx(
+            alone.value_at(0.0, 45.0, 0.5), rel=1e-12), fam
 
 
 def test_regulatory_branches_serve_every_p_exactly():
