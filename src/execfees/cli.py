@@ -144,6 +144,10 @@ def run_statarb(config: ExperimentConfig, memo=None):
         raise ConfigError("sim.zero_noise: the statarb table estimates over "
                           "noisy paths; zero_noise applies to the paths "
                           "command only")
+    if config.params.r != 0.0:
+        # E[Y] - x0 at r != 0 counts the interest on the fee's cash as profit
+        raise ConfigError(f"params.r: the statarb table compares E[Y] with x0, "
+                          f"which is derived for r = 0, got {config.params.r!r}")
     memo = {} if memo is None else memo
     surfaces = _solve_fees(config.contracts, config, config.params, memo,
                            every_layer=True)

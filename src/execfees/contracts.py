@@ -207,18 +207,20 @@ def collar_per_share(S, K1: float, K2: float):
     return S + np.maximum(K1 - S, 0.0) - np.maximum(S - K2, 0.0)
 
 
-def payoff_pi(spec: ContractSpec, S, N: float):
-    """Terminal cash-equivalent payoff Pi(S) owed by the broker.
-
-    Linear and TWAP families pay N*S (the TWAP average-price part is handled
-    by the solver-side state reduction); collars pay N*Z(S).
-    """
+def payoff_pi(spec: ContractSpec, S, N: float, A=None):
+    """Payoff Pi owed by the broker: N*S linear, N*Z(S) collared, N*(S - A) TWAP,
+    A the running average price; A omitted is S, where the TWAP reduction
+    starts, so a TWAP contract then pays 0."""
+    S = np.asarray(S)
     if spec.family.is_collar:
         return N * collar_per_share(S, spec.K1, spec.K2)
-    return N * np.asarray(S)
+    if spec.family.is_twap:
+        return N * (S - (S if A is None else A))
+    return N * S
 
 
-def terminal_fee(spec: ContractSpec, q, S, params: MarketParams):
-    """Terminal condition of the fee equation: Pi(S) + L(q)."""
-    return payoff_pi(spec, S, params.N) + liquidation_cost(
+def terminal_fee(spec: ContractSpec, q, S, params: MarketParams, A=None):
+    """Settlement Pi + L(q) of a contract: the fee equation's terminal condition
+    and, at the simulated (Q, S, A), what the Monte Carlo settles."""
+    return payoff_pi(spec, S, params.N, A) + liquidation_cost(
         q, spec.target(params.N), params.alpha)

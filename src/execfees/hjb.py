@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contracts import (ContractSpec, Family, GridSpec, MarketParams, check_real,
-                        liquidation_cost, terminal_fee)
+                        terminal_fee)
 from .errors import ConfigError, NonFinite, RequiresZeroRate, SingularTridiagonal
 
 # warn when dt * max|explicit increment| exceeds this fraction of the surface scale
@@ -445,8 +445,11 @@ def _sweep(P_terminals, n_hi: int, n_lo: int, params: MarketParams,
     for k, P_T in enumerate(P_terminals):
         P[..., k] = P_T
     if every_layer:
-        layers = [np.empty((n_hi - n_lo + 1, grid.I + 1, grid.J + 1))
-                  for _ in range(members)]
+        try:
+            layers = [np.empty((n_hi - n_lo + 1, grid.I + 1, grid.J + 1))
+                      for _ in range(members)]
+        except ValueError as exc:   # a size numpy cannot index: no memory can hold it
+            raise MemoryError(f"every layer of the sweep: {exc}") from exc
         for out, P_T in zip(layers, P_terminals):
             out[-1] = P_T
     # max |a| of each member, |a| going through vb (free between steps)
@@ -516,12 +519,12 @@ def _solve_grid(spec: ContractSpec, params: MarketParams, grid: GridSpec) -> Gri
 def _terminal_layer(spec: ContractSpec, params: MarketParams,
                     grid: GridSpec) -> tuple[GridSpec, np.ndarray, float]:
     """The grid a solve runs on (see _solve_grid), its terminal layer P(T)
-    and its schedule.
+    = terminal_fee and its schedule.
 
     TWAP families are solved through a state reduction (r = 0 only): the
     reduced value U(t, S, q) satisfies the fee equation with q replaced by
-    q - N*t/T in the risk, impact and source terms, and U(T, q) = L(q); the
-    fee at t = 0 is U(0, S, q).  Their schedule is N, every other family's 0.
+    q - N*t/T in the risk, impact and source terms, and U(T, q) = L(q), the
+    fee at A = S; the fee at t = 0 is U(0, S, q).  Their schedule is N.
     """
     twap = spec.family.is_twap
     if twap and params.r != 0.0:
@@ -534,9 +537,8 @@ def _terminal_layer(spec: ContractSpec, params: MarketParams,
                               "node; terminal kink lands between nodes", RuntimeWarning)
     grid = _solve_grid(spec, params, grid)
     S, q = grid.s_nodes()[:, None], grid.q_nodes()[None, :]
-    P_T = (liquidation_cost(q, spec.target(params.N), params.alpha)
-           if twap else terminal_fee(spec, q, S, params))
-    return grid, P_T + np.zeros((grid.I + 1, grid.J + 1)), params.N if twap else 0.0
+    P_T = terminal_fee(spec, q, S, params) + np.zeros((grid.I + 1, grid.J + 1))
+    return grid, P_T, params.N if twap else 0.0
 
 
 def solve_fee_surfaces(specs, params: MarketParams, grid: GridSpec,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import (ContractSpec, MarketParams, check_count, check_real,
-                        collar_per_share, liquidation_cost)
+                        terminal_fee)
 from .errors import ConfigError, NonFinite, OutOfGrid
 from .hjb import FeeSurface, _Lookup
 
@@ -183,15 +183,10 @@ def simulate_path(control: FeeSurface, params: MarketParams, cfg: SimConfig,
 
 
 def realized_payoff(terminal, spec: ContractSpec, params: MarketParams):
-    """Terminal contract payoff Y(T) from the (S, Q, X, A) terminal states."""
+    """Terminal wealth Y(T) from the (S, Q, X, A) terminal states: cash plus
+    inventory at S, less the settlement the fee equation prices."""
     S, Q, X, A = terminal
-    L = liquidation_cost(Q, spec.target(params.N), params.alpha)
-    fam = spec.family
-    if fam.is_twap:
-        return X + Q * S + params.N * (A - S) - L
-    if fam.is_collar:
-        return X - params.N * collar_per_share(S, spec.K1, spec.K2) + Q * S - L
-    return X - (params.N - Q) * S - L
+    return X + Q * S - terminal_fee(spec, Q, S, params, A)
 
 
 def expected_payoff_metric(params: MarketParams, cfg: SimConfig,

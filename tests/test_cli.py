@@ -152,6 +152,25 @@ def test_out_of_memory_exits_with_error_not_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["statarb", "paths"])
+@pytest.mark.parametrize("n_steps, first_line", [
+    # numpy cannot index the layer stack (a ValueError), or cannot allocate it
+    (10**17, "execfees: error: every layer of the sweep: array is too big"),
+    (10**15, "execfees: error: Unable to allocate")],
+    ids=["unindexable", "unallocatable"])
+def test_layer_stack_past_memory_exits_with_error_not_traceback(
+        tmp_path, capsys, command, n_steps, first_line):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(f"grid: {{I: 20, J: 20, n_steps: {n_steps}}}\n"
+                   "contracts: [linear_cash]\nsim: {n_paths: 10, n_steps: 10}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(first_line), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("param", ["sigma", "gamma"])
 def test_error_line_is_the_first_line_of_stderr(tmp_path, param):
     # in a subprocess: pytest would capture numpy's RuntimeWarnings
@@ -469,6 +488,24 @@ def test_zero_noise_table_exits_nonzero(tmp_path, capsys, monkeypatch, command):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert re.match(r"execfees: error: sim\.zero_noise:", err.splitlines()[0]), err
+    assert solves == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["statarb", "reproduce-all"])
+def test_statarb_at_nonzero_rate_exits_nonzero(tmp_path, capsys, monkeypatch, command):
+    # E[Y] - x0 at r != 0 holds the interest on the fee's cash: the table
+    # would flag every contract, so r != 0 is refused before the first solve
+    solves = []
+    monkeypatch.setattr(cli, "solve_fee_surfaces",
+                        lambda *args, **kw: solves.append(args))
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "contracts: [linear_cash]\nparams: {r: 0.01}\n"
+                   "sim: {n_paths: 500, n_steps: 200, seed: 3}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"execfees: error: params\.r:", err.splitlines()[0]), err
     assert solves == []
     assert not out.exists()
 

@@ -65,6 +65,19 @@ def test_terminal_fee_examples(params):
     assert ef.terminal_fee(colp, 1.0, 55.0, params) == pytest.approx(50.0)
 
 
+@pytest.mark.parametrize("family", ["twap_physical", "twap_cash"])
+def test_twap_terminal_fee_settles_against_the_average(params, family):
+    spec = ef.make_contract(family)
+    q, S, A = 0.3, 47.0, 44.5
+    target = spec.target(params.N)
+    assert ef.terminal_fee(spec, q, S, params, A) == pytest.approx(
+        params.N * (S - A) + params.alpha * (q - target) ** 2)
+    # A omitted is A = S, where the state reduction starts: the fee is L(q)
+    qs = np.linspace(-1.0, 1.0, 9)
+    assert np.array_equal(ef.terminal_fee(spec, qs, S, params),
+                          ef.liquidation_cost(qs, target, params.alpha))
+
+
 def test_liquidation_targets_follow_family(params):
     for N in (params.N, 0.5):
         assert ef.make_contract("linear_physical").target(N) == N

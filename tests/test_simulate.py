@@ -335,10 +335,28 @@ def test_realized_payoff_formulas(params):
     assert ef.realized_payoff((S, 0.0, X, A), cash, params) == pytest.approx(3.0 - 45.0)
     colc = ef.make_contract("collar_cash")
     assert ef.realized_payoff((S, 0.0, X, A), colc, params) == pytest.approx(3.0 - 45.0)
+    colp = ef.make_contract("collar_physical")
+    # Q(T)=N inside the band: Y = X + N*S - N*Z(S) = X
+    assert ef.realized_payoff((S, Q, X, A), colp, params) == pytest.approx(3.0)
     twp = ef.make_contract("twap_physical")
     #  X + Q*S + N*(A - S) - 0
     assert ef.realized_payoff((S, Q, X, A), twp, params) == pytest.approx(
         3.0 + 45.0 + 1.0)
+    twc = ef.make_contract("twap_cash")
+    #  X + Q*S + N*(A - S) - alpha*Q**2 at Q(T) = 0.5
+    assert ef.realized_payoff((S, 0.5, X, A), twc, params) == pytest.approx(
+        3.0 + 0.5 * 45.0 + 1.0 - 0.2 * 0.25)
+
+
+def test_realized_payoff_is_wealth_less_the_terminal_fee(params):
+    # the Monte Carlo settles what the fee equation prices, bit for bit
+    rng = np.random.default_rng(5)
+    S, A = rng.uniform(20.0, 70.0, (2, 64))
+    Q, X = rng.uniform(-1.0, 1.0, 64), rng.uniform(-50.0, 50.0, 64)
+    for fam in ALL_FAMILIES:
+        spec = ef.make_contract(fam)
+        assert np.array_equal(ef.realized_payoff((S, Q, X, A), spec, params),
+                              X + Q * S - ef.terminal_fee(spec, Q, S, params, A))
 
 
 def _semi_analytic_metric(params, fam):
