@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -339,9 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # numpy's floating-point warnings stay off: the NonFinite checks report
-    # such a fault, as the first line of stderr
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    code = 1
+    # numpy's floating-point warnings stay off, as the NonFinite checks report
+    # such a fault; every other warning is shown when the command ends, after
+    # its error line or its artifacts, so that an error is the first stderr line
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            warnings.catch_warnings(record=True) as caught:
         try:
             config = load_config(args.config)
             if args.seed is not None:
@@ -363,10 +367,12 @@ def main(argv=None) -> int:
                 run_paths(config, out_dir)
             else:
                 _reproduce_all(config, out_dir)
+            code = 0
         except (ExecFeesError, OSError, MemoryError) as exc:
             print(f"execfees: error: {exc}", file=sys.stderr)
-            return 1
-    return 0
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    return code
 
 
 if __name__ == "__main__":

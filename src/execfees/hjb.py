@@ -506,20 +506,14 @@ def _price_affine(spec: ContractSpec | None, params: MarketParams) -> bool:
     return spec is not None and not spec.family.is_collar and params.r == 0.0
 
 
-def _solve_grid(spec: ContractSpec, params: MarketParams, grid: GridSpec) -> GridSpec:
-    """The grid a solve of spec runs on.
+def _terminal_layer(spec: ContractSpec, params: MarketParams,
+                    grid: GridSpec) -> tuple[GridSpec, np.ndarray, float]:
+    """The grid a solve of spec runs on, its terminal layer P(T) =
+    terminal_fee and its schedule; the one place a sweep member is set up.
 
     The scheme and bilinear lookup are exact on an affine field, so the
     price-affine solves (see _price_affine) take a 3-node price axis on the
     same hull.
-    """
-    return replace(grid, I=2) if _price_affine(spec, params) else grid
-
-
-def _terminal_layer(spec: ContractSpec, params: MarketParams,
-                    grid: GridSpec) -> tuple[GridSpec, np.ndarray, float]:
-    """The grid a solve runs on (see _solve_grid), its terminal layer P(T)
-    = terminal_fee and its schedule.
 
     TWAP families are solved through a state reduction (r = 0 only): the
     reduced value U(t, S, q) satisfies the fee equation with q replaced by
@@ -535,7 +529,8 @@ def _terminal_layer(spec: ContractSpec, params: MarketParams,
             if abs(off - round(off)) > 1e-9:
                 warnings.warn(f"collar strike {name}={k} does not lie on a price "
                               "node; terminal kink lands between nodes", RuntimeWarning)
-    grid = _solve_grid(spec, params, grid)
+    if _price_affine(spec, params):
+        grid = replace(grid, I=2)
     S, q = grid.s_nodes()[:, None], grid.q_nodes()[None, :]
     P_T = terminal_fee(spec, q, S, params) + np.zeros((grid.I + 1, grid.J + 1))
     return grid, P_T, params.N if twap else 0.0
@@ -545,23 +540,22 @@ def solve_fee_surfaces(specs, params: MarketParams, grid: GridSpec,
                        every_layer: bool = False) -> list[FeeSurface]:
     """Fee surfaces of several contracts at one params, in specs order.
 
-    The contracts that run on the same grid are solved as one stacked sweep,
-    the grids in the order their first contract comes; a group's terminal
-    layers are built just before its sweep.  A surface holds every layer
-    when every_layer, for a caller that simulates, and its t = 0 layer alone
+    Every contract is set up (_terminal_layer) before the first sweep, so
+    each set-up check fails before any solve.  The contracts that run on the
+    same grid are then solved as one stacked sweep, the grids in the order
+    their first contract comes.  A surface holds every layer when
+    every_layer, for a caller that simulates, and its t = 0 layer alone
     otherwise.
     """
-    grids = [_solve_grid(spec, params, grid) for spec in specs]
+    members = [_terminal_layer(spec, params, grid) for spec in specs]
     surfaces = [None] * len(specs)
-    for solved in dict.fromkeys(grids):
-        stack = [k for k, g in enumerate(grids) if g == solved]
-        terminals = [_terminal_layer(specs[k], params, grid)[1:] for k in stack]
-        values = _sweep([P_T for P_T, _ in terminals], solved.n_steps, 0, params,
-                        solved, [schedule for _, schedule in terminals],
-                        every_layer=every_layer)
-        for k, (_, schedule), v in zip(stack, terminals, values):
+    for solved in dict.fromkeys(g for g, _, _ in members):
+        stack = [k for k, (g, _, _) in enumerate(members) if g == solved]
+        values = _sweep([members[k][1] for k in stack], solved.n_steps, 0, params,
+                        solved, [members[k][2] for k in stack], every_layer=every_layer)
+        for k, v in zip(stack, values):
             surfaces[k] = FeeSurface(grid=solved, params=params, values=v,
-                                     contract=specs[k], schedule=schedule)
+                                     contract=specs[k], schedule=members[k][2])
     return surfaces
 
 

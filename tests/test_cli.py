@@ -1,4 +1,5 @@
 import collections
+import math
 import os
 import pathlib
 import re
@@ -124,7 +125,6 @@ OVERFLOWS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", list(OVERFLOWS))
 def test_overflow_exits_with_error_not_traceback(tmp_path, capsys, case):
     command, text = OVERFLOWS[case]
@@ -138,7 +138,6 @@ def test_overflow_exits_with_error_not_traceback(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_out_of_memory_exits_with_error_not_traceback(tmp_path, capsys):
     # the 728 TiB price-inventory layer exceeds the address space, so the
     # request fails at once; the node arrays before it take about 400 MB
@@ -171,11 +170,24 @@ def test_layer_stack_past_memory_exits_with_error_not_traceback(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("param", ["sigma", "gamma"])
-def test_error_line_is_the_first_line_of_stderr(tmp_path, param):
+# case -> (config, a warning of the solver's that follows the error line)
+FAILING_SOLVES = {
+    **{param: (COARSE_GRID + f"params: {{{param}: 1.0e+200}}\n", None)
+       for param in ("sigma", "gamma")},
+    # the strike warnings are raised when the collar is set up, before its sweep
+    "collar": (COARSE_GRID + "contracts: [collar_cash]\nparams: {sigma: 1.0e+200}\n",
+               "collar strike K1=40.0"),
+    "cfl": ("grid: {I: 20, J: 20, n_steps: 20}\ncontracts: [linear_cash]\n"
+            "params: {sigma: 1.0e+200}\n", r"C\*dt = .* exceeds 0\.6\*dq"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_SOLVES))
+def test_error_line_is_the_first_line_of_stderr(tmp_path, case):
     # in a subprocess: pytest would capture numpy's RuntimeWarnings
+    text, warning = FAILING_SOLVES[case]
     cfg = tmp_path / "exp.yaml"
-    cfg.write_text(COARSE_GRID + f"params: {{{param}: 1.0e+200}}\n")
+    cfg.write_text(text)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -184,6 +196,8 @@ def test_error_line_is_the_first_line_of_stderr(tmp_path, param):
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("execfees: error:"), done.stderr
+    if warning is not None:
+        assert re.search(f"^.+: RuntimeWarning: {warning}", done.stderr, re.M), done.stderr
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
@@ -316,7 +330,6 @@ def test_twap_command(tmp_path):
     assert [r["family"] for r in rows] == ["twap_physical", "twap_cash"]
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_sweep_over_N_matches_fees_at_each_N(tmp_path):
     # the liquidation target follows the swept N, as the TWAP schedule N*t/T
     # does: every row is, bit for bit, the fee of a standalone run at that N
@@ -361,7 +374,6 @@ def test_regulatory_command(tmp_path):
     assert len(rows) == 1 and float(rows[0]["p"]) == 0.5
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_regulatory_at_certain_approval_is_the_physical_fee(tmp_path):
     # at gamma = 1000 the branches are far apart at some node; p = 1 is the
     # linear_physical fee all the same
@@ -369,8 +381,11 @@ def test_regulatory_at_certain_approval_is_the_physical_fee(tmp_path):
     cfg.write_text("grid: {I: 10, J: 10, n_steps: 50}\nparams: {gamma: 1000.0}\n"
                    "regulatory: {p: 1.0, tau: 0.5}\ncontracts: [linear_physical]\n")
     out = tmp_path / "out"
-    assert main(["regulatory", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["fees", "--config", str(cfg), "--out", str(out)]) == 0
+    for command in ("regulatory", "fees"):
+        # 50 steps on a 10-interval inventory axis are too coarse for gamma
+        with pytest.warns(RuntimeWarning, match="explicit increment"), \
+                pytest.warns(RuntimeWarning, match=r"exceeds 0\.6\*dq"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     _, _, (regulatory,) = _read_csv(out / "regulatory.csv")
     _, _, (fees,) = _read_csv(out / "fees.csv")
     assert regulatory["fee"] == fees["fee"]
@@ -510,7 +525,6 @@ def test_statarb_at_nonzero_rate_exits_nonzero(tmp_path, capsys, monkeypatch, co
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 @pytest.mark.parametrize("sim", [
     "sim: {n_paths: 3, n_steps: 200, seed: 8}\nsweep: {param: sigma, values: [4.0, 6.0]}\n",
     "sim: {n_paths: 3, n_steps: 200, seed: 8, zero_noise: true}\n"],
@@ -553,7 +567,6 @@ def test_paths_rows_equal_one_path_runs(tmp_path, sim):
                             == expected[col], (fam, col)
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_paths_writes_the_control_over_its_fee_surface(tmp_path):
     # one surface at a time: each contract's is released before the next solve
     for families in ((Family.COLLAR_CASH,), (Family.COLLAR_PHYSICAL, Family.COLLAR_CASH)):
@@ -607,7 +620,6 @@ def _lines(path):
     return path.read_text().split("\n")[1:]
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_reproduce_all_solves_each_distinct_sweep_once(tmp_path, monkeypatch):
     keys, calls = [], []
     sweep = hjb._sweep
@@ -650,7 +662,6 @@ def test_reproduce_all_checks_every_table_before_the_first_solve(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_failed_reproduce_all_writes_nothing(tmp_path, capsys, monkeypatch):
     def failing_run_twap(config, memo=None):
         raise NonFinite("twap: surface became non-finite")
@@ -664,7 +675,6 @@ def test_failed_reproduce_all_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_reproduce_all_rows_equal_the_standalone_commands(tmp_path):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(REPRODUCE)
@@ -687,3 +697,37 @@ def test_reproduce_all_rows_equal_the_standalone_commands(tmp_path):
             assert main(["sweep", "--config", str(cfg), "--out", str(part)]) == 0
             alone += _lines(part / "sweep.csv")[1:-1]
         assert alone == _lines(whole / artifact)[1:-1], artifact
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: an artifact that moves fails here.  A change that moves one
+# regenerates these files in the same commit and lists every moved cell.
+
+PINNED = pathlib.Path(__file__).parent / "data" / "pinned"
+
+
+def _cells_equal(ours: str, pinned: str) -> bool:
+    """Numbers equal to a relative 1e-12, any other cell exactly."""
+    try:
+        return math.isclose(float(ours), float(pinned), rel_tol=1e-12, abs_tol=0.0)
+    except ValueError:
+        return ours == pinned
+
+
+def test_outputs_equal_their_pinned_copies(tmp_path):
+    # reproduce-all on the REPRODUCE config writes every table; paths on the
+    # same grid, with 2 paths, writes the comparison file
+    assert (PINNED / "reproduce.yaml").read_text() == REPRODUCE
+    for command, config, files in (
+            ("reproduce-all", "reproduce.yaml", [*PARTS]),
+            ("paths", "paths.yaml", ["paths_comparison.csv"])):
+        out = tmp_path / command
+        assert main([command, "--config", str(PINNED / config), "--out", str(out)]) == 0
+        for name in files:
+            ours, pinned = ((d / name).read_text().split("\n") for d in (out, PINNED))
+            # the config hash and the header, then the data rows
+            assert ours[:2] == pinned[:2] and len(ours) == len(pinned), name
+            for k, (row, pinned_row) in enumerate(zip(ours[2:], pinned[2:]), start=3):
+                cells, pinned_cells = row.split(","), pinned_row.split(",")
+                assert len(cells) == len(pinned_cells) and all(
+                    map(_cells_equal, cells, pinned_cells)), (name, k, row, pinned_row)

@@ -97,11 +97,16 @@ def test_explicit_hand_evaluated_node(params, grid, node):
 # ---------------------------------------------------------------------------
 # stepping
 
+# the warning of a time step beyond the upwind Hamiltonian's stability bound
+CFL = r"exceeds 0\.6\*dq"
+
+
 def test_step_backward_fixed_point():
     p = ef.MarketParams(sigma=0.0, b=0.0)
     g = ef.GridSpec(I=10, J=10, n_steps=4)
     P = np.outer(np.sin(g.s_nodes()), np.ones(g.J + 1))   # flat in q
-    P_prev = ef.step_backward(P, 2, p, g)
+    with pytest.warns(RuntimeWarning, match=CFL):
+        P_prev = ef.step_backward(P, 2, p, g)
     assert np.array_equal(P_prev, P)
 
 
@@ -115,7 +120,8 @@ def test_sweep_raises_on_nonfinite(params):
     g = ef.GridSpec(I=8, J=8, n_steps=2)
     P = np.zeros((9, 9))
     P[4, 4] = np.inf
-    with pytest.raises(NonFinite):
+    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match=CFL), \
+            pytest.raises(NonFinite):
         _sweep([P], 2, 0, params, g)
 
 
@@ -125,23 +131,26 @@ def test_stacked_sweep_raises_when_one_member_overflows(params):
     g = ef.GridSpec(I=8, J=8, n_steps=2)
     P_T = ef.terminal_fee(ef.make_contract("linear_physical"), g.q_nodes()[None, :],
                           g.s_nodes()[:, None], params) + np.zeros((9, 9))
-    assert np.isfinite(_sweep([P_T], 2, 0, params, g)[0]).all()
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFinite):
-            _sweep([P_T, 1e200 * P_T], 2, 0, params, g)
+    with pytest.warns(RuntimeWarning, match="explicit increment"), \
+            pytest.warns(RuntimeWarning, match=CFL):
+        assert np.isfinite(_sweep([P_T], 2, 0, params, g)[0]).all()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.warns(RuntimeWarning, match=CFL), pytest.raises(NonFinite):
+        _sweep([P_T, 1e200 * P_T], 2, 0, params, g)
 
 
 def test_explicit_guard_warns_on_coarse_time():
     p = ef.MarketParams(sigma=60.0)
     g = ef.GridSpec(I=20, J=20, n_steps=5)
-    with pytest.warns(RuntimeWarning, match="explicit increment"):
+    with pytest.warns(RuntimeWarning, match="explicit increment"), \
+            pytest.warns(RuntimeWarning, match=CFL):
         ef.solve_fee_surface(ef.make_contract("linear_physical"), p, g)
 
 
 def test_cfl_warning_fires_beyond_its_bound(params):
     P = np.zeros((11, 101))
     g = ef.GridSpec(I=10, n_steps=800)                 # C*dt = 0.625*dq
-    with pytest.warns(RuntimeWarning, match=r"exceeds 0\.6\*dq"):
+    with pytest.warns(RuntimeWarning, match=CFL):
         _sweep([P], 2, 0, params, g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -212,7 +221,6 @@ REFERENCE_SWEEPS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 @pytest.mark.parametrize("case", list(REFERENCE_SWEEPS))
 def test_sweep_equals_reference_step_bitwise(case):
     families, kw, (n_hi, n_lo) = REFERENCE_SWEEPS[case]
@@ -325,7 +333,9 @@ def test_fee_monotone_in_price(surfaces):
 
 def test_offgrid_strike_warns(params):
     g = ef.GridSpec(I=100, J=10, n_steps=5)   # ds=0.6: strikes 40/50 sit off-node
-    with pytest.warns(RuntimeWarning, match="strike"):
+    with pytest.warns(RuntimeWarning, match="strike"), \
+            pytest.warns(RuntimeWarning, match="explicit increment"), \
+            pytest.warns(RuntimeWarning, match=CFL):
         ef.solve_fee_surface(ef.make_contract("collar_cash"), params, g)
 
 
@@ -346,7 +356,6 @@ def test_control_matches_closed_form(controls, params):
     assert v_pde == pytest.approx(v_cf, abs=1e-2)
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 @pytest.mark.parametrize("fam", ["collar_cash", "twap_cash", "linear_physical"])
 def test_control_written_over_its_surface_equals_fresh_control(params, fam):
     g = ef.GridSpec(I=20, J=20, n_steps=200)
@@ -420,7 +429,6 @@ def test_s_free_controls_are_the_middle_row_of_the_full_control(params):
         assert np.array_equal(_bits(control.values), _bits(expected)), fam
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_controls_off_the_affine_rule_keep_every_price_row():
     # at r != 0 the linear controls read the price, and a collar's always
     # does, even on a configured grid of 3 price nodes
@@ -437,7 +445,6 @@ def test_controls_off_the_affine_rule_keep_every_price_row():
     assert ef.extract_control(collar, p).values.shape == (g.n_steps + 1, 3, g.J + 1)
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_lookup_refuses_a_stack_of_mixed_layer_shapes():
     # on a configured 3-node price axis a linear control keeps one price row
     # and a collar's all three: one lookup cannot serve both
@@ -468,14 +475,17 @@ def test_regulatory_endpoints_recover_single_contract(params, grid, surfaces):
             surfaces[fam].value_at(0.0, 45.0, 0.5), abs=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_regulatory_endpoints_recover_single_contract_far_apart():
     # at gamma = 1000 the branches differ by far more than 745/g at some
     # node: a weight of 0 still drops its branch instead of underflowing
     p, g = ef.MarketParams(gamma=1000.0), ef.GridSpec(I=10, J=10, n_steps=50)
-    res = ef.solve_regulatory(0.5, [1.0, 0.0], p, g)
+    with pytest.warns(RuntimeWarning, match="explicit increment"), \
+            pytest.warns(RuntimeWarning, match=CFL):
+        res = ef.solve_regulatory(0.5, [1.0, 0.0], p, g)
     for pre, fam in zip(res, ("linear_physical", "linear_cash")):
-        alone = ef.solve_fee_surface(ef.make_contract(fam), p, g)
+        with pytest.warns(RuntimeWarning, match="explicit increment"), \
+                pytest.warns(RuntimeWarning, match=CFL):
+            alone = ef.solve_fee_surface(ef.make_contract(fam), p, g)
         assert pre.value_at(0.0, 45.0, 0.5) == pytest.approx(
             alone.value_at(0.0, 45.0, 0.5), rel=1e-12), fam
 
@@ -606,7 +616,6 @@ def test_twap_deterministic_limit(grid):
 DETERMINISTIC_TOL = {1e-3: 1e-4, 0.5: 5e-4}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("b", list(DETERMINISTIC_TOL))
 @pytest.mark.parametrize("fam", BASELINE_FAMILIES)
 def test_deterministic_limit_matches_oracle(grid, fam, b):
@@ -623,7 +632,6 @@ def test_deterministic_limit_matches_oracle(grid, fam, b):
                 oracle, abs=DETERMINISTIC_TOL[b]), (S, q)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fam", BASELINE_FAMILIES)
 def test_deterministic_limit_control_matches_oracle(grid, fam):
     # sigma = 0: from (t, S, q) the optimal speed is constant, the one that
@@ -703,7 +711,6 @@ def _mixture_at_half(p, g):
                          values=_sweep([P_tau], n_tau, 0, p, g, every_layer=True)[0])
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_collars_and_nonzero_rate_keep_the_configured_grid():
     g = ef.GridSpec(I=40, J=10, n_steps=100)
     p = ef.MarketParams()

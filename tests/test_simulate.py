@@ -500,18 +500,15 @@ def _assert_stacked_metric_equals_one_contract_calls(params, n_steps, g=STACK_GR
             alone.estimate, alone.stderr, alone.ce, alone.ce_stderr, alone.arbitrage)
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_metric_over_all_contracts_equals_one_contract_calls(params):
     _assert_stacked_metric_equals_one_contract_calls(params, 100)
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 def test_metric_over_all_contracts_blending_layers_equals_one_contract_calls(params):
     # 150 steps on the 100-step grid: most steps blend two layers
     _assert_stacked_metric_equals_one_contract_calls(params, 150)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_metric_on_a_three_node_grid_equals_one_contract_calls(params):
     # with I = 2 configured, the collars and the price-affine contracts share
     # the grid but not the control's shape (3 price rows against 1), so they
@@ -524,7 +521,6 @@ def test_metric_on_a_three_node_grid_equals_one_contract_calls(params):
     _assert_stacked_metric_equals_one_contract_calls(params, 100, g)
 
 
-@pytest.mark.filterwarnings("ignore:collar strike")
 @pytest.mark.parametrize("n_steps, in_place", [
     pytest.param(n_steps, in_place, id=f"{n_steps}-in_place" if in_place else str(n_steps))
     for in_place in (False, True) for n_steps in (100, 150)])
