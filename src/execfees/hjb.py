@@ -306,6 +306,14 @@ def build_banded(params: MarketParams, grid: GridSpec) -> np.ndarray:
     return ab
 
 
+def _empty(what: str, shape) -> np.ndarray:
+    """np.empty(shape); a size numpy cannot index is a MemoryError naming what."""
+    try:
+        return np.empty(shape)
+    except ValueError as exc:   # no memory can hold such a size
+        raise MemoryError(f"{what}: {exc}") from exc
+
+
 class _Workspace:
     """Buffers and per-sweep constants of the backward step on a K-member stack.
 
@@ -442,16 +450,10 @@ def _sweep(P_terminals, n_hi: int, n_lo: int, params: MarketParams,
     moving = [k for k in range(members) if params.mu * schedules[k] != 0.0]
     du, d, dl = ab[0, 1:], ab[1, :], ab[2, :-1]
     P = w.P
-    for k, P_T in enumerate(P_terminals):
-        P[..., k] = P_T
-    if every_layer:
-        try:
-            layers = [np.empty((n_hi - n_lo + 1, grid.I + 1, grid.J + 1))
-                      for _ in range(members)]
-        except ValueError as exc:   # a size numpy cannot index: no memory can hold it
-            raise MemoryError(f"every layer of the sweep: {exc}") from exc
-        for out, P_T in zip(layers, P_terminals):
-            out[-1] = P_T
+    kept = (n_hi - n_lo + 1 if every_layer else 1, grid.I + 1, grid.J + 1)
+    layers = [_empty("every layer of the sweep", kept) for _ in range(members)]
+    for k, (out, P_T) in enumerate(zip(layers, P_terminals)):
+        P[..., k] = out[-1] = P_T
     # max |a| of each member, |a| going through vb (free between steps)
     abs_a, abs_by_member = w.vb, w.vb.reshape(-1, members, order="F")
 
@@ -462,13 +464,13 @@ def _sweep(P_terminals, n_hi: int, n_lo: int, params: MarketParams,
     # each member's scale max(1, max|P|); max|P| is not finite exactly when P is not
     scale = np.empty(members)
     np.maximum(absmax(P, scale), 1.0, out=scale)
-    # per step and member: max|dt*L2| over the member's scale before the step
-    ratios = np.zeros((n_hi - n_lo, members))
+    # max|dt*L2| over each member's scale before the step, and its worst
+    ratio, worst = np.empty(members), np.zeros(members)
     for n in range(n_hi - 1, n_lo - 1, -1):
         rhs = explicit_nonlinear(P, n, params, grid, schedules, w)
         rhs *= dt   # max|dt*L2| is dt*max|L2| exactly: rounding is monotone
-        ratio = ratios[n - n_lo]
         np.divide(absmax(rhs, ratio), scale, out=ratio)
+        np.maximum(worst, ratio, out=worst)
         for k in moving:
             np.subtract(src, params.mu * schedules[k] * (n * dt) / params.T,
                         out=dt_src[..., k])
@@ -484,17 +486,14 @@ def _sweep(P_terminals, n_hi: int, n_lo: int, params: MarketParams,
         if not math.isfinite(absmax(P, scale).max()):
             raise NonFinite(f"surface became non-finite at time step {n}")
         np.maximum(scale, 1.0, out=scale)
-        if every_layer:
+        if every_layer or n == n_lo:
             for k, out in enumerate(layers):
                 out[n - n_lo] = P[..., k]
-    worst = ratios.max(initial=0.0)
-    if worst > _EXPLICIT_GUARD:
+    if (top := worst.max()) > _EXPLICIT_GUARD:
         warnings.warn(
-            f"explicit increment reached {worst:.2f} of the surface scale; "
+            f"explicit increment reached {top:.2f} of the surface scale; "
             "the time step is too coarse for these parameters", RuntimeWarning)
-    if every_layer:
-        return layers
-    return [np.ascontiguousarray(P[..., k])[None] for k in range(members)]
+    return layers
 
 
 def _price_affine(spec: ContractSpec | None, params: MarketParams) -> bool:

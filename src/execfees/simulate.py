@@ -24,7 +24,7 @@ import numpy as np
 from .contracts import (ContractSpec, MarketParams, check_count, check_real,
                         terminal_fee)
 from .errors import ConfigError, NonFinite, OutOfGrid
-from .hjb import FeeSurface, _Lookup
+from .hjb import FeeSurface, _Lookup, _empty
 
 # abort when more than this fraction of lookups had to be clamped to the hull
 _CLAMP_BUDGET = 0.01
@@ -95,7 +95,7 @@ def common_noise_batch(cfg: SimConfig, params: MarketParams,
     if count is None:
         count = cfg.n_paths - start
     dt = params.T / cfg.n_steps
-    out = np.empty((count, cfg.n_steps))
+    out = _empty("the noise block", (count, cfg.n_steps))
     bitgen = np.random.Philox(key=[cfg.seed, start])
     gen = np.random.Generator(bitgen)
     state = bitgen.state

@@ -170,6 +170,20 @@ def test_layer_stack_past_memory_exits_with_error_not_traceback(
     assert not out.exists()
 
 
+def test_noise_block_past_memory_exits_with_error_not_traceback(tmp_path, capsys):
+    # the solve runs; numpy cannot index the first 8192-path noise block
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("grid: {I: 20, J: 20, n_steps: 200}\ncontracts: [linear_cash]\n"
+                   "sim: {n_steps: 1000000000000000}\n")
+    out = tmp_path / "o"
+    assert main(["statarb", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(
+        "execfees: error: the noise block: array is too big"), err
+    assert "Traceback" not in err
+    assert not (out / "statarb.csv").exists()
+
+
 # case -> (config, a warning of the solver's that follows the error line)
 FAILING_SOLVES = {
     **{param: (COARSE_GRID + f"params: {{{param}: 1.0e+200}}\n", None)
@@ -716,11 +730,12 @@ def _cells_equal(ours: str, pinned: str) -> bool:
 
 def test_outputs_equal_their_pinned_copies(tmp_path):
     # reproduce-all on the REPRODUCE config writes every table; paths on the
-    # same grid, with 2 paths, writes the comparison file
+    # same grid, with 2 paths, writes the comparison file and, whole, the
+    # trajectories of the collar_cash contract
     assert (PINNED / "reproduce.yaml").read_text() == REPRODUCE
     for command, config, files in (
             ("reproduce-all", "reproduce.yaml", [*PARTS]),
-            ("paths", "paths.yaml", ["paths_comparison.csv"])):
+            ("paths", "paths.yaml", ["paths_comparison.csv", "paths_collar_cash.csv"])):
         out = tmp_path / command
         assert main([command, "--config", str(PINNED / config), "--out", str(out)]) == 0
         for name in files:

@@ -142,9 +142,20 @@ def test_stacked_sweep_raises_when_one_member_overflows(params):
 def test_explicit_guard_warns_on_coarse_time():
     p = ef.MarketParams(sigma=60.0)
     g = ef.GridSpec(I=20, J=20, n_steps=5)
-    with pytest.warns(RuntimeWarning, match="explicit increment"), \
+    with pytest.warns(RuntimeWarning, match=r"explicit increment reached 43\.43 "), \
             pytest.warns(RuntimeWarning, match=CFL):
         ef.solve_fee_surface(ef.make_contract("linear_physical"), p, g)
+
+
+def test_explicit_guard_of_a_stack_reads_its_worst_member():
+    # collar_physical alone reads 40.91 and collar_cash 39.96: the stack's
+    # figure is the worst over every step of its second member
+    p = ef.MarketParams(sigma=60.0)
+    g = ef.GridSpec(I=20, J=20, n_steps=5)
+    with pytest.warns(RuntimeWarning, match=r"explicit increment reached 40\.91 "), \
+            pytest.warns(RuntimeWarning, match=CFL):
+        hjb.solve_fee_surfaces([ef.make_contract("collar_cash"),
+                                ef.make_contract("collar_physical")], p, g)
 
 
 def test_cfl_warning_fires_beyond_its_bound(params):
@@ -511,6 +522,20 @@ def test_regulatory_keeps_one_layer_per_p():
     assert held <= 0.05 * ONE_SURFACE, held / ONE_SURFACE
     assert peak < ONE_SURFACE, peak / ONE_SURFACE
     assert [surface.n_layers for surface in pre] == [1] * 5
+
+
+def test_fee_only_solve_holds_nothing_sized_by_its_step_count():
+    # its kept layer is one per member, and the explicit-increment check keeps
+    # one running ratio per member: a record per step would add 8 bytes per
+    # step and member, 12.8 KB from 400 to 2000 steps
+    def peak(name, n_steps):
+        return traced_memory(lambda: hjb.solve_fee_surfaces(
+            [ef.make_contract(name)], ef.MarketParams(),
+            ef.GridSpec(I=20, J=20, n_steps=n_steps)))[2]
+
+    for name in ("linear_cash", "collar_cash"):
+        peak(name, 400)   # the first call's one-off allocations (the strike warning's)
+        assert peak(name, 2000) - peak(name, 400) < 4096, name
 
 
 def test_value_at_reads_only_the_stored_layers():
