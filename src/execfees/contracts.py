@@ -142,6 +142,11 @@ def check_real(field: str, value) -> None:
         raise ConfigError(f"{field}: must be a finite real number, got {value!r}")
 
 
+# largest grid.I or grid.J: np.linspace counts the I + 1 nodes in float64,
+# exactly up to 2**53, and numpy cannot index a node array near 2**60
+_MAX_INTERVALS = 2**53 - 1
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform (price x inventory x time) grid. Defaults match the baseline runs."""
@@ -161,8 +166,9 @@ class GridSpec:
             raise ConfigError("grid: s_min < s_max required")
         if not self.q_min < self.q_max:
             raise ConfigError("grid: q_min < q_max required")
-        for name, least in (("I", 2), ("J", 2), ("n_steps", 1)):
-            check_count(f"grid.{name}", getattr(self, name), least)
+        for name, least, most in (("I", 2, _MAX_INTERVALS), ("J", 2, _MAX_INTERVALS),
+                                  ("n_steps", 1, sys.maxsize)):
+            check_count(f"grid.{name}", getattr(self, name), least, most)
         # the solver divides by ds**2 and dq: a spacing that overflows or
         # underflows there would surface only as a non-finite sweep
         if not 0.0 < self.ds * self.ds < math.inf:

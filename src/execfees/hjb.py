@@ -169,11 +169,14 @@ class _Lookup:
     position.  A stack whose surfaces hold one price row (the S-free
     controls of extract_control) is constant in S: its points keep the hull
     mask on both axes, but only their inventory fraction is found, and
-    `blend` interpolates the two inventory corners.  Nothing is allocated
-    after construction.
+    `blend` interpolates the two inventory corners.  The located points and
+    the values have `shape`; the hull masks `outside` and `side` have
+    `hull_shape` (by default `shape`), which q broadcasts to: on one price
+    row the inventories may be one per member, (K, 1), while the prices are
+    per path, (K, n).  Nothing is allocated after construction.
     """
 
-    def __init__(self, stack: list, shape: tuple):
+    def __init__(self, stack: list, shape: tuple, hull_shape: tuple | None = None):
         self.stack, self.grid = stack, stack[0].grid
         layer_shape = stack[0].values.shape[1:]
         if any(member.values.shape[1:] != layer_shape for member in stack):
@@ -185,7 +188,8 @@ class _Lookup:
         self.idx = np.empty(shape, dtype=np.intp)
         self.corner = np.empty(shape)
         self.value, self.value_next = np.empty(shape), np.empty(shape)
-        self.outside, self.side = (np.empty(shape, dtype=bool) for _ in range(2))
+        self.outside, self.side = (np.empty(hull_shape or shape, dtype=bool)
+                                   for _ in range(2))
         # each corner: its shift from the lower one in the flat layer, and its
         # weights, in the order (i, j), (i+1, j), (i, j+1), (i+1, j+1)
         w, row = self.weight, self.grid.J + 1

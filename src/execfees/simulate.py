@@ -9,7 +9,8 @@ One Euler kernel steps a stack of contracts whose controls share a grid and
 a shape: the expected-payoff metric steps each such group as one stack,
 reading each step's noise once, and a trajectory run is a stack of one.  A
 control of one price row (a price-affine contract's, see
-hjb.extract_control) is looked up in inventory alone.  Each member
+hjb.extract_control) reads no price: it is looked up in inventory alone,
+and its inventory, the same on every path, is stepped once.  Each member
 keeps its own start wealth and control, and its states are bit for bit
 those of a stack of its own.  Both count the hull clamps the lookup marks at
 every step: the budget holds per member in the metric and per path in a
@@ -114,22 +115,29 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
     `controls` is a stack of K controls on one grid with the same layers
     and price rows; member m starts every path at starts[m] = (s0, q0, x0)
     and all members step on the same increments.  States have shape (K, n),
-    trajectories (n_steps + 1, K, n).  Every per-step array is allocated
-    before the first step, and each member's arithmetic is that of a stack
-    of its own, bit for bit.  One (K, n) count of the states the lookup
-    clamped to the hull serves the clamp budget, per member, and in record
-    mode per member and path.
+    trajectories (n_steps + 1, K, n); a stack of one-row controls reads no
+    price, so its paths trade alike: it steps Q and v once per member,
+    (K, 1), and broadcasts them into the returned Q and the trajectories.
+    Every per-step array is allocated before the first step, and each
+    member's arithmetic is that of a stack of its own, bit for bit.  One
+    (K, n) count of the states the lookup clamped to the hull serves the
+    clamp budget, per member, and in record mode per member and path.
     """
     g = controls[0].grid
     n, n_steps = increments.shape
     shape = (len(controls), n)
+    qshape = (len(controls), 1 if controls[0].values.shape[1] == 1 else n)
     dt = params.T / n_steps
-    S, Q, X = (np.empty(shape) for _ in range(3))
+    S, X = np.empty(shape), np.empty(shape)
+    Q = np.empty(qshape)
     for m, (s0, q0, x0) in enumerate(starts):
         S[m], Q[m], X[m] = s0, q0, x0
     A_int = np.zeros(shape)
     tmp, tmp2, noise = np.empty(shape), np.empty(shape), np.empty(n)
-    lookup = _Lookup(controls, shape)
+    # products of v alone, in v's shape: a view of tmp2, as tmp is the
+    # output v*l + S is added into, which would overlap it
+    tmp_v = tmp2[:, :qshape[1]]
+    lookup = _Lookup(controls, qshape, shape)
     clamped = np.zeros(shape, dtype=np.int64)
     if record:
         traj = {k: np.empty((n_steps + 1,) + shape) for k in ("S", "Q", "X", "A")}
@@ -144,14 +152,14 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
             clamped += lookup.outside
         np.clip(v, -params.C, params.C, out=v)
         # X += (r*X - v*(S + l*v))*dt
-        np.multiply(v, params.l, out=tmp); tmp += S; tmp *= v
+        np.multiply(v, params.l, out=tmp_v); np.add(tmp_v, S, out=tmp); tmp *= v
         np.multiply(X, params.r, out=tmp2); tmp2 -= tmp; tmp2 *= dt; X += tmp2
         np.multiply(S, dt, out=tmp); A_int += tmp
         # S += (mu + b*v)*dt + sigma*dW, the noise column read once
         np.multiply(increments[:, k], params.sigma, out=noise)
-        np.multiply(v, params.b, out=tmp); tmp += params.mu; tmp *= dt
-        S += tmp; S += noise
-        np.multiply(v, dt, out=tmp); Q += tmp
+        np.multiply(v, params.b, out=tmp_v); tmp_v += params.mu; tmp_v *= dt
+        S += tmp_v; S += noise
+        np.multiply(v, dt, out=tmp_v); Q += tmp_v
         if record:
             traj["v"][k] = v
             traj["S"][k + 1] = S; traj["Q"][k + 1] = Q; traj["X"][k + 1] = X
@@ -164,7 +172,8 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
             name = f" ({control.contract.family.value})" if control.contract else ""
             raise OutOfGrid(f"{100 * over[0]:.2f}% of simulated steps left the grid "
                             f"hull{name}")
-    return (S, Q, X, A_int / params.T), (traj if record else None)
+    return ((S, np.broadcast_to(Q, shape), X, A_int / params.T),
+            traj if record else None)
 
 
 def simulate_path(control: FeeSurface, params: MarketParams, cfg: SimConfig,

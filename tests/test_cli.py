@@ -70,10 +70,17 @@ INVALID_CONFIGS = {
     # the fee lookup would clamp a start outside the grid hull to its edge
     "sim.s0": ["sim: {s0: abc}\n", "sim: {s0: 100.0}\n"],
     "sim.q0": ["sim: {q0: 3.0}\n"],
+    # the last count of grid.I and the last two of grid.J lie within
+    # sys.maxsize, but np.linspace cannot build their node arrays (a
+    # ValueError, or an IndexError for the last)
     "grid.I": ["grid: {I: 10.5}\n",
                f"grid: {{I: {10**400}}}\ncontracts: [collar_cash]\n",
-               f"grid: {{I: {10**20}}}\ncontracts: [collar_cash]\n"],
-    "grid.J": ["grid: {J: 20.0}\n"],
+               f"grid: {{I: {10**20}}}\ncontracts: [collar_cash]\n",
+               "grid: {I: 4611686018427387903, J: 20, n_steps: 200}\n"
+               "contracts: [collar_cash]\n"],
+    "grid.J": ["grid: {J: 20.0}\n",
+               "grid: {I: 20, J: 1152921504606846976, n_steps: 200}\n",
+               "grid: {I: 20, J: 9223372036854775806, n_steps: 200}\n"],
     "grid.n_steps": ["grid: {n_steps: 0}\n",
                      f"grid: {{I: 20, J: 20, n_steps: {10**20}}}\n"],
     # a misspelt key is rejected in the sweep section as in every other

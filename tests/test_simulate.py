@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import execfees as ef
+from execfees import simulate
 from execfees.errors import ConfigError, OutOfGrid
 from execfees.hjb import _interpolate, _layer_position
 from execfees.hjb import solve_fee_surfaces
@@ -259,14 +260,18 @@ def test_out_of_grid_detection(params, grid):
         ef.simulate_path(ctrl, params, cfg, np.zeros((1, 1000)))
 
 
-@pytest.mark.parametrize("record", [False, True])
-def test_one_clamp_count_in_both_modes(params, record):
+@pytest.mark.parametrize("record, rows", [
+    pytest.param(record, rows, id=f"{record}-one_row" if rows == 1 else str(record))
+    for rows in (5, 1) for record in (False, True)])
+def test_one_clamp_count_in_both_modes(params, record, rows):
     # one path of 100 lookups under a zero control: the budget allows one
     # outside the hull, not two; a state on any edge of the hull is inside
-    # it, and 1e-6 beyond that edge outside
+    # it, and 1e-6 beyond that edge outside.  A control of one price row
+    # steps its inventory once per member, and keeps the same hull
     assert params.mu == 0.0   # an idle path moves only with the noise
     g = ef.GridSpec(I=4, J=4, n_steps=100)
-    control = [zero_control(params, g, 101)]
+    control = [ef.FeeSurface(grid=g, params=params, values=np.zeros((101, rows, 5)),
+                             kind="control")]
     jump = (g.s_max + 1.0 - 45.0) / params.sigma
 
     def run(s0, q0=0.5, out_from=None):
@@ -549,6 +554,36 @@ def test_stacked_euler_equals_reference_step_bitwise(params, n_steps, in_place):
             expected = reference_euler_terminal(control, params, start, dW)
             for got, want in zip(terminal, expected):
                 assert np.array_equal(got[m].view(np.uint64), want.view(np.uint64))
+
+
+def test_one_row_stack_looks_up_one_inventory_per_member(params, monkeypatch):
+    # every path of a one-row stack trades alike, so its lookup holds one
+    # point per member, (K, 1), and a collar stack's one per path, (K, n);
+    # the one-row stack's terminal Q is still that of each path, bit for bit
+    built = []
+
+    class Recording(simulate._Lookup):
+        def __init__(self, stack, shape, *hull_shape):
+            built.append((len(stack), shape))
+            super().__init__(stack, shape, *hull_shape)
+
+    monkeypatch.setattr(simulate, "_Lookup", Recording)
+    g = ef.GridSpec(I=10, J=10, n_steps=100)
+    cfg = ef.SimConfig(n_paths=50, n_steps=100, seed=29)
+    dW = ef.common_noise_batch(cfg, params)
+    specs = [ef.make_contract(fam) for fam in ("linear_physical", "linear_cash",
+                                               "collar_cash")]
+    controls = [ef.extract_control(surface, params)
+                for surface in solve_fee_surfaces(specs, params, g, every_layer=True)]
+    assert [control.values.shape[1] for control in controls] == [1, 1, 11]
+    start = (cfg.s0, cfg.q0, cfg.x0)
+    Q = _euler_batch(controls[:2], params, [start] * 2, dW)[0][1]
+    _euler_batch(controls[2:], params, [start], dW)
+    assert built == [(2, (2, 1)), (1, (1, 50))]
+    assert Q.shape == (2, 50)
+    for control, got in zip(controls, Q):
+        want = reference_euler_terminal(control, params, start, dW)[1]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_metric_budget_is_per_contract(params):
