@@ -42,35 +42,32 @@ TABLES = {
 # ---------------------------------------------------------------------------
 # pipeline operations (importable; the CLI is a thin shell around these)
 
-def _fee_key(spec: ContractSpec, config: ExperimentConfig, params) -> tuple:
-    """Every input of a fee: contract, params, grid and (s0, q0)."""
-    return (spec, params, config.grid, config.sim.s0, config.sim.q0)
-
-
 def _solve_fees(contracts, config: ExperimentConfig, params, memo: dict,
                 every_layer=False):
     """Surfaces of the contracts at one params, one stacked sweep per grid.
 
-    The fee at (t=0, s0, q0) of each is recorded in memo.
+    Each fee at (t=0, s0, q0) goes to memo under (contract, params): a memo
+    belongs to one run, whose grid and (s0, q0) are fixed, and holds fees only.
     """
     surfaces = solve_fee_surfaces(contracts, params, config.grid, every_layer)
     for spec, surface in zip(contracts, surfaces):
-        memo[_fee_key(spec, config, params)] = surface.value_at(
-            0.0, config.sim.s0, config.sim.q0)
+        memo[spec, params] = surface.value_at(0.0, config.sim.s0, config.sim.q0)
     return surfaces
 
 
-def _fees(contracts, config: ExperimentConfig, memo: dict, params=None) -> list:
-    """The fees alone, solving in one call those whose inputs memo lacks.
-
-    A memo belongs to one run and holds fee scalars, never surfaces.
-    """
-    params = params or config.params
-    missing = [spec for spec in dict.fromkeys(contracts)
-               if _fee_key(spec, config, params) not in memo]
-    if missing:
-        _solve_fees(missing, config, params, memo)
-    return [memo[_fee_key(spec, config, params)] for spec in contracts]
+def _fee_rows(contracts, config: ExperimentConfig, memo=None, swept=None) -> list[dict]:
+    """One {value, family, fee} row per contract and (value, params) of swept,
+    by default (None, config.params); the fees memo lacks are solved, one
+    _solve_fees call per params."""
+    memo = {} if memo is None else memo
+    rows = []
+    for value, params in swept or [(None, config.params)]:
+        missing = [spec for spec in contracts if (spec, params) not in memo]
+        if missing:
+            _solve_fees(missing, config, params, memo)
+        rows += [{"value": value, "family": spec.family.value, "fee": memo[spec, params]}
+                 for spec in contracts]
+    return rows
 
 
 def _swept(config: ExperimentConfig):
@@ -85,26 +82,17 @@ def _swept(config: ExperimentConfig):
 
 def run_fees(config: ExperimentConfig, memo=None):
     """One fee per configured contract at (t=0, q0, s0)."""
-    memo = {} if memo is None else memo
-    grid_hash = sha256_of(dataclasses.asdict(config.grid))[:12]
-    params_hash = sha256_of(dataclasses.asdict(config.params))[:12]
-    return [{"family": c.family.value, "fee": fee,
-             "grid_hash": grid_hash, "params_hash": params_hash}
-            for c, fee in zip(config.contracts, _fees(config.contracts, config, memo))]
+    hashes = {"grid_hash": sha256_of(dataclasses.asdict(config.grid))[:12],
+              "params_hash": sha256_of(dataclasses.asdict(config.params))[:12]}
+    return [{**row, **hashes} for row in _fee_rows(config.contracts, config, memo)]
 
 
 def run_sweep(config: ExperimentConfig, memo=None):
     """Fees over the configured parameter sweep, one row per (value, contract)."""
     if config.sweep is None:
         raise ConfigError("sweep: section required for the sweep command")
-    memo = {} if memo is None else memo
-    rows = []
-    for value, params in _swept(config):
-        fees = _fees(config.contracts, config, memo, params)
-        rows += [{"param": config.sweep.param, "value": value,
-                  "family": contract.family.value, "fee": fee}
-                 for contract, fee in zip(config.contracts, fees)]
-    return rows
+    return [{"param": config.sweep.param, **row}
+            for row in _fee_rows(config.contracts, config, memo, _swept(config))]
 
 
 def run_regulatory(config: ExperimentConfig):
@@ -128,9 +116,7 @@ def run_regulatory(config: ExperimentConfig):
 
 def run_twap(config: ExperimentConfig, memo=None):
     """Fees of the two TWAP contracts via the transformed equation."""
-    memo = {} if memo is None else memo
-    return [{"family": c.family.value, "fee": fee}
-            for c, fee in zip(TWAP_CONTRACTS, _fees(TWAP_CONTRACTS, config, memo))]
+    return _fee_rows(TWAP_CONTRACTS, config, memo)
 
 
 def run_statarb(config: ExperimentConfig, memo=None):
@@ -153,7 +139,7 @@ def run_statarb(config: ExperimentConfig, memo=None):
     surfaces = _solve_fees(config.contracts, config, config.params, memo,
                            every_layer=True)
     solved = [(contract, extract_control(surface, config.params, out=surface.values),
-               memo[_fee_key(contract, config, config.params)])
+               memo[contract, config.params])
               for contract, surface in zip(config.contracts, surfaces)]
     estimates = expected_payoff_metric(config.params, config.sim, solved)
     return [{"family": contract.family.value, "fee": fee,
@@ -279,8 +265,10 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str) -> None:
     """Every table as one plan, written with one manifest once all are computed.
 
     Building the plan builds, and so checks, every table's sub-config before
-    the first solve.  One fee memo serves the whole run, so each distinct
-    (contract, params, grid) is solved once; the statarb solves run first.
+    the first solve.  Each sub-config replaces only the contracts, sweep,
+    params or regulatory section of the one config, so the run's grid and
+    (s0, q0) are fixed and one fee memo serves it: each distinct (contract,
+    params) is solved once, the statarb solves first.
     """
     memo = {}
     base = dataclasses.replace(config, contracts=BASELINE_CONTRACTS)

@@ -594,7 +594,9 @@ def solve_regulatory(tau: float, p_values, params: MarketParams,
     pre-decision sweep; of each branch only its layer at tau is kept.
     """
     specs = [RegulatorySpec(p=p, tau=tau) for p in p_values]
-    n_tau = specs[0].snapped_step(params, grid)
+    n_tau = RegulatorySpec(p=0.0, tau=tau).snapped_step(params, grid)
+    if not specs:   # tau is checked all the same
+        return []
     (solved, P1_T, _), (_, P0_T, _) = (
         _terminal_layer(ContractSpec(family), params, grid)
         for family in (Family.LINEAR_PHYSICAL, Family.LINEAR_CASH))

@@ -87,6 +87,20 @@ def cash_unwind_inventory(params, q0):
     return solve_ivp(ode, [0.0, params.T], [q0], rtol=1e-10, atol=1e-12).y[0, -1]
 
 
+def zero_noise_path(control, params):
+    """The one path of a control on zero noise: 1000 Euler steps from the
+    baseline start."""
+    cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=0)
+    return ef.simulate_path(control, params, cfg, np.zeros((1, 1000)))
+
+
+def sign_changes(v):
+    """Sign flips of a speed path, counting only speeds above 1e-3 of its peak."""
+    live = np.abs(v) > 1e-3 * np.abs(v).max()
+    s = np.sign(v[live])
+    return int(np.sum(s[1:] != s[:-1]))
+
+
 def reference_extract_control(surface, params):
     """Oracle of extract_control: its formulas applied one layer at a time,
     into a fresh array of the surface's shape."""

@@ -27,7 +27,8 @@ import numpy as np
 
 import execfees as ef
 
-from conftest import cash_unwind_inventory, twap_reduced_ode_value
+from conftest import (cash_unwind_inventory, sign_changes, twap_reduced_ode_value,
+                      zero_noise_path)
 
 Q0, S0 = 0.5, 45.0
 
@@ -194,18 +195,9 @@ def test_criterion_7d_ode_residuals(params):
     _report("7d", worst <= 1e-6, f"max Riccati/linear ODE residual {worst:.1e}")
 
 
-def _zero_noise_path(fam, params, controls):
-    cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=0)
-    return ef.simulate_path(controls[fam], params, cfg, np.zeros((1, 1000)))
-
-
 def test_criterion_7e_deterministic_sign_changes(params, controls):
-    changes = {}
-    for fam in ("linear_physical", "linear_cash"):
-        v = _zero_noise_path(fam, params, controls).v[:, 0]
-        live = np.abs(v) > 1e-3 * np.abs(v).max()
-        s = np.sign(v[live])
-        changes[fam] = int(np.sum(s[1:] != s[:-1]))
+    changes = {fam: sign_changes(zero_noise_path(controls[fam], params).v[:, 0])
+               for fam in ("linear_physical", "linear_cash")}
     ok = changes["linear_physical"] == 0 and changes["linear_cash"] == 1
     _report("7e", ok, f"sign changes on the zero-noise path: {changes}")
 
@@ -214,8 +206,8 @@ def test_criterion_7f_deterministic_inventory_targets(params, controls):
     # NOTE: with finite alpha the optimal cash unwind stops short of 0, so
     # the 0.02 band is taken around Q*(T) ~ 0.052 from the clipped
     # closed-form control (the speed-bounded optimum is ~0.051), not around 0.
-    q_phys = _zero_noise_path("linear_physical", params, controls).Q[-1, 0]
-    q_cash = _zero_noise_path("linear_cash", params, controls).Q[-1, 0]
+    q_phys = zero_noise_path(controls["linear_physical"], params).Q[-1, 0]
+    q_cash = zero_noise_path(controls["linear_cash"], params).Q[-1, 0]
     q_star = cash_unwind_inventory(params, Q0)
     ok = abs(q_phys - params.N) <= 0.02 and abs(q_cash - q_star) <= 0.02
     _report("7f", ok, f"zero-noise terminal inventory: physical={q_phys:.4f} "
@@ -225,7 +217,7 @@ def test_criterion_7f_deterministic_inventory_targets(params, controls):
 
 def test_criterion_7f_cash_endpoint_is_the_readme_figure(params, controls):
     # README: the PDE-controlled zero-noise cash path ends at Q(T) = 0.0616
-    q_cash = _zero_noise_path("linear_cash", params, controls).Q[-1, 0]
+    q_cash = zero_noise_path(controls["linear_cash"], params).Q[-1, 0]
     assert abs(q_cash - 0.0616) <= 1e-4
 
 

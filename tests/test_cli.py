@@ -351,6 +351,39 @@ def test_twap_command(tmp_path):
     assert [r["family"] for r in rows] == ["twap_physical", "twap_cash"]
 
 
+def test_repeated_sweep_value_is_not_solved_again(tmp_path, monkeypatch):
+    # the linear and the collar contract are one stack each per params: the
+    # third value repeats the first, so it reuses the first's fees
+    keys, calls = [], []
+    sweep = hjb._sweep
+
+    def counting_sweep(P_terminals, n_hi, n_lo, params, grid, *args, **kw):
+        calls.append(len(P_terminals))
+        keys.extend((P_T.tobytes(), params, grid, n_hi, n_lo) for P_T in P_terminals)
+        return sweep(P_terminals, n_hi, n_lo, params, grid, *args, **kw)
+
+    monkeypatch.setattr(hjb, "_sweep", counting_sweep)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(FAST_GRID + "contracts: [linear_cash, collar_cash]\n"
+                   "sweep: {param: sigma, values: [4.0, 5.0, 4.0]}\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 4
+    assert len(set(keys)) == len(keys)
+    _, _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [r["value"] for r in rows] == ["4.0"] * 2 + ["5.0"] * 2 + ["4.0"] * 2
+    assert rows[4:] == rows[:2]
+
+
+def test_twap_rows_equal_the_fees_rows_of_the_twap_contracts(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(FAST_GRID + "contracts: [twap_physical, twap_cash]\n")
+    for command in ("twap", "fees"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, _, twap = _read_csv(tmp_path / "twap_fees.csv")
+    _, _, fees = _read_csv(tmp_path / "fees.csv")
+    assert twap == [{"family": r["family"], "fee": r["fee"]} for r in fees]
+
+
 def test_sweep_over_N_matches_fees_at_each_N(tmp_path):
     # the liquidation target follows the swept N, as the TWAP schedule N*t/T
     # does: every row is, bit for bit, the fee of a standalone run at that N

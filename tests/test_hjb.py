@@ -567,6 +567,13 @@ def test_regulatory_tau_validation(params, grid):
     assert ef.RegulatorySpec(p=0.5, tau=0.5).snapped_step(params, grid) == 500
 
 
+def test_regulatory_empty_p_list_gives_no_surface_but_checks_tau():
+    p, g = ef.MarketParams(), ef.GridSpec(I=10, J=10, n_steps=50)
+    assert ef.solve_regulatory(0.5, [], p, g) == []
+    with pytest.raises(ConfigError, match="regulatory.tau"):
+        ef.solve_regulatory(0.55, [], p, g)
+
+
 # ---------------------------------------------------------------------------
 # TWAP state reduction
 
@@ -662,7 +669,9 @@ def test_deterministic_limit_control_matches_oracle(grid, fam):
     # sigma = 0: from (t, S, q) the optimal speed is constant, the one that
     # reaches the oracle's q_T* at T. The extracted control is first order in
     # the grid spacing; measured worst errors 0.034 (physical, at t = 0.5) and
-    # 0.0092 (cash), about half as large on grid.refine().
+    # 0.0092 (cash), about half as large on grid.refine(). Every point is at
+    # least two price nodes (1.2) from the strikes 40 and 50, even after the
+    # largest impact shift b*(q_T - q) of 0.0015, so no kink is sampled.
     params = ef.MarketParams(sigma=0.0)
     spec = ef.make_contract(fam)
     surf = ef.solve_fee_surface(spec, params, grid)
@@ -674,6 +683,27 @@ def test_deterministic_limit_control_matches_oracle(grid, fam):
                 v_star = np.clip((q_T - q) / (params.T - t), -params.C, params.C)
                 v = _interpolate(ctrl, _layer_position(ctrl, t), S, q)
                 assert v == pytest.approx(v_star, abs=0.05), (t, S, q)
+
+
+def test_collar_kink_error_falls_with_the_price_step():
+    # sigma = 0: at the strikes S = 40 and 50 the fee is read bilinearly
+    # across the terminal kink, an error no time step removes. Refining the
+    # price axis alone narrows the cell the kink sits in: measured worst
+    # errors over both collars and q in {-0.5, 0, 0.5}, 0.1333 at I = 100
+    # (ds = 0.6) and 0.0667 at I = 200, a ratio of 0.500
+    params = ef.MarketParams(sigma=0.0)
+    specs = [ef.make_contract(fam) for fam in ("collar_physical", "collar_cash")]
+    worst = []
+    for I in (100, 200):
+        g = ef.GridSpec(I=I)
+        surfaces = hjb.solve_fee_surfaces(specs, params, g)
+        worst.append(max(
+            abs(surface.value_at(0.0, S, q)
+                - deterministic_optimum(spec, params, g, S, q)[0])
+            for spec, surface in zip(specs, surfaces)
+            for S in (40.0, 50.0) for q in (-0.5, 0.0, 0.5)))
+    assert worst[0] == pytest.approx(0.1333, abs=0.01)
+    assert worst[1] / worst[0] == pytest.approx(0.5, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

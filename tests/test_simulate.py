@@ -14,7 +14,7 @@ from execfees.simulate import _CHUNK, _MAX_SEED, _euler_batch
 
 from conftest import (BASELINE_FAMILIES, S_FREE_FAMILIES, cash_unwind_inventory,
                       exact_premium_and_ce, reference_bilinear,
-                      reference_euler_terminal)
+                      reference_euler_terminal, sign_changes, zero_noise_path)
 
 ALL_FAMILIES = BASELINE_FAMILIES + ("twap_physical", "twap_cash")
 
@@ -207,19 +207,6 @@ def test_running_average_left_rule(params, controls):
     assert A[k] == pytest.approx(S[:k].mean(), rel=1e-12)
 
 
-def _zero_noise_path(fam, params, controls):
-    """(Q, v) of the one zero-noise path."""
-    cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=0)
-    path = ef.simulate_path(controls[fam], params, cfg, np.zeros((1, 1000)))
-    return path.Q[:, 0], path.v[:, 0]
-
-
-def _sign_changes(v):
-    live = np.abs(v) > 1e-3 * np.abs(v).max()
-    s = np.sign(v[live])
-    return int(np.sum(s[1:] != s[:-1]))
-
-
 @pytest.mark.parametrize("fam", S_FREE_FAMILIES)
 def test_s_free_inventory_paths_equal_the_zero_noise_path(params, fam):
     # at r = 0 a linear or TWAP control reads no price, so every noisy path
@@ -237,19 +224,19 @@ def test_s_free_inventory_paths_equal_the_zero_noise_path(params, fam):
 
 
 def test_deterministic_path_physical(params, controls):
-    Q, v = _zero_noise_path("linear_physical", params, controls)
-    assert abs(Q[-1] - params.N) <= 0.02
-    assert _sign_changes(v) == 0
+    path = zero_noise_path(controls["linear_physical"], params)
+    assert abs(path.Q[-1, 0] - params.N) <= 0.02
+    assert sign_changes(path.v[:, 0]) == 0
 
 
 def test_deterministic_path_cash(params, controls):
     # the exact optimal unwind leaves ~0.052 shares at T (finite alpha);
     # the simulated path must land near that value, with one buy->sell flip
     q_exact = cash_unwind_inventory(params, 0.5)
-    Q, v = _zero_noise_path("linear_cash", params, controls)
+    path = zero_noise_path(controls["linear_cash"], params)
     assert q_exact == pytest.approx(0.0523, abs=5e-4)
-    assert abs(Q[-1] - q_exact) <= 0.015
-    assert _sign_changes(v) == 1
+    assert abs(path.Q[-1, 0] - q_exact) <= 0.015
+    assert sign_changes(path.v[:, 0]) == 1
 
 
 def test_out_of_grid_detection(params, grid):
