@@ -1,13 +1,14 @@
 """Command-line driver reproducing the fee tables, path files and sweeps.
 
 Subcommands: fees, paths, statarb, regulatory, twap, sweep, reproduce-all.
-Outputs are plain CSV/JSON written atomically (temp file + rename); every
-file embeds the hash of the fully-resolved config, so re-running an identical
-config reproduces byte-identical artifacts.
+Outputs are plain CSV/JSON written by `main` (temp file + rename), which removes
+them all if the command fails; every file embeds the hash of the fully-resolved
+config, so re-running an identical config reproduces byte-identical artifacts.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -149,20 +150,19 @@ def run_statarb(config: ExperimentConfig, memo=None):
             for (contract, _, fee), est in zip(solved, estimates)]
 
 
-def run_paths(config: ExperimentConfig, out_dir: str):
+def run_paths(config: ExperimentConfig, write):
     """Per-contract trajectory CSVs plus a combined comparison file on shared noise.
 
     Emits one file per contract (and per sweep value when a sweep is
-    configured); all files for one sweep value share the same Brownian
-    increments so trajectory differences isolate the contract effect.  Each
-    contract's control is written over its own fee surface and stepped once
-    over all paths; the comparison file reads path 0.
+    configured) through `write(name, header, lines)`; the files of one sweep
+    value share their Brownian increments, so trajectory differences isolate
+    the contract.  Each contract's control is written over its own fee
+    surface and stepped once over all paths; the comparison file reads path 0.
     """
     cfg = config.sim
     if cfg.n_paths * cfg.n_steps > 2_000_000:
         raise ConfigError("sim.n_paths: trajectory dump too large; the paths "
                           "command is meant for a handful of paths")
-    cfg_hash = config.config_hash()
     swept = _swept(config)
     tags = ["" if value is None else f"_{config.sweep.param}={value:g}"
             for value, _ in swept]
@@ -183,17 +183,15 @@ def run_paths(config: ExperimentConfig, out_dir: str):
             times = _text(path.times)
             shared[contract.family.value] = [_text(path.S[:, 0]), _text(path.Q[:, 0]),
                                              _text(path.v[:, 0], 0.0)]
-            name = f"paths_{contract.family.value}{tag}.csv"
-            _write_lines(os.path.join(out_dir, name),
-                         ["path", "t", "S", "Q", "X", "v", "A"],
-                         _path_lines(path, times), cfg_hash)
+            write(f"paths_{contract.family.value}{tag}.csv",
+                  ["path", "t", "S", "Q", "X", "v", "A"], _path_lines(path, times))
             # the next contract's solve runs without this one's surface
             del surface, control, path
         fams = sorted(shared)
         header = ["t"] + [f"{c}_{f}" for f in fams for c in ("S", "Q", "v")]
         columns = [times] + [col for f in fams for col in shared[f]]
-        _write_lines(os.path.join(out_dir, f"paths_comparison{tag}.csv"), header,
-                     (",".join(cells) for cells in zip(*columns)), cfg_hash)
+        write(f"paths_comparison{tag}.csv", header,
+              (",".join(cells) for cells in zip(*columns)))
 
 
 def _text(values: np.ndarray, *tail: float) -> list[str]:
@@ -222,7 +220,8 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """text written to path through a temp file beside it, then renamed.
+    """text written to path through a temp file beside it, then renamed; with
+    POSIX newlines and ASCII text, as every artifact is, its bytes are text.encode().
 
     A failed write or rename raises an OSError that names path, not the
     temp file, which is removed.
@@ -240,29 +239,11 @@ def _atomic_write(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _write_csv(path: str, header: list[str], rows: list[dict], cfg_hash: str) -> None:
-    """Table rows, dicts keyed by the header's names, one line each."""
-    _write_lines(path, header, (",".join(_fmt(row[h]) for h in header) for row in rows),
-                 cfg_hash)
-
-
-def _write_lines(path: str, header: list[str], lines, cfg_hash: str) -> None:
-    """A CSV file: the config hash, the header, then the data lines given."""
-    text = "\n".join([f"# config_hash={cfg_hash}", ",".join(header), *lines])
-    _atomic_write(path, text + "\n")
-
-
-def _write_json(path: str, obj: dict, cfg_hash: str) -> None:
-    payload = {"config_hash": cfg_hash, **obj}
-    _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True,
-                                   default=_fmt) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # reproduce-all
 
-def _reproduce_all(config: ExperimentConfig, out_dir: str) -> None:
-    """Every table as one plan, written with one manifest once all are computed.
+def _reproduce_all(config: ExperimentConfig) -> dict:
+    """Every table as one plan: {artifact: (table command, rows)}, in manifest order.
 
     Building the plan builds, and so checks, every table's sub-config before
     the first solve.  Each sub-config replaces only the contracts, sweep,
@@ -296,19 +277,8 @@ def _reproduce_all(config: ExperimentConfig, out_dir: str) -> None:
             base, contracts=BASELINE_CONTRACTS + TWAP_CONTRACTS), memo)),
     }
     statarb = plan["statarb.csv"][1]()   # its solves fill the memo
-    rows = {name: statarb if command == "statarb" else run()
+    return {name: (command, statarb if command == "statarb" else run())
             for name, (command, run) in plan.items()}
-
-    cfg_hash = config.config_hash()
-    digests = []
-    for name, (command, _) in plan.items():
-        path = os.path.join(out_dir, name)
-        _write_csv(path, TABLES[command][1], rows[name], cfg_hash)
-        with open(path, "rb") as fh:
-            digests.append({"name": name,
-                            "sha256": hashlib.sha256(fh.read()).hexdigest()})
-    _write_json(os.path.join(out_dir, "manifest.json"),
-                {"artifacts": digests, "seed": config.sim.seed}, cfg_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     code = 1
+    written = []   # the files this command has written, removed if it fails
     # numpy's floating-point warnings stay off, as the NonFinite checks report
     # such a fault; every other warning is shown when the command ends, after
     # its error line or its artifacts, so that an error is the first stderr line
@@ -341,23 +312,50 @@ def main(argv=None) -> int:
                     config, sim=dataclasses.replace(config.sim, seed=args.seed))
             out_dir = args.out or os.environ.get(OUT_ENV_VAR) or config.output_dir
             cfg_hash = config.config_hash()
-            if args.command in TABLES:
-                name, header = TABLES[args.command]
-                # looked up per call, so a rebound module global (a tracing
-                # wrapper, a test double) is the runner that runs
-                rows = globals()[f"run_{args.command}"](config)
-                _write_csv(os.path.join(out_dir, name), header, rows, cfg_hash)
-                if args.command == "statarb":
-                    _write_json(os.path.join(out_dir, "statarb_summary.json"),
-                                {"rows": rows, "n_paths": config.sim.n_paths,
-                                 "seed": config.sim.seed}, cfg_hash)
-            elif args.command == "paths":
-                run_paths(config, out_dir)
+
+            def write(name: str, text: str) -> str:
+                path = os.path.join(out_dir, name)
+                _atomic_write(path, text)
+                written.append(path)
+                return text
+
+            def write_csv(name: str, header: list[str], lines) -> str:
+                return write(name, "\n".join([f"# config_hash={cfg_hash}",
+                                              ",".join(header), *lines]) + "\n")
+
+            if args.command == "paths":
+                run_paths(config, write_csv)
             else:
-                _reproduce_all(config, out_dir)
+                if args.command == "reproduce-all":
+                    tables = _reproduce_all(config)
+                else:
+                    # looked up per call, so a rebound module global (a tracing
+                    # wrapper, a test double) is the runner that runs
+                    rows = globals()[f"run_{args.command}"](config)
+                    tables = {TABLES[args.command][0]: (args.command, rows)}
+                digests = []
+                for name, (command, rows) in tables.items():
+                    header = TABLES[command][1]
+                    text = write_csv(name, header, (",".join(_fmt(row[h]) for h in header)
+                                                    for row in rows))
+                    digests.append({"name": name,
+                                    "sha256": hashlib.sha256(text.encode()).hexdigest()})
+                summary = {"reproduce-all": ("manifest.json", {"artifacts": digests}),
+                           "statarb": ("statarb_summary.json",
+                                       {"rows": rows, "n_paths": config.sim.n_paths})}
+                if args.command in summary:
+                    name, obj = summary[args.command]
+                    payload = {"config_hash": cfg_hash, "seed": config.sim.seed, **obj}
+                    write(name, json.dumps(payload, indent=1, sort_keys=True,
+                                           default=_fmt) + "\n")
             code = 0
         except (ExecFeesError, OSError, MemoryError) as exc:
             print(f"execfees: error: {exc}", file=sys.stderr)
+        finally:
+            if code:   # a failed command leaves none of the files it wrote
+                for path in written:
+                    with contextlib.suppress(OSError):
+                        os.remove(path)
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return code

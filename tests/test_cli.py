@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import json
 import math
 import os
 import pathlib
@@ -244,6 +246,58 @@ def test_failed_write_names_the_target_not_the_temp_file(tmp_path, capsys):
     # one line, "[Errno 21] Is a directory: '<out>/fees.csv'" on Linux
     assert err.startswith("execfees: error: [Errno ") and err.count("\n") == 1, err
     assert err.endswith(f": {target!r}\n") and ".tmp-" not in err, err
+
+
+# paths configs that write linear_physical's file, then fail at twap_cash
+LATE_FAILING_PATHS = {
+    "rate": "params: {r: 0.01}\n",
+    "sweep": "sweep: {param: r, values: [0.0, 0.01]}\n",
+}
+
+
+@pytest.mark.parametrize("case", list(LATE_FAILING_PATHS))
+def test_failed_paths_leaves_none_of_its_files(tmp_path, capsys, case):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "contracts: [linear_physical, twap_cash]\n"
+                   "sim: {n_paths: 2, n_steps: 200}\n" + LATE_FAILING_PATHS[case])
+    out = tmp_path / "o"
+    assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.split("\n")[0] == (
+        "execfees: error: the TWAP state reduction is derived for r = 0"), err
+    # no paths_*.csv and no temp file
+    assert list(out.glob("*")) == []
+
+
+def test_error_while_removing_files_keeps_the_error_line(tmp_path, capsys, monkeypatch):
+    def failing_remove(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "remove", failing_remove)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "contracts: [linear_physical, twap_cash]\n"
+                   "sim: {n_paths: 2, n_steps: 200}\n" + LATE_FAILING_PATHS["rate"])
+    out = tmp_path / "o"
+    assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "execfees: error: the TWAP state reduction is derived for r = 0\n", err
+
+
+# command -> the JSON file it writes after its table CSVs
+JSON_FILES = {"reproduce-all": "manifest.json", "statarb": "statarb_summary.json"}
+
+
+@pytest.mark.parametrize("command", list(JSON_FILES))
+def test_failed_json_write_leaves_no_table(tmp_path, capsys, command):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
+    out = tmp_path / "o"
+    (out / JSON_FILES[command]).mkdir(parents=True)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    target = os.path.join(str(out), JSON_FILES[command])
+    assert err.startswith("execfees: error: [Errno ") and err.endswith(f": {target!r}\n"), err
+    assert [p.name for p in out.iterdir()] == [JSON_FILES[command]]
 
 
 # command -> a sweep it does not accept: p belongs to regulatory alone
@@ -627,7 +681,10 @@ def test_paths_writes_the_control_over_its_fee_surface(tmp_path):
         config = ExperimentConfig(
             grid=MEMORY_GRID, sim=SimConfig(n_paths=2, n_steps=400),
             contracts=tuple(ContractSpec(family, 40.0, 50.0) for family in families))
-        _, _, peak = traced_memory(lambda: cli.run_paths(config, str(tmp_path)))
+        def write(name, header, lines):
+            (tmp_path / name).write_text("\n".join([",".join(header), *lines]))
+
+        _, _, peak = traced_memory(lambda: cli.run_paths(config, write))
         assert peak < 1.5 * ONE_SURFACE, (families, peak / ONE_SURFACE)
 
 
@@ -727,6 +784,18 @@ def test_failed_reproduce_all_writes_nothing(tmp_path, capsys, monkeypatch):
     assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("execfees: error: twap:")
     assert not out.exists()
+
+
+def test_manifest_digests_are_the_sha256_of_the_files(tmp_path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
+    out = tmp_path / "o"
+    assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {a["name"]: a["sha256"] for a in manifest["artifacts"]}
+    assert listed == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in out.glob("*.csv")}
+    assert sorted(listed) == sorted(PARTS)
 
 
 def test_reproduce_all_rows_equal_the_standalone_commands(tmp_path):
