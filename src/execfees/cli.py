@@ -178,8 +178,9 @@ def run_paths(config: ExperimentConfig, write):
         shared = {}   # family -> text columns S, Q, v of path 0
         for contract in config.contracts:
             surface = solve_fee_surface(contract, params, config.grid)
+            fee = surface.value_at(0.0, cfg.s0, cfg.q0)
             control = extract_control(surface, params, out=surface.values)
-            path = simulate_path(control, params, cfg, increments)
+            path = simulate_path(control, params, cfg, increments, fee=fee)
             times = _text(path.times)
             shared[contract.family.value] = [_text(path.S[:, 0]), _text(path.Q[:, 0]),
                                              _text(path.v[:, 0], 0.0)]

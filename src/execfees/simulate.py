@@ -10,10 +10,12 @@ a shape: the expected-payoff metric steps each such group as one stack,
 reading each step's noise once, and a trajectory run is a stack of one.  A
 control of one price row (a price-affine contract's, see
 hjb.extract_control) reads no price: it is looked up in inventory alone,
-and its inventory, the same on every path, is stepped once.  Each member
-keeps its own start wealth and control, and its states are bit for bit
-those of a stack of its own.  Both count the hull clamps the lookup marks at
-every step: the budget holds per member in the metric and per path in a
+and its inventory, the same on every path, is stepped once.  Every path
+starts at price s0, inventory q0 and cash x0 - q0*s0 + fee: sim.x0 is the
+broker's wealth before the contract, and the fee, set by indifference, is
+held as cash from t = 0.  Each member's states are bit for bit those of a
+stack of its own.  Both count the hull clamps the lookup marks at every
+step: the budget holds per member in the metric and per path in a
 trajectory run, and its OutOfGrid names the member's contract.
 """
 from __future__ import annotations
@@ -42,7 +44,7 @@ class SimConfig:
     n_paths: int = 100_000
     n_steps: int = 1000
     seed: int = 20240901
-    x0: float = 22.5
+    x0: float = 22.5           # the broker's wealth before the contract
     q0: float = 0.5
     s0: float = 45.0
     zero_noise: bool = False   # trajectory runs: suppress the Brownian term
@@ -108,30 +110,28 @@ def common_noise_batch(cfg: SimConfig, params: MarketParams,
     return out
 
 
-def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
-                 increments: np.ndarray, record: bool = False):
+def _euler_batch(controls: list[FeeSurface], params: MarketParams, cfg: SimConfig,
+                 fees, increments: np.ndarray, record: bool = False):
     """Shared Euler kernel; returns (terminal states, trajectories if record).
 
     `controls` is a stack of K controls on one grid with the same layers
-    and price rows; member m starts every path at starts[m] = (s0, q0, x0)
-    and all members step on the same increments.  States have shape (K, n),
-    trajectories (n_steps + 1, K, n); a stack of one-row controls reads no
-    price, so its paths trade alike: it steps Q and v once per member,
-    (K, 1), and broadcasts them into the returned Q and the trajectories.
-    Every per-step array is allocated before the first step, and each
-    member's arithmetic is that of a stack of its own, bit for bit.  One
-    (K, n) count of the states the lookup clamped to the hull serves the
-    clamp budget, per member, and in record mode per member and path.
+    and price rows, all stepped on the same increments; member m starts
+    every path at (cfg.s0, cfg.q0) with cash cfg.x0 - cfg.q0*cfg.s0 + fees[m].
+    States have shape (K, n), trajectories (n_steps + 1, K, n); a stack of
+    one-row controls reads no price, so its paths trade alike: it steps Q
+    and v once per member, (K, 1), and broadcasts them into the returned Q
+    and the trajectories.  Every per-step array is allocated before the
+    first step, and each member's arithmetic is that of a stack of its own,
+    bit for bit.  One (K, n) count of the states the lookup clamped to the
+    hull serves the clamp budget per member, and per path too in record mode.
     """
     g = controls[0].grid
     n, n_steps = increments.shape
     shape = (len(controls), n)
     qshape = (len(controls), 1 if controls[0].values.shape[1] == 1 else n)
     dt = params.T / n_steps
-    S, X = np.empty(shape), np.empty(shape)
-    Q = np.empty(qshape)
-    for m, (s0, q0, x0) in enumerate(starts):
-        S[m], Q[m], X[m] = s0, q0, x0
+    S, X, Q = np.full(shape, cfg.s0), np.empty(shape), np.full(qshape, cfg.q0)
+    X[:] = np.add(cfg.x0 - cfg.q0 * cfg.s0, fees)[:, None]
     A_int = np.zeros(shape)
     tmp, tmp2, noise = np.empty(shape), np.empty(shape), np.empty(n)
     # products of v alone, in v's shape: a view of tmp2, as tmp is the
@@ -177,16 +177,17 @@ def _euler_batch(controls: list[FeeSurface], params: MarketParams, starts,
 
 
 def simulate_path(control: FeeSurface, params: MarketParams, cfg: SimConfig,
-                  increments: np.ndarray) -> SimPath:
+                  increments: np.ndarray, *, fee: float = 0.0) -> SimPath:
     """Euler paths under the interpolated control, one per row of `increments`.
 
     `increments` is (n_paths, n_steps); the SimPath holds one column per
     path, each with its own hull-clamp budget, so a column equals the path
-    that its row alone gives.  The paths are a stack of one control.
+    that its row alone gives.  The paths are a stack of one control and
+    start as expected_payoff_metric's do, with cash x0 - q0*s0 + fee: x0 is
+    the broker's wealth before the contract, `fee` the contract's at t = 0.
     """
     n_steps = increments.shape[1]
-    _, traj = _euler_batch([control], params, [(cfg.s0, cfg.q0, cfg.x0)],
-                           increments, record=True)
+    _, traj = _euler_batch([control], params, cfg, [fee], increments, record=True)
     times = np.arange(n_steps + 1) * (params.T / n_steps)
     return SimPath(times=times, **{key: a[:, 0] for key, a in traj.items()})
 
@@ -207,13 +208,12 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     contract, in order.  Each noise chunk is drawn once and every contract is
     stepped on it (common random numbers): the contracts whose controls share
     grid, layers and price rows as one stack, in the order of their first
-    contract.
-    Each keeps its own start wealth, accumulators and hull-clamp budget per
-    chunk, so each estimate equals the one a single-contract call gives.
-    The initial wealth convention makes the broker's cash at t=0 equal to
-    the indifference fee; a positive estimate beyond two standard errors
-    flags a statistical arbitrage.  The same paths
-    give the certainty equivalent CE = -log(mean w)/gamma with
+    contract.  Paths start as simulate_path's do, x0 being the broker's
+    wealth before the contract and the fee held as cash from t=0.  Each
+    contract keeps its own accumulators and hull-clamp budget per chunk, so
+    each estimate equals the one a single-contract call gives.  A positive
+    estimate beyond two standard errors flags a statistical arbitrage.  The
+    same paths give the certainty equivalent CE = -log(mean w)/gamma with
     w = exp(-gamma*(Y - x0)), which the indifference fee sets to 0, and
     se(CE) = sd(w)/(sqrt(n)*gamma*mean w).  Paths are accumulated chunk by
     chunk in a fixed order, so the estimates do not depend on scheduling.
@@ -233,10 +233,8 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
         dW = common_noise_batch(cfg, params, start=done, count=m)
         for stack in stacks.values():
             members = [contracts[i] for i in stack]
-            starts = [(cfg.s0, cfg.q0, cfg.x0 - cfg.q0 * cfg.s0 + fee)
-                      for _, _, fee in members]
             terminal = _euler_batch([control for _, control, _ in members], params,
-                                    starts, dW)[0]
+                                    cfg, [fee for _, _, fee in members], dW)[0]
             for member, ((spec, _, _), i) in enumerate(zip(members, stack)):
                 Y = realized_payoff([x[member] for x in terminal], spec, params)
                 w = np.exp(-g * (Y - cfg.x0))
@@ -245,6 +243,7 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
                 acc[1] += float((Y * Y).sum())
                 acc[2] += float(w.sum())
                 acc[3] += float((w * w).sum())
+            del terminal, Y, w   # the next stack steps without this one's states
         done += m
     for (spec, _, _), acc in zip(contracts, totals):
         if not np.isfinite(acc).all():

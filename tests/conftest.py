@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -89,9 +88,9 @@ def cash_unwind_inventory(params, q0):
 
 def zero_noise_path(control, params):
     """The one path of a control on zero noise: 1000 Euler steps from the
-    baseline start."""
+    baseline (s0, q0), with no fee in its cash (its callers read S, Q and v)."""
     cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=0)
-    return ef.simulate_path(control, params, cfg, np.zeros((1, 1000)))
+    return ef.simulate_path(control, params, cfg, np.zeros((1, 1000)), fee=0.0)
 
 
 def sign_changes(v):
@@ -193,8 +192,8 @@ def exact_premium_and_ce(family, params, grid):
     cfg = ef.SimConfig(n_paths=1, n_steps=grid.n_steps)
     fee = surface.value_at(0.0, cfg.s0, cfg.q0)
     control = ef.extract_control(surface, params, out=surface.values)
-    start = dataclasses.replace(cfg, x0=cfg.x0 - cfg.q0 * cfg.s0 + fee)
-    path = ef.simulate_path(control, params, start, np.zeros((1, cfg.n_steps)))
+    path = ef.simulate_path(control, params, cfg, np.zeros((1, cfg.n_steps)), fee=fee)
+    assert path.X[0, 0] == cfg.x0 - cfg.q0 * cfg.s0 + fee
     terminal = (path.S[-1], path.Q[-1], path.X[-1], path.A[-1])
     premium = float(ef.realized_payoff(terminal, spec, params)[0]) - cfg.x0
     w = path.times[1:] / params.T if spec.family.is_twap else 1.0

@@ -78,9 +78,8 @@ def _zero_noise_payoffs(solve_params, market_params, grid, fees=None):
         fee = surface.value_at(0.0, S0, Q0) if fees is None else fees[fam]
         control = ef.extract_control(surface, solve_params, out=surface.values)
         cfg = ef.SimConfig(n_paths=1, n_steps=grid.n_steps, s0=S0, q0=Q0)
-        start = dataclasses.replace(cfg, x0=cfg.x0 - Q0 * S0 + fee)
-        path = ef.simulate_path(control, market_params, start,
-                                np.zeros((1, grid.n_steps)))
+        path = ef.simulate_path(control, market_params, cfg,
+                                np.zeros((1, grid.n_steps)), fee=fee)
         terminal = (path.S[-1], path.Q[-1], path.X[-1], path.A[-1])
         out[fam] = (float(ef.realized_payoff(terminal, spec, market_params)[0])
                     - cfg.x0, fee)

@@ -14,11 +14,11 @@ import pytest
 from execfees import cli, hjb
 from execfees.cli import main
 from execfees.config import ExperimentConfig, load_config
-from execfees.contracts import ContractSpec, Family
+from execfees.contracts import ContractSpec, Family, terminal_fee
 from execfees.errors import NonFinite
 from execfees.simulate import SimConfig, common_noise_batch, simulate_path
 
-from conftest import MEMORY_GRID, ONE_SURFACE, traced_memory
+from conftest import MEMORY_GRID, ONE_SURFACE, exact_premium_and_ce, traced_memory
 
 # coarse but node-aligned grid: ds=1.5 and dq=0.05 keep (45, 0.5) on nodes
 FAST_GRID = "grid:\n  I: 40\n  J: 40\n  n_steps: 400\n"
@@ -655,12 +655,14 @@ def test_paths_rows_equal_one_path_runs(tmp_path, sim):
         _, _, compared = _read_csv(out / f"paths_comparison{tag}.csv")
         for contract in config.contracts:
             fam = contract.family.value
-            control = hjb.extract_control(
-                hjb.solve_fee_surface(contract, params, config.grid), params)
+            surface = hjb.solve_fee_surface(contract, params, config.grid)
+            fee = surface.value_at(0.0, config.sim.s0, config.sim.q0)
+            control = hjb.extract_control(surface, params)
             _, _, rows = _read_csv(out / f"paths_{fam}{tag}.csv")
             assert len(rows) == n_paths * (n_steps + 1)
             for p in range(n_paths):
-                one = simulate_path(control, params, config.sim, increments[p:p + 1])
+                one = simulate_path(control, params, config.sim, increments[p:p + 1],
+                                    fee=fee)
                 mine = rows[p * (n_steps + 1):(p + 1) * (n_steps + 1)]
                 assert {r["path"] for r in mine} == {str(p)}
                 expected = {"t": one.times.tolist(), "S": one.S[:, 0].tolist(),
@@ -686,6 +688,51 @@ def test_paths_writes_the_control_over_its_fee_surface(tmp_path):
 
         _, _, peak = traced_memory(lambda: cli.run_paths(config, write))
         assert peak < 1.5 * ONE_SURFACE, (families, peak / ONE_SURFACE)
+
+
+def _terminal_payoffs(path, spec, config):
+    """Y(T) = X + Q*S - terminal_fee of every path of a trajectory CSV."""
+    _, _, rows = _read_csv(path)
+    n_steps = config.sim.n_steps
+    last = rows[n_steps::n_steps + 1]
+    assert [r["path"] for r in last] == [str(p) for p in range(config.sim.n_paths)]
+    S, Q, X, A = (np.array([float(r[col]) for r in last]) for col in "SQXA")
+    return X + Q * S - terminal_fee(spec, Q, S, config.params, A)
+
+
+def test_statarb_estimates_are_the_means_of_the_trajectory_files(tmp_path):
+    # statarb and paths fund each path alike, with the fee as cash: on one
+    # config each estimate is the mean over its trajectory file of Y(T) - x0
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("grid: {I: 20, J: 20, n_steps: 200}\n"
+                   "contracts: [linear_cash, collar_cash, twap_cash]\n"
+                   "sim: {n_paths: 50, n_steps: 200, seed: 9}\n")
+    for command in ("statarb", "paths"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    config = load_config(str(cfg))
+    _, _, table = _read_csv(tmp_path / "statarb" / "statarb.csv")
+    assert [row["family"] for row in table] == [c.family.value for c in config.contracts]
+    for spec, row in zip(config.contracts, table):
+        Y = _terminal_payoffs(tmp_path / "paths" / f"paths_{spec.family.value}.csv",
+                              spec, config)
+        assert abs(float(row["estimate"]) - (Y.mean() - config.sim.x0)) <= 1e-12, \
+            spec.family
+
+
+def test_zero_noise_paths_end_at_the_exact_premium(tmp_path):
+    # the zero-noise trajectory file of an S-free contract ends at the payoff
+    # whose excess over x0 is the contract's exact premium
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("grid: {I: 20, J: 20, n_steps: 200}\n"
+                   "contracts: [linear_cash, twap_cash]\n"
+                   "sim: {n_paths: 1, n_steps: 200, zero_noise: true}\n")
+    assert main(["paths", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    config = load_config(str(cfg))
+    for spec in config.contracts:
+        premium, _ = exact_premium_and_ce(spec.family.value, config.params, config.grid)
+        [Y] = _terminal_payoffs(tmp_path / "out" / f"paths_{spec.family.value}.csv",
+                                spec, config)
+        assert abs(Y - config.sim.x0 - premium) <= 1e-12, (spec.family, premium)
 
 
 def test_paths_guardrail_on_huge_dumps(tmp_path):

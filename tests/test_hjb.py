@@ -463,7 +463,7 @@ def test_lookup_refuses_a_stack_of_mixed_layer_shapes():
     stack = [ef.extract_control(ef.solve_fee_surface(ef.make_contract(fam), p, g3), p)
              for fam in ("linear_cash", "collar_cash")]
     with pytest.raises(ValueError) as err:
-        _euler_batch(stack, p, [(45.0, 0.5, 0.0)] * 2, np.zeros((1, g3.n_steps)))
+        _euler_batch(stack, p, ef.SimConfig(), [0.0] * 2, np.zeros((1, g3.n_steps)))
     assert "(1, 21)" in str(err.value) and "(3, 21)" in str(err.value), err.value
 
 

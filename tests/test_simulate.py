@@ -125,7 +125,7 @@ def test_interpolation_reclamps(params, grid):
     ctrl = zero_control(params, grid, n_layers=2)
     ctrl.values[:] = 50.0   # out-of-bound field: an Euler step trades at most C
     cfg = ef.SimConfig(n_paths=1, n_steps=1)
-    path = ef.simulate_path(ctrl, params, cfg, np.zeros((1, 1)))
+    path = ef.simulate_path(ctrl, params, cfg, np.zeros((1, 1)), fee=0.0)
     assert path.v[0, 0] == params.C
     assert path.Q[1, 0] == cfg.q0 + params.C * params.T
 
@@ -139,7 +139,8 @@ def test_euler_reads_grid_time_layers_exactly(params, n_steps):
     ctrl = ef.FeeSurface(grid=g, params=params,
                          values=rng.uniform(-1.0, 1.0, (401, 41, 41)), kind="control")
     cfg = ef.SimConfig(n_paths=1, n_steps=n_steps, seed=3)
-    path = ef.simulate_path(ctrl, params, cfg, ef.common_noise_batch(cfg, params))
+    path = ef.simulate_path(ctrl, params, cfg, ef.common_noise_batch(cfg, params),
+                            fee=0.0)
     v, S, Q = path.v[:, 0], path.S[:, 0], path.Q[:, 0]
     on_grid = [k for k in range(n_steps) if k * 400 % n_steps == 0]
     assert len(on_grid) == min(n_steps, 400)
@@ -166,11 +167,13 @@ def test_lookup_keeps_the_signed_zeros_of_truncation():
 # path mechanics
 
 def test_idle_path_grows_at_riskfree_rate():
+    # at the default start, x0 = q0*s0, the cash is the fee alone
     p = ef.MarketParams(r=0.05, sigma=0.0, b=0.0)
     g = ef.GridSpec(I=4, J=4, n_steps=8)
-    cfg = ef.SimConfig(n_paths=1, n_steps=8, seed=0, x0=10.0)
-    path = ef.simulate_path(zero_control(p, g, 9), p, cfg, np.zeros((1, 8)))
+    cfg = ef.SimConfig(n_paths=1, n_steps=8, seed=0)
+    path = ef.simulate_path(zero_control(p, g, 9), p, cfg, np.zeros((1, 8)), fee=10.0)
     dt = p.T / 8
+    assert path.X[0, 0] == 10.0
     assert np.all(path.S == cfg.s0)
     assert np.all(path.Q == cfg.q0)
     assert path.X[-1, 0] == pytest.approx(10.0 * (1 + p.r * dt) ** 8, rel=1e-14)
@@ -179,7 +182,7 @@ def test_idle_path_grows_at_riskfree_rate():
 def test_wealth_identity_zero_rate(params, controls):
     cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=4)
     dw = ef.common_noise_batch(cfg, params, count=1)
-    path = ef.simulate_path(controls["linear_cash"], params, cfg, dw)
+    path = ef.simulate_path(controls["linear_cash"], params, cfg, dw, fee=0.0)
     v, S, X = path.v[:, 0], path.S[:, 0], path.X[:, 0]
     dt = params.T / cfg.n_steps
     spend = np.sum(v * (S[:-1] + params.l * v) * dt)
@@ -189,7 +192,7 @@ def test_wealth_identity_zero_rate(params, controls):
 def test_inventory_increments_bounded(params, controls):
     cfg = ef.SimConfig(n_paths=1, n_steps=1000, seed=5)
     dw = ef.common_noise_batch(cfg, params, count=1)
-    path = ef.simulate_path(controls["linear_physical"], params, cfg, dw)
+    path = ef.simulate_path(controls["linear_physical"], params, cfg, dw, fee=0.0)
     dq = np.diff(path.Q[:, 0])
     dt = params.T / cfg.n_steps
     assert np.abs(dq).max() <= params.C * dt + 1e-12
@@ -200,7 +203,7 @@ def test_running_average_left_rule(params, controls):
     cfg = ef.SimConfig(n_paths=1, n_steps=100, seed=6)
     dw = ef.common_noise_batch(cfg, ef.MarketParams(), count=1)[:, :100]
     path = ef.simulate_path(zero_control(params, ef.GridSpec(I=4, J=4, n_steps=100), 101),
-                            params, cfg, dw)
+                            params, cfg, dw, fee=0.0)
     A, S = path.A[:, 0], path.S[:, 0]
     assert A[0] == S[0]
     k = 40
@@ -215,8 +218,10 @@ def test_s_free_inventory_paths_equal_the_zero_noise_path(params, fam):
     surface = ef.solve_fee_surface(ef.make_contract(fam, params), params, g)
     control = ef.extract_control(surface, params, out=surface.values)
     cfg = ef.SimConfig(n_paths=50, n_steps=400, seed=23)
-    noisy = ef.simulate_path(control, params, cfg, ef.common_noise_batch(cfg, params))
-    quiet = ef.simulate_path(control, params, cfg, np.zeros((1, cfg.n_steps)))
+    fee = surface.value_at(0.0, cfg.s0, cfg.q0)
+    noisy = ef.simulate_path(control, params, cfg, ef.common_noise_batch(cfg, params),
+                             fee=fee)
+    quiet = ef.simulate_path(control, params, cfg, np.zeros((1, cfg.n_steps)), fee=fee)
     assert not np.array_equal(noisy.S[:, :1], quiet.S)
     for got, want in ((noisy.Q, quiet.Q), (noisy.v, quiet.v)):
         assert np.array_equal(got.view(np.uint64),
@@ -244,7 +249,7 @@ def test_out_of_grid_detection(params, grid):
     ctrl.values[:] = params.C   # buy at full speed: leaves q_max quickly
     cfg = ef.SimConfig(n_paths=2, n_steps=1000, seed=1)
     with pytest.raises(OutOfGrid):
-        ef.simulate_path(ctrl, params, cfg, np.zeros((1, 1000)))
+        ef.simulate_path(ctrl, params, cfg, np.zeros((1, 1000)), fee=0.0)
 
 
 @pytest.mark.parametrize("record, rows", [
@@ -266,7 +271,8 @@ def test_one_clamp_count_in_both_modes(params, record, rows):
         dW = np.zeros((1, 100))
         if out_from is not None:
             dW[0, out_from] = jump
-        return _euler_batch(control, params, [(s0, q0, 0.0)], dW, record=record)
+        cfg = ef.SimConfig(n_paths=1, n_steps=100, s0=s0, q0=q0)
+        return _euler_batch(control, params, cfg, [0.0], dW, record=record)
 
     run(45.0, out_from=98)   # the lookup of step 99 alone is outside
     with pytest.raises(OutOfGrid, match=r"^2\.00% of simulated steps"):
@@ -283,20 +289,25 @@ def test_one_clamp_count_in_both_modes(params, record, rows):
 @pytest.mark.parametrize("record", [False, True])
 def test_s_free_member_leaving_the_price_hull_is_out_of_grid(params, record):
     # a one-row control reads no price, yet its states keep the price hull:
-    # the jump after the first lookup takes the member started at 45 beyond
-    # s_max and the one started at 30 not; the error names the one that left
+    # beside an idle member, a buyer at C in its first step ends that step
+    # b*C*dt = 1e-4 above the idle one's price; a jump to 0.5e-4 below s_max
+    # keeps the idle member inside and takes the buyer beyond it for its 99
+    # later lookups, and the error names the buyer
     g = ef.GridSpec(I=4, J=4, n_steps=100)
-    specs = [ef.make_contract(fam) for fam in ("linear_physical", "linear_cash")]
-    stack = [ef.extract_control(surface, params)
-             for surface in solve_fee_surfaces(specs, params, g, every_layer=True)]
-    assert [control.values.shape for control in stack] == [(101, 1, 5)] * 2
-    starts = [(30.0, 0.5, 0.0), (45.0, 0.5, 0.0)]
+    cfg = ef.SimConfig(n_paths=1, n_steps=100)
+    assert params.mu == 0.0 and params.b * params.C * params.T / 100 == pytest.approx(1e-4)
+    idle = ef.FeeSurface(grid=g, params=params, values=np.zeros((101, 1, 5)),
+                         kind="control", contract=ef.make_contract("linear_physical"))
+    buyer = dataclasses.replace(idle, values=np.zeros((101, 1, 5)),
+                                contract=ef.make_contract("linear_cash"))
+    buyer.values[0] = params.C
     dW = np.zeros((1, 100))
-    _euler_batch(stack, params, starts, dW, record=record)
-    dW[0, 0] = (g.s_max + 1.0 - 45.0) / params.sigma
+    _euler_batch([idle, buyer], params, cfg, [0.0, 0.0], dW, record=record)
+    dW[0, 0] = (g.s_max - 0.5e-4 - cfg.s0) / params.sigma
+    _euler_batch([idle], params, cfg, [0.0], dW, record=record)
     with pytest.raises(OutOfGrid, match=r"^99\.00% of simulated steps.*"
                                         r"\(linear_cash\)$"):
-        _euler_batch(stack, params, starts, dW, record=record)
+        _euler_batch([idle, buyer], params, cfg, [0.0, 0.0], dW, record=record)
 
 
 def test_clamp_budget_is_per_path(params):
@@ -308,10 +319,10 @@ def test_clamp_budget_is_per_path(params):
     dw[17, 0] = 2.0 * (g.s_max - cfg.s0) / params.sigma
     ctrl = zero_control(params, g, 101)
     with pytest.raises(OutOfGrid):
-        ef.simulate_path(ctrl, params, cfg, dw)
+        ef.simulate_path(ctrl, params, cfg, dw, fee=0.0)
     with pytest.raises(OutOfGrid):
-        ef.simulate_path(ctrl, params, cfg, dw[17:18])
-    path = ef.simulate_path(ctrl, params, cfg, np.delete(dw, 17, axis=0))
+        ef.simulate_path(ctrl, params, cfg, dw[17:18], fee=0.0)
+    path = ef.simulate_path(ctrl, params, cfg, np.delete(dw, 17, axis=0), fee=0.0)
     assert path.S.shape == (101, 199) and path.v.shape == (100, 199)
 
 
@@ -404,6 +415,23 @@ def test_metric_single_path_has_no_stderr(params, surfaces, controls):
     assert est.arbitrage is False
 
 
+@pytest.mark.parametrize("fam", ["collar_cash", "linear_cash"])
+def test_metric_and_trajectory_paths_start_alike(params, surfaces, controls, fam):
+    # a one-path estimate is, bit for bit, Y - x0 of the trajectory of the
+    # same increment row: both entries start the cash at x0 - q0*s0 + fee;
+    # without a fee, as perfbench's probe calls it, the cash starts at x0 - q0*s0
+    cfg = ef.SimConfig(n_paths=1, seed=2)
+    spec = ef.make_contract(fam)
+    fee = surfaces[fam].value_at(0.0, cfg.s0, cfg.q0)
+    [est] = ef.expected_payoff_metric(params, cfg, [(spec, controls[fam], fee)])
+    dW = ef.common_noise_batch(cfg, params)
+    path = ef.simulate_path(controls[fam], params, cfg, dW, fee=fee)
+    terminal = (path.S[-1], path.Q[-1], path.X[-1], path.A[-1])
+    assert est.estimate == float(ef.realized_payoff(terminal, spec, params)[0]) - cfg.x0
+    assert ef.simulate_path(controls[fam], params, cfg, dW).X[0, 0] \
+        == cfg.x0 - cfg.q0 * cfg.s0
+
+
 # At r = 0 the linear and TWAP controls do not read the price, whatever the
 # drift mu, so every path trades as the zero-noise path does, and its payoff
 # differs from that path's by the hedge integral
@@ -422,11 +450,10 @@ def test_payoff_is_the_zero_noise_payoff_plus_the_hedge_integral(fam, mu):
     surface = ef.solve_fee_surface(spec, params, grid)
     fee = surface.value_at(0.0, cfg.s0, cfg.q0)
     control = ef.extract_control(surface, params, out=surface.values)
-    start = dataclasses.replace(cfg, x0=cfg.x0 - cfg.q0 * cfg.s0 + fee)
 
     def gains(dW):
         """Y - x0 on each path of the increments dW, and the paths."""
-        path = ef.simulate_path(control, params, start, dW)
+        path = ef.simulate_path(control, params, cfg, dW, fee=fee)
         terminal = (path.S[-1], path.Q[-1], path.X[-1], path.A[-1])
         return ef.realized_payoff(terminal, spec, params) - cfg.x0, path
 
@@ -518,7 +545,7 @@ def test_metric_on_a_three_node_grid_equals_one_contract_calls(params):
     for in_place in (False, True) for n_steps in (100, 150)])
 def test_stacked_euler_equals_reference_step_bitwise(params, n_steps, in_place):
     # each member of a stack ends bit for bit where the step's formulas,
-    # applied to it alone, take it; each member starts from its own wealth.
+    # applied to it alone, take it; each member starts from its own fee.
     # Written over its fee surface, as statarb writes it, an S-free control
     # is a one-row view of a 3-row buffer, each member a buffer of its own
     g = ef.GridSpec(I=10, J=10, n_steps=100)
@@ -535,9 +562,10 @@ def test_stacked_euler_equals_reference_step_bitwise(params, n_steps, in_place):
         stacks.setdefault(surface.grid, []).append(control)
     assert sorted(len(stack) for stack in stacks.values()) == [2, 4]
     for stack in stacks.values():
-        starts = [(cfg.s0, cfg.q0, cfg.x0 + 0.1 * m) for m in range(len(stack))]
-        terminal = _euler_batch(stack, params, starts, dW)[0]
-        for m, (control, start) in enumerate(zip(stack, starts)):
+        fees = [0.1 * m for m in range(len(stack))]
+        terminal = _euler_batch(stack, params, cfg, fees, dW)[0]
+        for m, (control, fee) in enumerate(zip(stack, fees)):
+            start = (cfg.s0, cfg.q0, cfg.x0 - cfg.q0 * cfg.s0 + fee)
             expected = reference_euler_terminal(control, params, start, dW)
             for got, want in zip(terminal, expected):
                 assert np.array_equal(got[m].view(np.uint64), want.view(np.uint64))
@@ -563,9 +591,9 @@ def test_one_row_stack_looks_up_one_inventory_per_member(params, monkeypatch):
     controls = [ef.extract_control(surface, params)
                 for surface in solve_fee_surfaces(specs, params, g, every_layer=True)]
     assert [control.values.shape[1] for control in controls] == [1, 1, 11]
-    start = (cfg.s0, cfg.q0, cfg.x0)
-    Q = _euler_batch(controls[:2], params, [start] * 2, dW)[0][1]
-    _euler_batch(controls[2:], params, [start], dW)
+    start = (cfg.s0, cfg.q0, cfg.x0 - cfg.q0 * cfg.s0)
+    Q = _euler_batch(controls[:2], params, cfg, [0.0] * 2, dW)[0][1]
+    _euler_batch(controls[2:], params, cfg, [0.0], dW)
     assert built == [(2, (2, 1)), (1, (1, 50))]
     assert Q.shape == (2, 50)
     for control, got in zip(controls, Q):
