@@ -124,9 +124,9 @@ def run_statarb(config: ExperimentConfig, memo=None):
     """Expected-payoff estimates for every configured contract; fees go to memo.
 
     Every contract is solved first, one stacked sweep per grid, and its
-    control written over its own fee surface, so no surface outlives its
-    solve; one Monte-Carlo pass then steps all controls on each path's
-    noise, drawn once.
+    control written over its own fee surface, a one-row control into a row
+    of its own; each surface is dropped once its control exists, and one
+    Monte-Carlo pass steps all controls on each path's noise, drawn once.
     """
     if config.sim.zero_noise:
         raise ConfigError("sim.zero_noise: the statarb table estimates over "
@@ -139,9 +139,13 @@ def run_statarb(config: ExperimentConfig, memo=None):
     memo = {} if memo is None else memo
     surfaces = _solve_fees(config.contracts, config, config.params, memo,
                            every_layer=True)
-    solved = [(contract, extract_control(surface, config.params, out=surface.values),
-               memo[contract, config.params])
-              for contract, surface in zip(config.contracts, surfaces)]
+    solved = []
+    for contract in config.contracts:
+        # each surface is dropped once its fee is read and its control exists
+        surface = surfaces.pop(0)
+        control = extract_control(surface, config.params, out=surface.values)
+        solved.append((contract, control, memo[contract, config.params]))
+    del surface
     estimates = expected_payoff_metric(config.params, config.sim, solved)
     return [{"family": contract.family.value, "fee": fee,
              "estimate": est.estimate,
@@ -157,7 +161,8 @@ def run_paths(config: ExperimentConfig, write):
     configured) through `write(name, header, lines)`; the files of one sweep
     value share their Brownian increments, so trajectory differences isolate
     the contract.  Each contract's control is written over its own fee
-    surface and stepped once over all paths; the comparison file reads path 0.
+    surface, which is dropped before the control is stepped once over all
+    paths; the comparison file reads path 0.
     """
     cfg = config.sim
     if cfg.n_paths * cfg.n_steps > 2_000_000:
@@ -180,14 +185,15 @@ def run_paths(config: ExperimentConfig, write):
             surface = solve_fee_surface(contract, params, config.grid)
             fee = surface.value_at(0.0, cfg.s0, cfg.q0)
             control = extract_control(surface, params, out=surface.values)
+            del surface   # the Euler pass runs without a 3-row surface
             path = simulate_path(control, params, cfg, increments, fee=fee)
             times = _text(path.times)
             shared[contract.family.value] = [_text(path.S[:, 0]), _text(path.Q[:, 0]),
                                              _text(path.v[:, 0], 0.0)]
             write(f"paths_{contract.family.value}{tag}.csv",
                   ["path", "t", "S", "Q", "X", "v", "A"], _path_lines(path, times))
-            # the next contract's solve runs without this one's surface
-            del surface, control, path
+            # the next contract's solve runs without this one's control
+            del control, path
         fams = sorted(shared)
         header = ["t"] + [f"{c}_{f}" for f in fams for c in ("S", "Q", "v")]
         columns = [times] + [col for f in fams for col in shared[f]]

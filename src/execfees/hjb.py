@@ -626,7 +626,8 @@ def extract_control(surface: FeeSurface, params: MarketParams,
     of layers is read in full before its control overwrites it, and no other
     layer is read.  A price-affine contract (see _price_affine) solved on its
     3-node price axis has a control constant in S, and keeps row 1 of it, the
-    middle node's: a view of shape (n_layers, 1, J+1).
+    middle node's, as an array of its own of shape (n_layers, 1, J+1): it
+    shares no memory with `out`, so the surface can be released.
     """
     g = surface.grid
     ds, dq, b = g.ds, g.dq, params.b
@@ -659,5 +660,5 @@ def extract_control(surface: FeeSurface, params: MarketParams,
         np.maximum(v[:, :, 0], 0.0, out=v[:, :, 0])
         np.minimum(v[:, :, -1], 0.0, out=v[:, :, -1])
     if g.I == 2 and _price_affine(surface.contract, params):
-        out = out[:, 1:2]
+        out = out[:, 1:2].copy()
     return replace(surface, values=out, kind="control")

@@ -7,16 +7,17 @@ so any subset of paths is reproducible independently.
 
 One Euler kernel steps a stack of contracts whose controls share a grid and
 a shape: the expected-payoff metric steps each such group as one stack,
-reading each step's noise once, and a trajectory run is a stack of one.  A
-control of one price row (a price-affine contract's, see
-hjb.extract_control) reads no price: it is looked up in inventory alone,
-and its inventory, the same on every path, is stepped once.  Every path
-starts at price s0, inventory q0 and cash x0 - q0*s0 + fee: sim.x0 is the
-broker's wealth before the contract, and the fee, set by indifference, is
-held as cash from t = 0.  Each member's states are bit for bit those of a
-stack of its own.  Both count the hull clamps the lookup marks at every
-step: the budget holds per member in the metric and per path in a
-trajectory run, and its OutOfGrid names the member's contract.
+reading each step's noise once, one noise block at a time, and a trajectory
+run is a stack of one.  A control of one price row (a price-affine
+contract's, see hjb.extract_control) reads no price: it is looked up in
+inventory alone, and its inventory, the same on every path, is stepped
+once.  Every path starts at price s0, inventory q0 and cash
+x0 - q0*s0 + fee: sim.x0 is the broker's wealth before the contract, and
+the fee, set by indifference, is held as cash from t = 0.  Each member's
+states are bit for bit those of a stack of its own.  Both count the hull
+clamps the lookup marks at every step: the budget holds per member in the
+metric and per path in a trajectory run, and its OutOfGrid names the
+member's contract.
 """
 from __future__ import annotations
 
@@ -208,15 +209,17 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
     contract, in order.  Each noise chunk is drawn once and every contract is
     stepped on it (common random numbers): the contracts whose controls share
     grid, layers and price rows as one stack, in the order of their first
-    contract.  Paths start as simulate_path's do, x0 being the broker's
-    wealth before the contract and the fee held as cash from t=0.  Each
-    contract keeps its own accumulators and hull-clamp budget per chunk, so
-    each estimate equals the one a single-contract call gives.  A positive
-    estimate beyond two standard errors flags a statistical arbitrage.  The
-    same paths give the certainty equivalent CE = -log(mean w)/gamma with
-    w = exp(-gamma*(Y - x0)), which the indifference fee sets to 0, and
-    se(CE) = sd(w)/(sqrt(n)*gamma*mean w).  Paths are accumulated chunk by
-    chunk in a fixed order, so the estimates do not depend on scheduling.
+    contract.  A chunk's block is released before the next is drawn, so one
+    block is held at a time.  Paths start as simulate_path's do, x0 being
+    the broker's wealth before the contract and the fee held as cash from
+    t=0.  Each contract keeps its own accumulators and hull-clamp budget per
+    chunk, so each estimate equals the one a single-contract call gives.  A
+    positive estimate beyond two standard errors flags a statistical
+    arbitrage.  The same paths give the certainty equivalent
+    CE = -log(mean w)/gamma with w = exp(-gamma*(Y - x0)), which the
+    indifference fee sets to 0, and se(CE) = sd(w)/(sqrt(n)*gamma*mean w).
+    Paths are accumulated chunk by chunk in a fixed order, so the estimates
+    do not depend on scheduling.
     """
     contracts = list(contracts)
     g = params.gamma
@@ -244,6 +247,7 @@ def expected_payoff_metric(params: MarketParams, cfg: SimConfig,
                 acc[2] += float(w.sum())
                 acc[3] += float((w * w).sum())
             del terminal, Y, w   # the next stack steps without this one's states
+        del dW   # the next chunk is drawn without this one's block
         done += m
     for (spec, _, _), acc in zip(contracts, totals):
         if not np.isfinite(acc).all():

@@ -7,16 +7,18 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from execfees import cli, hjb
 from execfees.cli import main
-from execfees.config import ExperimentConfig, load_config
+from execfees.config import (BASELINE_CONTRACTS, TWAP_CONTRACTS, ExperimentConfig,
+                             load_config)
 from execfees.contracts import ContractSpec, Family, terminal_fee
 from execfees.errors import NonFinite
-from execfees.simulate import SimConfig, common_noise_batch, simulate_path
+from execfees.simulate import _CHUNK, SimConfig, common_noise_batch, simulate_path
 
 from conftest import MEMORY_GRID, ONE_SURFACE, exact_premium_and_ce, traced_memory
 
@@ -690,6 +692,32 @@ def test_paths_writes_the_control_over_its_fee_surface(tmp_path):
         assert peak < 1.5 * ONE_SURFACE, (families, peak / ONE_SURFACE)
 
 
+def test_statarb_holds_one_noise_block_and_one_row_controls(monkeypatch):
+    # two noise chunks, six families: the Monte Carlo starts holding the two
+    # collar controls and four one-row controls that own their rows, no 3-row
+    # surface, and a chunk's block is released before the next is drawn
+    config = ExperimentConfig(grid=MEMORY_GRID, contracts=BASELINE_CONTRACTS + TWAP_CONTRACTS,
+                              sim=SimConfig(n_paths=2 * _CHUNK, n_steps=400))
+    held = []   # bytes traced when run_statarb starts and when its Monte Carlo does
+    metric = cli.expected_payoff_metric
+
+    def recorded(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return metric(*args)
+
+    def run():
+        held.append(tracemalloc.get_traced_memory()[0])
+        return cli.run_statarb(config)
+
+    monkeypatch.setattr(cli, "expected_payoff_metric", recorded)
+    _, _, peak = traced_memory(run)
+    one_row = ONE_SURFACE // (MEMORY_GRID.I + 1)
+    block = 8 * _CHUNK * config.sim.n_steps
+    assert held[1] - held[0] < 2 * ONE_SURFACE + 6 * one_row, \
+        (held[1] - held[0] - 2 * ONE_SURFACE) / one_row
+    assert peak < 3 * ONE_SURFACE + block, (peak - block) / ONE_SURFACE
+
+
 def _terminal_payoffs(path, spec, config):
     """Y(T) = X + Q*S - terminal_fee of every path of a trajectory CSV."""
     _, _, rows = _read_csv(path)
@@ -887,15 +915,21 @@ def _cells_equal(ours: str, pinned: str) -> bool:
 def test_outputs_equal_their_pinned_copies(tmp_path):
     # reproduce-all on the REPRODUCE config writes every table; paths on the
     # same grid, with 2 paths, writes the comparison file and, whole, the
-    # trajectories of the collar_cash contract
+    # trajectories of the collar_cash contract; statarb on six families and
+    # 9000 paths steps two noise chunks.  files maps each written file to
+    # its pinned copy
     assert (PINNED / "reproduce.yaml").read_text() == REPRODUCE
+    assert load_config(str(PINNED / "statarb_two_chunk.yaml")).sim.n_paths > _CHUNK
     for command, config, files in (
-            ("reproduce-all", "reproduce.yaml", [*PARTS]),
-            ("paths", "paths.yaml", ["paths_comparison.csv", "paths_collar_cash.csv"])):
+            ("reproduce-all", "reproduce.yaml", {name: name for name in PARTS}),
+            ("paths", "paths.yaml", {name: name for name in
+                                     ("paths_comparison.csv", "paths_collar_cash.csv")}),
+            ("statarb", "statarb_two_chunk.yaml", {"statarb.csv": "statarb_two_chunk.csv"})):
         out = tmp_path / command
         assert main([command, "--config", str(PINNED / config), "--out", str(out)]) == 0
-        for name in files:
-            ours, pinned = ((d / name).read_text().split("\n") for d in (out, PINNED))
+        for name, pinned_name in files.items():
+            ours, pinned = ((out / name).read_text().split("\n"),
+                            (PINNED / pinned_name).read_text().split("\n"))
             # the config hash and the header, then the data rows
             assert ours[:2] == pinned[:2] and len(ours) == len(pinned), name
             for k, (row, pinned_row) in enumerate(zip(ours[2:], pinned[2:]), start=3):

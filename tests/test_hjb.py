@@ -378,9 +378,10 @@ def test_control_written_over_its_surface_equals_fresh_control(params, fam):
     in_place = ef.extract_control(surface, params, out=surface.values)
     if fam == "collar_cash":
         assert in_place.values is values
-    else:   # an S-free control takes the middle price row of the buffer
+    else:   # an S-free control owns a copy of the buffer's middle price row
         assert fresh.values.shape == (g.n_steps + 1, 1, g.J + 1)
-        assert np.shares_memory(in_place.values, values)
+        assert not np.shares_memory(in_place.values, values)
+        assert in_place.values.flags.c_contiguous
         assert np.array_equal(values[:, 1:2], fresh.values)
     assert np.array_equal(in_place.values, fresh.values)
     assert in_place.grid == fresh.grid
@@ -423,7 +424,9 @@ def test_blocked_control_written_over_its_surface_equals_reference(params):
     expected = reference_extract_control(surface, params)[:, 1:2]
     values = surface.values
     control = ef.extract_control(surface, params, out=surface.values)
-    assert np.shares_memory(control.values, values)
+    # the middle row is written over the buffer, and the control owns a copy
+    assert not np.shares_memory(control.values, values)
+    assert control.values.flags.c_contiguous
     assert np.array_equal(_bits(values[:, 1:2]), _bits(expected))
     assert np.array_equal(_bits(control.values), _bits(expected))
 
