@@ -4,6 +4,8 @@ Subcommands: fees, paths, statarb, regulatory, twap, sweep, reproduce-all.
 Outputs are plain CSV/JSON written by `main` (temp file + rename), which removes
 them all if the command fails; every file embeds the hash of the fully-resolved
 config, so re-running an identical config reproduces byte-identical artifacts.
+Only reproduce-all may use a second process: on two CPUs it forks one worker
+for the tables that do not read the statarb Monte Carlo (see _reproduce_all).
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from .config import (BASELINE_CONTRACTS, TWAP_CONTRACTS, ExperimentConfig,
                      SweepSpec, load_config, sha256_of)
 from .contracts import ContractSpec, Family
 from .errors import ConfigError, ExecFeesError
+from .forked import run_beside
 from .hjb import (RegulatorySpec, extract_control, solve_fee_surface,
                   solve_fee_surfaces, solve_regulatory)
 from .simulate import (SimPath, common_noise_batch, expected_payoff_metric,
@@ -120,14 +123,8 @@ def run_twap(config: ExperimentConfig, memo=None):
     return _fee_rows(TWAP_CONTRACTS, config, memo)
 
 
-def run_statarb(config: ExperimentConfig, memo=None):
-    """Expected-payoff estimates for every configured contract; fees go to memo.
-
-    Every contract is solved first, one stacked sweep per grid, and its
-    control written over its own fee surface, a one-row control into a row
-    of its own; each surface is dropped once its control exists, and one
-    Monte-Carlo pass steps all controls on each path's noise, drawn once.
-    """
+def _check_statarb(config: ExperimentConfig) -> None:
+    """Refuse a statarb table whose estimate is not the one the table reports."""
     if config.sim.zero_noise:
         raise ConfigError("sim.zero_noise: the statarb table estimates over "
                           "noisy paths; zero_noise applies to the paths "
@@ -136,6 +133,17 @@ def run_statarb(config: ExperimentConfig, memo=None):
         # E[Y] - x0 at r != 0 counts the interest on the fee's cash as profit
         raise ConfigError(f"params.r: the statarb table compares E[Y] with x0, "
                           f"which is derived for r = 0, got {config.params.r!r}")
+
+
+def run_statarb(config: ExperimentConfig, memo=None):
+    """Expected-payoff estimates for every configured contract; fees go to memo.
+
+    Every contract is solved first, one stacked sweep per grid, and its
+    control written over its own fee surface, a one-row control into a row
+    of its own; each surface is dropped once its control exists, and one
+    Monte-Carlo pass steps all controls on each path's noise, drawn once.
+    """
+    _check_statarb(config)
     memo = {} if memo is None else memo
     surfaces = _solve_fees(config.contracts, config, config.params, memo,
                            every_layer=True)
@@ -253,13 +261,24 @@ def _reproduce_all(config: ExperimentConfig) -> dict:
     """Every table as one plan: {artifact: (table command, rows)}, in manifest order.
 
     Building the plan builds, and so checks, every table's sub-config before
-    the first solve.  Each sub-config replaces only the contracts, sweep,
-    params or regulatory section of the one config, so the run's grid and
-    (s0, q0) are fixed and one fee memo serves it: each distinct (contract,
-    params) is solved once, the statarb solves first.
+    the first solve, the statarb refusals included.  Each sub-config replaces
+    only the contracts, sweep, params or regulatory section of the one
+    config, so the run's grid and (s0, q0) are fixed and one fee memo serves
+    it: each distinct (contract, params) is solved once, the statarb solves
+    first.
+
+    No other table reads the statarb Monte Carlo.  So a worker forked by
+    run_beside runs them while statarb runs here: it solves each of their
+    fees that statarb does not solve, and the regulatory tables, and sends
+    those fees and the regulatory rows; statarb's surfaces and Monte Carlo
+    stay in this process.  Without a worker the other tables run here after
+    statarb.  Either way every fee row is then built from this memo.
     """
     memo = {}
     base = dataclasses.replace(config, contracts=BASELINE_CONTRACTS)
+    statarb_config = dataclasses.replace(
+        base, contracts=BASELINE_CONTRACTS + TWAP_CONTRACTS)
+    _check_statarb(statarb_config)
 
     def sweep(param, values, contracts=BASELINE_CONTRACTS):
         return "sweep", partial(run_sweep, dataclasses.replace(
@@ -280,11 +299,23 @@ def _reproduce_all(config: ExperimentConfig) -> dict:
                                              (ContractSpec(Family.LINEAR_CASH),)),
         **{f"regulatory_sigma{sig:g}.csv": regulatory(sig) for sig in (1.0, 5.0)},
         "twap_fees.csv": ("twap", partial(run_twap, base, memo)),
-        "statarb.csv": ("statarb", partial(run_statarb, dataclasses.replace(
-            base, contracts=BASELINE_CONTRACTS + TWAP_CONTRACTS), memo)),
+        "statarb.csv": ("statarb", partial(run_statarb, statarb_config, memo)),
     }
-    statarb = plan["statarb.csv"][1]()   # its solves fill the memo
-    return {name: (command, statarb if command == "statarb" else run())
+
+    def worker():
+        # statarb's own fees are None in the worker's memo: they are not solved there
+        own = {(spec, statarb_config.params) for spec in statarb_config.contracts}
+        memo.update(dict.fromkeys(own))
+        rows = {name: run() for name, (command, run) in plan.items()
+                if command != "statarb"}
+        return ({key: fee for key, fee in memo.items() if key not in own},
+                {name: rows[name] for name in rows if plan[name][0] == "regulatory"})
+
+    statarb, sent = run_beside(worker, plan["statarb.csv"][1])
+    fees, done = sent or ({}, {})
+    memo.update(fees)
+    return {name: (command, statarb if command == "statarb"
+                   else done[name] if name in done else run())
             for name, (command, run) in plan.items()}
 
 

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -7,7 +8,9 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -599,13 +602,27 @@ def test_contracts_of_one_family_exit_nonzero(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _record_solves_and_forks(monkeypatch):
+    """Lists that record each solve call and each fork of the command; a
+    recorded fork fails, so the command runs on in this process, where its
+    solves are recorded too."""
+    solves, forks = [], []
+    monkeypatch.setattr(cli, "solve_fee_surfaces",
+                        lambda *args, **kw: solves.append(args))
+
+    def fork():
+        forks.append(True)
+        raise OSError("fork recorded")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return solves, forks
+
+
 @pytest.mark.parametrize("command", ["statarb", "reproduce-all"])
 def test_zero_noise_table_exits_nonzero(tmp_path, capsys, monkeypatch, command):
     # an expected payoff over noiseless paths is not the table's estimate:
     # zero_noise is refused before the first solve, not ignored
-    solves = []
-    monkeypatch.setattr(cli, "solve_fee_surfaces",
-                        lambda *args, **kw: solves.append(args))
+    solves, forks = _record_solves_and_forks(monkeypatch)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(COARSE_GRID + "contracts: [linear_cash]\n"
                    "sim: {n_paths: 500, n_steps: 200, seed: 3, zero_noise: true}\n")
@@ -613,7 +630,7 @@ def test_zero_noise_table_exits_nonzero(tmp_path, capsys, monkeypatch, command):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert re.match(r"execfees: error: sim\.zero_noise:", err.splitlines()[0]), err
-    assert solves == []
+    assert solves == [] and forks == []
     assert not out.exists()
 
 
@@ -621,9 +638,7 @@ def test_zero_noise_table_exits_nonzero(tmp_path, capsys, monkeypatch, command):
 def test_statarb_at_nonzero_rate_exits_nonzero(tmp_path, capsys, monkeypatch, command):
     # E[Y] - x0 at r != 0 holds the interest on the fee's cash: the table
     # would flag every contract, so r != 0 is refused before the first solve
-    solves = []
-    monkeypatch.setattr(cli, "solve_fee_surfaces",
-                        lambda *args, **kw: solves.append(args))
+    solves, forks = _record_solves_and_forks(monkeypatch)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(COARSE_GRID + "contracts: [linear_cash]\nparams: {r: 0.01}\n"
                    "sim: {n_paths: 500, n_steps: 200, seed: 3}\n")
@@ -631,7 +646,7 @@ def test_statarb_at_nonzero_rate_exits_nonzero(tmp_path, capsys, monkeypatch, co
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert re.match(r"execfees: error: params\.r:", err.splitlines()[0]), err
-    assert solves == []
+    assert solves == [] and forks == []
     assert not out.exists()
 
 
@@ -806,28 +821,45 @@ def _lines(path):
     return path.read_text().split("\n")[1:]
 
 
+def _cpus(monkeypatch, n):
+    """reproduce-all sees n CPUs, whatever CPUs this process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def test_reproduce_all_solves_each_distinct_sweep_once(tmp_path, monkeypatch):
-    keys, calls = [], []
-    sweep = hjb._sweep
+    # a forked worker sweeps too, so each member sweep is one line of a file
+    # that both processes append to: its call (process id, call number), then
+    # its key (terminal layer digest, params, grid, n_hi, n_lo, schedule, sigma)
+    log = tmp_path / "sweeps.tsv"
+    sweep, numbers = hjb._sweep, itertools.count()
 
     def counting_sweep(P_terminals, n_hi, n_lo, params, grid, schedules=None,
                        ab=None, every_layer=False):
-        calls.append(len(P_terminals))
-        for P_T, schedule in zip(P_terminals, schedules or [0.0] * len(P_terminals)):
-            keys.append((P_T.tobytes(), params, grid, n_hi, n_lo, schedule))
+        call = f"{os.getpid()}-{next(numbers)}"
+        with open(log, "a") as fh:   # one write per call
+            fh.write("".join(
+                f"{call}\t{hashlib.sha256(P_T.tobytes()).hexdigest()}\t{params!r}\t"
+                f"{grid!r}\t{n_hi}\t{n_lo}\t{schedule!r}\t{params.sigma!r}\n"
+                for P_T, schedule in zip(P_terminals,
+                                         schedules or [0.0] * len(P_terminals))))
         return sweep(P_terminals, n_hi, n_lo, params, grid, schedules, ab, every_layer)
 
     monkeypatch.setattr(hjb, "_sweep", counting_sweep)
+    _cpus(monkeypatch, 2)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(REPRODUCE)
-    assert main(["reproduce-all", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert main(["reproduce-all", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = [line.split("\t") for line in log.read_text().splitlines()]
+    calls, keys = {line[0] for line in lines}, [tuple(line[1:]) for line in lines]
+    assert len({call.split("-")[0] for call in calls}) == 2   # this process and the worker
     repeated = [k[1:] for k, n in collections.Counter(keys).items() if n > 1]
     assert not repeated
     assert len(keys) == 34
     # the members that share params and grid are one stacked sweep
     assert len(calls) == 13
     # the post-decision branches end at tau (n_lo > 0): two per sigma, not 2 per p
-    branches = collections.Counter(k[1].sigma for k in keys if k[4] > 0)
+    branches = collections.Counter(float(k[6]) for k in keys if int(k[4]) > 0)
     assert branches == {1.0: 2, 5.0: 2}
 
 
@@ -859,6 +891,108 @@ def test_failed_reproduce_all_writes_nothing(tmp_path, capsys, monkeypatch):
     assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("execfees: error: twap:")
     assert not out.exists()
+
+
+def _failing_fork():
+    raise OSError("fork failed")
+
+
+# reproduce-all's three paths -> (CPUs it sees, whether fork fails): the
+# other tables in a forked worker, or here after statarb
+PATHS = {"forked": (2, False), "one_cpu": (1, False), "fork_fails": (2, True)}
+
+
+def test_reproduce_all_paths_write_the_same_bytes_and_warnings(tmp_path, monkeypatch):
+    written, warned = {}, {}
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(REPRODUCE)
+    for path, (cpus, fork_fails) in PATHS.items():
+        with monkeypatch.context() as mp:
+            _cpus(mp, cpus)
+            if fork_fails:
+                mp.setattr(os, "fork", _failing_fork)
+            out = tmp_path / path
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 0
+        written[path] = {p.name: p.read_bytes() for p in out.iterdir()}
+        warned[path] = [(w.category, str(w.message)) for w in seen]
+    assert sorted(written["forked"]) == sorted([*PARTS, "manifest.json"])
+    assert written["one_cpu"] == written["forked"] == written["fork_fails"]
+    assert any("collar strike" in text for _, text in warned["forked"])
+    assert warned["one_cpu"] == warned["forked"] == warned["fork_fails"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_statarb_reaps_the_running_worker(tmp_path, capsys, monkeypatch):
+    # the worker would sleep for a minute in its twap table: it is killed
+    def failing_run_statarb(config, memo=None):
+        raise NonFinite("statarb: surface became non-finite")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_statarb", failing_run_statarb)
+    monkeypatch.setattr(cli, "run_twap", lambda config, memo=None: time.sleep(60))
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
+    out = tmp_path / "o"
+    started = time.monotonic()
+    assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 1
+    assert time.monotonic() - started < 30
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "execfees: error: statarb: surface became non-finite")
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_worker_ending_without_its_tables_exits_with_error(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+
+    def dying_run_twap(config, memo=None):
+        assert os.getpid() != parent, "the twap table ran in the parent"
+        os._exit(3)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_twap", dying_run_twap)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
+    out = tmp_path / "o"
+    assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("execfees: error:") and "status 3" in err.splitlines()[0], err
+    assert "Traceback" not in err
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_reproduce_all_stderr_under_the_default_filters(tmp_path):
+    # in a subprocess, under the default warning filters: stderr is that of
+    # the one-CPU run, each collar strike warning shown once (by statarb's
+    # solve, the worker's collar solves raising it again)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    stderr = {}
+    for n in (1, 2):
+        run = (f"import os, sys; os.sched_getaffinity = lambda pid: set(range({n})); "
+               "from execfees.cli import main; sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", run, "reproduce-all", "--config",
+                               str(cfg), "--out", str(tmp_path / f"o{n}")],
+                              capture_output=True, env=env, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        stderr[n] = done.stderr
+    assert stderr[2] == stderr[1]
+    warned = re.findall(rb"^.+: RuntimeWarning: (.+)$", stderr[2], re.M)
+    assert warned == [b"collar strike K1=40.0 does not lie on a price node; terminal "
+                      b"kink lands between nodes",
+                      b"collar strike K2=50.0 does not lie on a price node; terminal "
+                      b"kink lands between nodes"], stderr[2]
 
 
 def test_manifest_digests_are_the_sha256_of_the_files(tmp_path):
