@@ -267,12 +267,12 @@ def _reproduce_all(config: ExperimentConfig) -> dict:
     it: each distinct (contract, params) is solved once, the statarb solves
     first.
 
-    No other table reads the statarb Monte Carlo.  So a worker forked by
-    run_beside runs them while statarb runs here: it solves each of their
-    fees that statarb does not solve, and the regulatory tables, and sends
-    those fees and the regulatory rows; statarb's surfaces and Monte Carlo
-    stay in this process.  Without a worker the other tables run here after
-    statarb.  Either way every fee row is then built from this memo.
+    No other table reads the statarb Monte Carlo.  So run_beside runs them
+    as one job beside statarb, in a forked worker or, without one, here
+    after statarb: the job solves each of their fees that statarb has not
+    solved, and the regulatory tables, and returns those fees and the
+    regulatory rows; statarb's surfaces and Monte Carlo stay in this
+    process.  Every fee row is then built from this memo.
     """
     memo = {}
     base = dataclasses.replace(config, contracts=BASELINE_CONTRACTS)
@@ -302,17 +302,16 @@ def _reproduce_all(config: ExperimentConfig) -> dict:
         "statarb.csv": ("statarb", partial(run_statarb, statarb_config, memo)),
     }
 
-    def worker():
-        # statarb's own fees are None in the worker's memo: they are not solved there
-        own = {(spec, statarb_config.params) for spec in statarb_config.contracts}
+    def others():
+        # statarb's fees a forked worker lacks are None there: it does not solve them
+        own = {(spec, config.params) for spec in statarb_config.contracts} - memo.keys()
         memo.update(dict.fromkeys(own))
         rows = {name: run() for name, (command, run) in plan.items()
                 if command != "statarb"}
         return ({key: fee for key, fee in memo.items() if key not in own},
                 {name: rows[name] for name in rows if plan[name][0] == "regulatory"})
 
-    statarb, sent = run_beside(worker, plan["statarb.csv"][1])
-    fees, done = sent or ({}, {})
+    statarb, (fees, done) = run_beside(others, plan["statarb.csv"][1])
     memo.update(fees)
     return {name: (command, statarb if command == "statarb"
                    else done[name] if name in done else run())
@@ -322,20 +321,23 @@ def _reproduce_all(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing / entry point
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # reported as every other invalid input is
+        raise ExecFeesError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="execfees",
         description="Indifference fees and hedging strategies for execution contracts")
     ap.add_argument("command", choices=[*TABLES, "paths", "reproduce-all"])
     ap.add_argument("--config", help="YAML experiment config (omit for baseline)")
-    ap.add_argument("--out", help=f"output directory (overrides ${OUT_ENV_VAR} "
-                                  "and the config)")
-    ap.add_argument("--seed", type=int, help="override the simulation seed")
+    ap.add_argument("--out", help=f"output directory (overrides ${OUT_ENV_VAR}, "
+                                  "default out)")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     code = 1
     written = []   # the files this command has written, removed if it fails
     # numpy's floating-point warnings stay off, as the NonFinite checks report
@@ -344,11 +346,9 @@ def main(argv=None) -> int:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
             warnings.catch_warnings(record=True) as caught:
         try:
+            args = _build_parser().parse_args(argv)
             config = load_config(args.config)
-            if args.seed is not None:
-                config = dataclasses.replace(
-                    config, sim=dataclasses.replace(config.sim, seed=args.seed))
-            out_dir = args.out or os.environ.get(OUT_ENV_VAR) or config.output_dir
+            out_dir = args.out or os.environ.get(OUT_ENV_VAR) or "out"
             cfg_hash = config.config_hash()
 
             def write(name: str, text: str) -> str:

@@ -61,7 +61,6 @@ class ExperimentConfig:
     regulatory: RegulatorySpec | None = None
     sim: SimConfig = SimConfig()
     sweep: SweepSpec | None = None
-    output_dir: str = "out"
 
     def __post_init__(self):
         g = self.grid
@@ -77,8 +76,6 @@ class ExperimentConfig:
             if contract.family in [c.family for c in self.contracts[:k]]:
                 raise ConfigError(f"contracts: {contract.family.value!r} is listed "
                                   "twice; the artifacts name a contract by its family")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir: expected a path, got {self.output_dir!r}")
         if self.regulatory is not None:
             self.regulatory.snapped_step(self.params, self.grid)
             if self.sweep is not None and self.sweep.param == "p":
@@ -158,7 +155,7 @@ _SECTION_TYPES = {"params": MarketParams, "grid": GridSpec, "sim": SimConfig,
 def config_from_dict(raw: dict | None) -> ExperimentConfig:
     """Map a config dict onto ExperimentConfig; a null section counts as omitted."""
     kw = {k: v for k, v in (raw or {}).items() if v is not None}
-    bad = set(kw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    bad = set(raw or {}) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if bad:
         raise ConfigError(f"config: unknown section(s) {sorted(map(str, bad))}")
     for name, cls in _SECTION_TYPES.items():

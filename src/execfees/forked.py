@@ -15,40 +15,46 @@ import warnings
 from .errors import ExecFeesError
 
 
+class WorkerTraceback(Exception):
+    """The worker's formatted traceback, raised as the cause of its exception."""
+
+
 def run_beside(job, here):
     """(here(), job()), job running in a forked worker while here() runs in
-    this process; (here(), None) without a worker, when this process may run
-    on one CPU only or cannot fork.
+    this process, or after here() when this process may run on one CPU only
+    or cannot fork.
 
-    The worker pickles job()'s result, or the exception it raised, and the
-    warnings it recorded through a pipe, and leaves by os._exit, so none of
-    this process's finally blocks, exit handlers or buffered output runs
-    twice.  Once here() is done its warnings are warned again here, in order
-    (_warn_again), and its exception is raised.  The worker is always reaped:
-    killed first when here() fails, and an ExecFeesError naming its exit
-    status when it ended without sending everything.
+    The worker pickles job()'s result, or the exception it raised and its
+    traceback, and the warnings it recorded through a pipe, and leaves by
+    os._exit, so none of this process's finally blocks, exit handlers or
+    buffered output runs twice.  Once here() is done its warnings are warned
+    again here, in order (_warn_again), and its exception is raised from its
+    WorkerTraceback.  The worker is always reaped: killed first when here()
+    fails, and an ExecFeesError naming its exit status when it ended without
+    sending everything.
     """
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return here(), None
+        return here(), job()
     read, write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read)
         os.close(write)
-        return here(), None
+        return here(), job()
     if pid == 0:   # the worker
         status = 1
         try:
             os.close(read)
             with warnings.catch_warnings(record=True) as caught:
                 try:
-                    result = job()
+                    result, trace = job(), None
                 except Exception as exc:   # sent, and raised by the parent
-                    result = exc
+                    import traceback   # only a failed job needs it
+                    result, trace = exc, "".join(traceback.format_exception(exc))
             with open(write, "wb") as pipe:
-                pickle.dump((result, [(w.message, w.filename, w.lineno) for w in caught]),
-                            pipe)
+                pickle.dump((result, trace,
+                             [(w.message, w.filename, w.lineno) for w in caught]), pipe)
             status = 0
         finally:
             os._exit(status)
@@ -66,10 +72,10 @@ def run_beside(job, here):
     if status != 0:
         raise ExecFeesError(f"the forked worker exited with status {status} "
                             "before sending its result")
-    result, records = pickle.loads(sent)
+    result, trace, records = pickle.loads(sent)
     _warn_again(records)
-    if isinstance(result, Exception):
-        raise result
+    if trace is not None:
+        raise result from WorkerTraceback(trace)
     return mine, result
 
 

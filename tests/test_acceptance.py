@@ -241,8 +241,7 @@ def test_criterion_8_reproduce_all_byte_identical(tmp_path):
     outs = []
     for d in ("run1", "run2"):
         out = tmp_path / d
-        assert main(["reproduce-all", "--config", str(cfg), "--out", str(out),
-                     "--seed", "12345"]) == 0
+        assert main(["reproduce-all", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())
     same = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()

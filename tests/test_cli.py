@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import traceback
 import tracemalloc
 import warnings
 
@@ -21,6 +22,7 @@ from execfees.config import (BASELINE_CONTRACTS, TWAP_CONTRACTS, ExperimentConfi
                              load_config)
 from execfees.contracts import ContractSpec, Family, terminal_fee
 from execfees.errors import NonFinite
+from execfees.forked import WorkerTraceback, run_beside
 from execfees.simulate import _CHUNK, SimConfig, common_noise_batch, simulate_path
 
 from conftest import MEMORY_GRID, ONE_SURFACE, exact_premium_and_ce, traced_memory
@@ -125,6 +127,46 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys, field):
 
 
 COARSE_GRID = "grid: {I: 20, J: 20, n_steps: 200}\n"
+
+
+def test_config_naming_an_output_directory_exits_nonzero(tmp_path, capsys, monkeypatch):
+    # the config is the experiment alone: --out, $EXECFEES_OUT or out names the directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EXECFEES_OUT", raising=False)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "contracts: [linear_cash]\noutput_dir: artifacts\n")
+    assert main(["fees", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        "execfees: error: config: unknown section(s) ['output_dir']"), err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["statarb", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["statarb", "--config"], "argument --config: expected one argument"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+], ids=["seed", "no_value", "command", "no_command"])
+def test_command_line_error_exits_nonzero(tmp_path, capsys, monkeypatch, argv, message):
+    # reported as every other invalid input is: exit 1, the error line first
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EXECFEES_OUT", raising=False)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"execfees: error: {message}"), err
+    assert "usage:" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: execfees") and "--seed" not in out
+
 
 # inputs whose numbers overflow: each exits cleanly, never with a traceback
 OVERFLOWS = {
@@ -926,6 +968,45 @@ def test_reproduce_all_paths_write_the_same_bytes_and_warnings(tmp_path, monkeyp
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_run_beside_returns_both_results_on_every_path(monkeypatch, path):
+    # job runs in a forked worker, or here after here() without one
+    cpus, fork_fails = PATHS[path]
+    _cpus(monkeypatch, cpus)
+    if fork_fails:
+        monkeypatch.setattr(os, "fork", _failing_fork)
+    parent, ran = os.getpid(), []
+
+    def run(name):
+        ran.append(name)
+        return name, os.getpid()
+
+    mine, theirs = run_beside(lambda: run("job"), lambda: run("here"))
+    assert mine == ("here", parent)
+    assert theirs[0] == "job" and (theirs[1] != parent) == (path == "forked")
+    assert ran == (["here"] if path == "forked" else ["here", "job"])
+    _no_child_left()
+
+
+def test_unexpected_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
+    def broken_run_twap(config, memo=None):
+        raise ValueError("twap: a fault in the table code")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "run_twap", broken_run_twap)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="a fault in the table code") as exc:
+        main(["reproduce-all", "--config", str(cfg), "--out", str(out)])
+    # the worker's frames arrive as the cause, as concurrent.futures sends them
+    assert isinstance(exc.value.__cause__, WorkerTraceback)
+    assert "broken_run_twap" in str(exc.value.__cause__)
+    assert "broken_run_twap" in "".join(traceback.format_exception(exc.value))
+    assert not out.exists()
+    _no_child_left()
 
 
 def test_failed_statarb_reaps_the_running_worker(tmp_path, capsys, monkeypatch):

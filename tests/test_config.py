@@ -55,14 +55,13 @@ def test_default_config_is_the_loaded_baseline():
     (lambda: dataclasses.replace(ExperimentConfig(), sim=ef.SimConfig(q0=3.0)),
      "sim.q0:"),
     (lambda: ExperimentConfig(contracts=()), "contracts:"),
-    (lambda: ExperimentConfig(output_dir=5), "output_dir:"),
     (lambda: SweepSpec("sigma", 5.0), "sweep.values:"),
     # two collars of one family would be two rows collar_cash of every table
     (lambda: ExperimentConfig(contracts=(ef.make_contract("collar_cash"),
                                          ef.make_contract("collar_cash", K1=30.0,
                                                           K2=60.0))),
      "contracts: 'collar_cash' is listed twice"),
-], ids=["s0", "q0", "contracts", "output_dir", "sweep_values", "one_family"])
+], ids=["s0", "q0", "contracts", "sweep_values", "one_family"])
 def test_configs_built_in_code_obey_the_loader_rules(build, field):
     with pytest.raises(ConfigError) as exc:
         build()
@@ -120,12 +119,10 @@ def test_sweep_accepts_regulatory_fields():
 
 def test_load_yaml_roundtrip(tmp_path):
     path = tmp_path / "exp.yaml"
-    path.write_text("params:\n  sigma: 6.5\ncontracts: [linear_cash]\n"
-                    "output_dir: artifacts\n")
+    path.write_text("params:\n  sigma: 6.5\ncontracts: [linear_cash]\n")
     cfg = ef.load_config(str(path))
     assert cfg.params.sigma == 6.5
     assert [c.family.value for c in cfg.contracts] == ["linear_cash"]
-    assert cfg.output_dir == "artifacts"
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
     assert ef.load_config(str(empty)).params.sigma == 5.0
@@ -137,7 +134,9 @@ def test_hash_is_stable_under_key_order():
 
 @pytest.mark.parametrize("raw, field", [
     ({"regulatory": {"p": 0.5}}, "regulatory: missing field(s) ['tau']"),
-    ({"output_dir": 5}, "output_dir:"),
+    # the output directory is no part of the experiment: --out names it
+    pytest.param({"output_dir": "out"}, "config: unknown section(s) ['output_dir']",
+                 id="output_dir"),
     ({"grid": {"s_min": "abc"}}, "grid.s_min:"),
     ({"sim": {"seed": -1}}, "sim.seed:"),
     ({"sim": {"zero_noise": "abc"}}, "sim.zero_noise:"),
@@ -152,6 +151,9 @@ def test_hash_is_stable_under_key_order():
     ({"regulatory": {"p": 0.5, "tau": 0.5004}}, "regulatory.tau:"),
     ({"regulatory": {"p": 0.5, "tau": 0.5}, "sweep": {"param": "p", "values": [1.5]}},
      "regulatory.p:"),
+    # an unknown section is refused even when null
+    pytest.param({"output_dir": None}, "config: unknown section(s) ['output_dir']",
+                 id="output_dir_null"),
 ])
 def test_config_rejects_malformed_values(raw, field):
     with pytest.raises(ConfigError) as exc:
@@ -189,7 +191,6 @@ _SECTIONS = {
     "sweep": st.none() | st.fixed_dictionaries(
         {"param": st.sampled_from(["sigma", "r", "N", "p", "tau"]),
          "values": st.lists(_REAL, max_size=3)}),
-    "output_dir": st.text(max_size=8),
 }
 
 
@@ -215,6 +216,5 @@ def test_config_round_trips_or_raises_config_error(raw):
     except ConfigError:
         return
     again = config_from_dict(cfg.canonical_dict())
-    # output_dir is where artifacts go, not part of the experiment
-    assert again == dataclasses.replace(cfg, output_dir=again.output_dir)
+    assert again == cfg
     assert again.config_hash() == cfg.config_hash()
