@@ -4,8 +4,8 @@ Subcommands: fees, paths, statarb, regulatory, twap, sweep, reproduce-all.
 Outputs are plain CSV/JSON written by `main` (temp file + rename), which removes
 them all if the command fails; every file embeds the hash of the fully-resolved
 config, so re-running an identical config reproduces byte-identical artifacts.
-Only reproduce-all may use a second process: on two CPUs it forks one worker
-for the tables that do not read the statarb Monte Carlo (see _reproduce_all).
+Only reproduce-all may use a second process: on two CPUs a forked worker shares
+the solves of the tables that do not read the statarb Monte Carlo (_reproduce_all).
 """
 from __future__ import annotations
 
@@ -265,30 +265,38 @@ def _reproduce_all(config: ExperimentConfig) -> dict:
     only the contracts, sweep, params or regulatory section of the one
     config, so the run's grid and (s0, q0) are fixed and one fee memo serves
     it: each distinct (contract, params) is solved once, the statarb solves
-    first.
-
-    No other table reads the statarb Monte Carlo.  So run_beside runs them
-    as one job beside statarb, in a forked worker or, without one, here
-    after statarb: the job solves each of their fees that statarb has not
-    solved, and the regulatory tables, and returns those fees and the
-    regulatory rows; statarb's surfaces and Monte Carlo stay in this
-    process.  Every fee row is then built from this memo.
+    first.  No other table reads the statarb Monte Carlo, so run_beside
+    shares their work beside statarb as tasks: each stacked solve of the
+    fees statarb leaves, as _fee_rows would stack it after statarb, and each
+    regulatory table.  Every fee row is built from the memo they fill.
     """
-    memo = {}
+    memo, tasks = {}, []
     base = dataclasses.replace(config, contracts=BASELINE_CONTRACTS)
-    statarb_config = dataclasses.replace(
-        base, contracts=BASELINE_CONTRACTS + TWAP_CONTRACTS)
+    statarb_config = dataclasses.replace(base, contracts=base.contracts + TWAP_CONTRACTS)
     _check_statarb(statarb_config)
+    solved = {(spec, config.params) for spec in statarb_config.contracts}
+
+    def solve(contracts, params):   # a task: the fees of one stacked solve
+        fees = {}
+        _solve_fees(contracts, base, params, fees)
+        return fees
 
     def sweep(param, values, contracts=BASELINE_CONTRACTS):
-        return "sweep", partial(run_sweep, dataclasses.replace(
-            base, contracts=contracts, sweep=SweepSpec(param, values)), memo)
+        swept = dataclasses.replace(base, contracts=contracts,
+                                    sweep=SweepSpec(param, values))
+        for _, params in _swept(swept):
+            missing = [spec for spec in contracts if (spec, params) not in solved]
+            solved.update((spec, params) for spec in missing)
+            tasks.extend([partial(solve, missing, params)] if missing else [])
+        return "sweep", partial(run_sweep, swept, memo)
 
     def regulatory(sigma):
-        return "regulatory", partial(run_regulatory, dataclasses.replace(
+        run = partial(run_regulatory, dataclasses.replace(
             base, params=base.params.replace(sigma=sigma),
             regulatory=RegulatorySpec(p=0.5, tau=0.5),
             sweep=SweepSpec("p", (0.0, 0.2, 0.5, 0.8, 1.0))))
+        tasks.append(lambda: {sigma: run()})
+        return "regulatory", partial(memo.pop, sigma)
 
     # artifact -> (table command, runner) in manifest order; runners are looked up now
     plan = {
@@ -301,20 +309,10 @@ def _reproduce_all(config: ExperimentConfig) -> dict:
         "twap_fees.csv": ("twap", partial(run_twap, base, memo)),
         "statarb.csv": ("statarb", partial(run_statarb, statarb_config, memo)),
     }
-
-    def others():
-        # statarb's fees a forked worker lacks are None there: it does not solve them
-        own = {(spec, config.params) for spec in statarb_config.contracts} - memo.keys()
-        memo.update(dict.fromkeys(own))
-        rows = {name: run() for name, (command, run) in plan.items()
-                if command != "statarb"}
-        return ({key: fee for key, fee in memo.items() if key not in own},
-                {name: rows[name] for name in rows if plan[name][0] == "regulatory"})
-
-    statarb, (fees, done) = run_beside(others, plan["statarb.csv"][1])
-    memo.update(fees)
-    return {name: (command, statarb if command == "statarb"
-                   else done[name] if name in done else run())
+    statarb, results = run_beside(tasks, plan["statarb.csv"][1])
+    for result in results:   # fees by (contract, params), regulatory rows by sigma
+        memo.update(result)
+    return {name: (command, statarb if command == "statarb" else run())
             for name, (command, run) in plan.items()}
 
 

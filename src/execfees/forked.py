@@ -1,12 +1,7 @@
-"""One job in a forked worker process while the caller runs another.
-
-`reproduce-all` uses it to run the tables that do not read the statarb Monte
-Carlo beside it.  It is raw os.fork, a pipe and pickle, each already loaded
-by the package, in a module of its own: compiled as part of cli.py it raised
-the memory a process holds after `import execfees.cli` by about 0.19 MB, and
-as a module of its own by about 0.06 MB (Python 3.11, sources compiled at
-import).
-"""
+"""Tasks shared through one queue by this process and a forked worker, for
+reproduce-all: raw os.fork, pipes and pickle in a module of their own, as in
+cli.py they raised the memory held after `import execfees.cli` by 0.19 MB,
+here by 0.06 MB (Python 3.11, sources compiled at import)."""
 import os
 import pickle
 import sys
@@ -19,75 +14,97 @@ class WorkerTraceback(Exception):
     """The worker's formatted traceback, raised as the cause of its exception."""
 
 
-def run_beside(job, here):
-    """(here(), job()), job running in a forked worker while here() runs in
-    this process, or after here() when this process may run on one CPU only
-    or cannot fork.
-
-    The worker pickles job()'s result, or the exception it raised and its
-    traceback, and the warnings it recorded through a pipe, and leaves by
-    os._exit, so none of this process's finally blocks, exit handlers or
-    buffered output runs twice.  Once here() is done its warnings are warned
-    again here, in order (_warn_again), and its exception is raised from its
-    WorkerTraceback.  The worker is always reaped: killed first when here()
-    fails, and an ExecFeesError naming its exit status when it ended without
-    sending everything.
+def run_beside(tasks, here):
+    """(here(), [task() for task in tasks]), the tasks claimed one at a time
+    (_claim) from a pipe of one byte per index, with no writer left, by a
+    forked worker and, once here() is done, by this process; on one CPU, or
+    when os.fork fails, by this process alone.  The worker pickles its claims
+    through a pipe and leaves by os._exit, so none of this process's finally
+    blocks, exit handlers or buffered output runs twice.  Then here() and
+    each task in order warn again what they recorded (_warn_again), and the
+    first that failed raises its exception, a worker's from its
+    WorkerTraceback, as one process would.  The worker is always reaped:
+    killed when here() fails or this process is interrupted, an ExecFeesError
+    naming its exit status when it ended without sending a task it claimed.
     """
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return here(), job()
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return here(), job()
-    if pid == 0:   # the worker
-        status = 1
+    assert len(tasks) <= 256, f"{len(tasks)} tasks: the queue holds each index as one byte"
+    queue, claims = os.pipe()
+    os.write(claims, bytes(range(len(tasks))))
+    os.close(claims)
+    pid = None
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        read, write = os.pipe()
         try:
+            pid = os.fork()
+        except OSError:
             os.close(read)
-            with warnings.catch_warnings(record=True) as caught:
-                try:
-                    result, trace = job(), None
-                except Exception as exc:   # sent, and raised by the parent
-                    import traceback   # only a failed job needs it
-                    result, trace = exc, "".join(traceback.format_exception(exc))
-            with open(write, "wb") as pipe:
-                pickle.dump((result, trace,
-                             [(w.message, w.filename, w.lineno) for w in caught]), pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    with open(read, "rb") as pipe:
+        if pid == 0:   # the worker
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    pickle.dump(_claim(queue, tasks, worker=True), pipe)
+                os._exit(0)
+            finally:   # reached only when the worker failed
+                os._exit(1)
+        os.close(write)
+    pipe, sent = pid and open(read, "rb"), None
+    try:
+        # recorded too: each catch_warnings resets the registries of shown warnings
+        done = {-1: _recorded(here)}
+        if not done[-1][1]:
+            done.update(_claim(queue, tasks))
+            sent = pipe and pipe.read()
+    finally:
+        os.close(queue)
+        if pid:
+            pipe.close()
+            if sent is None:   # here() failed, or this process was interrupted
+                import signal   # only a failed run needs it
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if sent and status == 0:
+                done.update(pickle.loads(sent))
+    for index in range(-1, len(tasks)):
+        if index not in done:   # claimed by a worker that ended without sending it
+            raise ExecFeesError(f"the forked worker exited with status {status} "
+                                "before sending its result")
+        result, failed, caught = done[index]
+        _warn_again(caught)
+        if failed is True:
+            raise result
+        if failed:
+            raise result from WorkerTraceback(failed)
+    return done[-1][0], [done[index][0] for index in range(len(tasks))]
+
+
+def _claim(queue, tasks, worker=False):
+    """{i: _recorded(tasks[i])} of each index i read from queue; a failure empties it."""
+    done = {}
+    while claim := os.read(queue, 1):
+        done[claim[0]] = _recorded(tasks[claim[0]], worker)
+        if done[claim[0]][1]:
+            os.read(queue, 256)
+    return done
+
+
+def _recorded(job, worker=False):
+    """(job() or its exception, False or True or a worker's traceback, its warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            mine = here()
-            sent = pipe.read()
-        except BaseException:
-            import signal   # only a failed run needs it
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise ExecFeesError(f"the forked worker exited with status {status} "
-                            "before sending its result")
-    result, trace, records = pickle.loads(sent)
-    _warn_again(records)
-    if trace is not None:
-        raise result from WorkerTraceback(trace)
-    return mine, result
+            return job(), False, caught
+        except Exception as exc:
+            import traceback   # only a failed job needs it
+            return exc, not worker or "".join(traceback.format_exception(exc)), caught
 
 
-def _warn_again(records) -> None:
-    """Each (message, filename, lineno) warned again, as warnings.warn warns
-    it from that line: under the filters of the module of filename and
-    through its registry, so a warning that module has shown is not shown
-    again (a file of no loaded module gets a registry of its own)."""
-    for message, filename, lineno in records:
+def _warn_again(caught) -> None:
+    """Each recorded warning warned again as warnings.warn warns it: under the
+    filters and through the registry of its file's module, so one that module
+    has shown is not shown again (a file of no module gets a registry of its own)."""
+    for w in caught:
         module = next((vars(m) for m in list(sys.modules.values())
-                       if getattr(m, "__file__", None) == filename), None)
+                       if getattr(m, "__file__", None) == w.filename), None)
         warnings.warn_explicit(
-            message, type(message), filename, lineno,
+            w.message, w.category, w.filename, w.lineno,
             module=module and module["__name__"],
             registry=module and module.setdefault("__warningregistry__", {}))

@@ -939,8 +939,8 @@ def _failing_fork():
     raise OSError("fork failed")
 
 
-# reproduce-all's three paths -> (CPUs it sees, whether fork fails): the
-# other tables in a forked worker, or here after statarb
+# reproduce-all's three paths -> (CPUs it sees, whether fork fails): its
+# tasks shared with a forked worker, or all claimed here after statarb
 PATHS = {"forked": (2, False), "one_cpu": (1, False), "fork_fails": (2, True)}
 
 
@@ -970,32 +970,122 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("path", list(PATHS))
-def test_run_beside_returns_both_results_on_every_path(monkeypatch, path):
-    # job runs in a forked worker, or here after here() without one
+def _wait_for(path, timeout=60.0):
+    """Returns once path exists; fails after timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} did not appear in {timeout} s"
+        time.sleep(0.005)
+
+
+def _path(monkeypatch, path):
+    """run_beside takes the given one of reproduce-all's three paths."""
     cpus, fork_fails = PATHS[path]
     _cpus(monkeypatch, cpus)
     if fork_fails:
         monkeypatch.setattr(os, "fork", _failing_fork)
-    parent, ran = os.getpid(), []
 
-    def run(name):
-        ran.append(name)
-        return name, os.getpid()
 
-    mine, theirs = run_beside(lambda: run("job"), lambda: run("here"))
+@pytest.mark.parametrize("path", list(PATHS))
+def test_run_beside_returns_both_results_on_every_path(tmp_path, monkeypatch, path):
+    # forked: here() waits until the worker has claimed task 1, which waits
+    # for the file task 2 writes, so this process must claim task 2; without
+    # a worker, every task runs here after here(), in order
+    _path(monkeypatch, path)
+    parent, log = os.getpid(), tmp_path / "ran.txt"
+
+    def task(n):
+        def run():
+            with open(log, "a") as fh:   # one write per task, from either process
+                fh.write(f"{n} {os.getpid()}\n")
+            if n == 2:
+                (tmp_path / "2").touch()
+            if n == 1 and os.getpid() != parent:
+                _wait_for(tmp_path / "2")
+            return n, os.getpid()
+        return run
+
+    def here():
+        if path == "forked":
+            _wait_for(log)
+        return "here", os.getpid()
+
+    mine, theirs = run_beside([task(1), task(2), task(3)], here)
     assert mine == ("here", parent)
-    assert theirs[0] == "job" and (theirs[1] != parent) == (path == "forked")
-    assert ran == (["here"] if path == "forked" else ["here", "job"])
+    assert [n for n, _ in theirs] == [1, 2, 3]
+    ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(ran) == theirs   # each task ran once, in the process it reports
+    if path == "forked":
+        assert theirs[0][1] != parent and theirs[1][1] == parent
+    else:
+        assert ran == [(1, parent), (2, parent), (3, parent)]
     _no_child_left()
 
 
-def test_unexpected_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
-    def broken_run_twap(config, memo=None):
-        raise ValueError("twap: a fault in the table code")
+@pytest.mark.parametrize("path", list(PATHS))
+def test_run_beside_raises_the_lowest_failed_task_on_every_path(tmp_path, monkeypatch,
+                                                                path):
+    # forked: the worker's task 1 fails after this process's task 2 has
+    # failed; task 1's error is raised, as one process would raise it, and no
+    # task after a failed one is claimed
+    _path(monkeypatch, path)
+    parent, log = os.getpid(), tmp_path / "ran.txt"
 
+    def task(n):
+        def run():
+            with open(log, "a") as fh:
+                fh.write(f"{n}\n")
+            if n == 1 and os.getpid() != parent:
+                _wait_for(tmp_path / "2")
+            if n == 2:
+                (tmp_path / "2").touch()
+            raise ValueError(f"task {n} failed")
+        return run
+
+    def here():
+        if path == "forked":
+            _wait_for(log)
+        return "here"
+
+    with pytest.raises(ValueError, match="task 1 failed") as exc:
+        run_beside([task(1), task(2), task(3)], here)
+    assert isinstance(exc.value.__cause__, WorkerTraceback) == (path == "forked")
+    assert sorted(log.read_text().split()) == (["1", "2"] if path == "forked" else ["1"])
+    _no_child_left()
+
+
+def test_run_beside_refuses_more_tasks_than_one_byte_names():
+    with pytest.raises(AssertionError, match="257 tasks: the queue holds each index as one byte"):
+        run_beside([lambda: None] * 257, lambda: None)
+
+
+def _fault_in_worker(monkeypatch, tmp_path, fault, statarb=None):
+    """On two CPUs, reproduce-all's forked worker calls fault() in its first
+    fee solve, and its statarb table (statarb, or the real one) runs only once
+    that solve has begun, so the worker holds a task when statarb ends."""
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "run_twap", broken_run_twap)
+    parent, begun = os.getpid(), tmp_path / "fault-begun"
+    solve, statarb = cli._solve_fees, statarb or cli.run_statarb
+
+    def faulty_solve(*args, **kw):
+        if os.getpid() != parent:
+            begun.touch()
+            fault()
+        return solve(*args, **kw)
+
+    def waiting_run_statarb(config, memo=None):
+        _wait_for(begun)
+        return statarb(config, memo)
+
+    monkeypatch.setattr(cli, "_solve_fees", faulty_solve)
+    monkeypatch.setattr(cli, "run_statarb", waiting_run_statarb)
+
+
+def test_unexpected_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
+    def broken_fee_solve():
+        raise ValueError("a fault in the table code")
+
+    _fault_in_worker(monkeypatch, tmp_path, broken_fee_solve)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
     out = tmp_path / "o"
@@ -1003,20 +1093,18 @@ def test_unexpected_worker_error_keeps_its_traceback(tmp_path, monkeypatch):
         main(["reproduce-all", "--config", str(cfg), "--out", str(out)])
     # the worker's frames arrive as the cause, as concurrent.futures sends them
     assert isinstance(exc.value.__cause__, WorkerTraceback)
-    assert "broken_run_twap" in str(exc.value.__cause__)
-    assert "broken_run_twap" in "".join(traceback.format_exception(exc.value))
+    assert "broken_fee_solve" in str(exc.value.__cause__)
+    assert "broken_fee_solve" in "".join(traceback.format_exception(exc.value))
     assert not out.exists()
     _no_child_left()
 
 
 def test_failed_statarb_reaps_the_running_worker(tmp_path, capsys, monkeypatch):
-    # the worker would sleep for a minute in its twap table: it is killed
+    # the worker would sleep for a minute in its first fee solve: it is killed
     def failing_run_statarb(config, memo=None):
         raise NonFinite("statarb: surface became non-finite")
 
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "run_statarb", failing_run_statarb)
-    monkeypatch.setattr(cli, "run_twap", lambda config, memo=None: time.sleep(60))
+    _fault_in_worker(monkeypatch, tmp_path, lambda: time.sleep(60), failing_run_statarb)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
     out = tmp_path / "o"
@@ -1030,14 +1118,7 @@ def test_failed_statarb_reaps_the_running_worker(tmp_path, capsys, monkeypatch):
 
 
 def test_worker_ending_without_its_tables_exits_with_error(tmp_path, capsys, monkeypatch):
-    parent = os.getpid()
-
-    def dying_run_twap(config, memo=None):
-        assert os.getpid() != parent, "the twap table ran in the parent"
-        os._exit(3)
-
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(cli, "run_twap", dying_run_twap)
+    _fault_in_worker(monkeypatch, tmp_path, lambda: os._exit(3))
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(COARSE_GRID + "sim: {n_paths: 20, n_steps: 200}\n")
     out = tmp_path / "o"
